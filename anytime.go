@@ -1,27 +1,22 @@
-// Anytime adaptive sampling: the round-based solve path behind
-// WithSampleRounds, WithTargetWidth and WithProgress.
+// Anytime adaptive sampling: the sampling rounds behind WithSampleRounds,
+// WithTargetWidth and WithProgress.
 //
-// The static path (solveJobs) hands every unique subproblem its full sample
-// schedule in one shot. The adaptive path below constructs a resumable
-// core.Sampler per subproblem instead, then spends the combined budget in
-// rounds: each round allocates its slice of the remaining schedule where
-// bound-gap × query-fan-in is largest (batch.Allocate), checks WithTargetWidth
-// against the refreshed anytime intervals, and reports progress. Since a
-// resumed schedule folds bit-identically to a one-shot schedule, the round
-// structure alone never changes a result — with eps = 0 every schedule is
-// eventually exhausted and the answers match the static path bit for bit.
+// By default solveJobs draws every unique subproblem's full sample schedule
+// in one shot. Under the anytime knobs it constructs a resumable
+// core.Sampler per subproblem instead and spends the combined budget in
+// rounds: each round allocates its slice of the remaining
+// schedule where bound-gap × query-fan-in is largest (batch.Allocate),
+// checks WithTargetWidth against the refreshed anytime intervals, and
+// reports progress. Since a resumed schedule folds bit-identically to a
+// one-shot schedule, the round structure alone never changes a result —
+// with eps = 0 every schedule is eventually exhausted and the answers match
+// the one-shot solve bit for bit.
 package netrel
 
 import (
-	"context"
 	"math"
-	"sync/atomic"
 
-	"netrel/internal/batch"
 	"netrel/internal/core"
-	"netrel/internal/order"
-	"netrel/internal/sampling"
-	"netrel/internal/telemetry"
 )
 
 // Progress is one anytime-bounds update delivered to a WithProgress sink.
@@ -81,180 +76,4 @@ func combineBounds(factor float64, bounds []jobBounds, refs []int) (lo, hi, est 
 	hi = math.Min(math.Max(hi, 0), 1)
 	est = math.Min(math.Max(est, lo), hi)
 	return lo, hi, est, drawn
-}
-
-// newJobSampler builds the resumable sampler for one subproblem, with the
-// same config derivation as solveJob so construction — and therefore the
-// recorded schedule — is identical to the static path's.
-func newJobSampler(ctx context.Context, exec sampling.Executor, j pipelineJob, o options, workers int) (*core.Sampler, error) {
-	ord := order.Compute(j.g, o.ordering.strategy(), j.ts[0])
-	cfg := core.Config{
-		MaxWidth:                o.maxWidth,
-		Samples:                 o.samples,
-		Estimator:               o.estimatorKind(),
-		Seed:                    jobSeed(o.seed, j.sig),
-		Order:                   ord,
-		Workers:                 workers,
-		ConstructionWorkers:     o.cworkers,
-		Exec:                    exec,
-		DisableEarlyTermination: o.noEarlyTerm,
-		DisableHeuristic:        o.noHeuristic,
-		DisableStall:            o.noStall,
-		DisableReduction:        o.noReduction,
-		StallWindow:             o.stallWindow,
-		StallThreshold:          o.stallThreshold,
-	}
-	return core.NewSampler(ctx, j.g, j.ts, cfg)
-}
-
-// solveJobsAdaptive is the adaptive counterpart of solveJobs: same cache
-// discipline (consult first, fill only on full success), same full-budget
-// worker policy, but sampling proceeds in rounds. fanin weights each
-// subproblem's bound gap by how many batch queries reference it; report, if
-// non-nil, receives the per-subproblem interval snapshot after every round
-// and once more with final set (it runs on the calling goroutine, so
-// WithProgress sinks need no locking).
-//
-// Cache admission: only subproblems whose schedule was exhausted are Put —
-// an exhausted resumable schedule is bit-identical to the static solve, so
-// the cache never observes which path (or which round split) filled it.
-// Early-stopped results stay request-local.
-func solveJobsAdaptive(ctx context.Context, exec sampling.Executor, jobs []pipelineJob, fanin []int, o options, cache *batch.Cache, report func(round int, final bool, bounds []jobBounds)) ([]core.Result, error) {
-	results := make([]core.Result, len(jobs))
-	bounds := make([]jobBounds, len(jobs))
-	samplers := make([]*core.Sampler, len(jobs))
-	fp := o.fingerprint(false)
-	miss := make([]int, 0, len(jobs))
-	for i, j := range jobs {
-		if r, ok := cache.Get(batch.Key{Sig: j.sig, Fingerprint: fp}); ok {
-			results[i] = r
-			bounds[i] = boundsFromResult(r)
-		} else {
-			miss = append(miss, i)
-		}
-	}
-	tr := telemetry.FromContext(ctx)
-	tr.Annotate(telemetry.AnnotCacheHits, int64(len(jobs)-len(miss)))
-	tr.Annotate(telemetry.AnnotCacheMisses, int64(len(miss)))
-
-	// Construct every missing subproblem's S2BDD up front (the samplers
-	// record their schedules without drawing), with the same job-level
-	// parallelism and failure discipline as solveJobs.
-	total := sampling.ClampWorkers(o.workers, 0)
-	errs := make([]error, len(jobs))
-	var failed atomic.Bool
-	if err := sampling.ForEachChunkCtx(ctx, exec, len(miss), min(total, len(miss)), func() func(int) {
-		return func(k int) {
-			if failed.Load() {
-				return
-			}
-			i := miss[k]
-			samplers[i], errs[i] = newJobSampler(ctx, exec, jobs[i], o, total)
-			if errs[i] != nil {
-				failed.Store(true)
-			}
-		}
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	refresh := func() {
-		for _, i := range miss {
-			lo, hi, est, drawn := samplers[i].Anytime()
-			bounds[i] = jobBounds{lo: lo, hi: hi, est: est, drawn: drawn}
-		}
-	}
-	refresh()
-
-	rounds := max(o.rounds, 1)
-	eps := o.targetWidth
-	round := 0
-	for round < rounds {
-		round++
-		// Active subproblems: schedule outstanding and interval still wider
-		// than the target.
-		active := make([]int, 0, len(miss))
-		remaining := 0
-		for _, i := range miss {
-			smp := samplers[i]
-			if smp.Remaining() == 0 || (eps > 0 && bounds[i].hi-bounds[i].lo <= eps) {
-				continue
-			}
-			active = append(active, i)
-			remaining += smp.Remaining()
-		}
-		if len(active) == 0 {
-			break
-		}
-		// The final round drains every active schedule; earlier rounds split
-		// an even slice of the remaining budget by bound-gap × fan-in.
-		share := make([]int, len(active))
-		if round == rounds {
-			for k, i := range active {
-				share[k] = samplers[i].Remaining()
-			}
-		} else {
-			pool := (remaining + rounds - round) / (rounds - round + 1)
-			weights := make([]float64, len(active))
-			caps := make([]int, len(active))
-			for k, i := range active {
-				weights[k] = (bounds[i].hi - bounds[i].lo) * float64(max(fanin[i], 1))
-				caps[k] = samplers[i].Remaining()
-			}
-			share = batch.Allocate(pool, weights, caps)
-		}
-		if err := sampling.ForEachChunkCtx(ctx, exec, len(active), min(total, len(active)), func() func(int) {
-			return func(k int) {
-				if failed.Load() || share[k] == 0 {
-					return
-				}
-				i := active[k]
-				if _, err := samplers[i].Resume(ctx, share[k]); err != nil {
-					errs[i] = err
-					failed.Store(true)
-				}
-			}
-		}); err != nil {
-			return nil, err
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		refresh()
-		if report != nil {
-			report(round, false, bounds)
-		}
-	}
-
-	earlyStops := 0
-	for _, i := range miss {
-		smp := samplers[i]
-		if smp.Remaining() > 0 {
-			earlyStops++
-		}
-		var err error
-		if results[i], err = smp.Result(); err != nil {
-			return nil, err
-		}
-		bounds[i].est = results[i].Estimate
-		bounds[i].drawn = results[i].SamplesUsed
-	}
-	tr.Annotate(telemetry.AnnotEarlyStops, int64(earlyStops))
-	tr.Annotate(telemetry.AnnotRounds, int64(round))
-	for _, i := range miss {
-		if samplers[i].Remaining() == 0 {
-			cache.Put(batch.Key{Sig: jobs[i].sig, Fingerprint: fp}, jobs[i].cover, results[i])
-		}
-	}
-	if report != nil {
-		report(round, true, bounds)
-	}
-	return results, nil
 }

@@ -74,11 +74,11 @@ func (s *Session) BatchReliabilityContext(ctx context.Context, queries []Query, 
 	return s.batchOn(ctx, s.state.Load(), queries, opts)
 }
 
-// batchOn is the batch pipeline body, parameterized on the graph state it
-// runs against: the session's current snapshot for BatchReliability, an
-// ephemeral delta state for WhatIfBatch. The whole batch runs on the one
-// state loaded by the caller, so a concurrent Mutate never splits a batch
-// across snapshots.
+// batchOn resolves a batch against the graph state it runs on — the
+// session's current snapshot for BatchReliability, an ephemeral delta state
+// for WhatIfBatch — and solves it as one counted batch. The whole batch
+// runs on the one state loaded by the caller, so a concurrent Mutate never
+// splits a batch across snapshots.
 func (s *Session) batchOn(ctx context.Context, st *graphState, queries []Query, opts []Option) ([]*Result, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
@@ -90,52 +90,90 @@ func (s *Session) batchOn(ctx context.Context, st *graphState, queries []Query, 
 		// that distinguish it from a (vacuously) answered batch.
 		return []*Result{}, nil
 	}
-
 	ctx, tr := ensureTrace(ctx, o)
-
-	// Resolve every spec up front — validation plus canonicalization is
-	// cheap (conditioning is one O(|E|) graph rewrite), it is what
-	// plan-level dedup keys on, and it fails invalid queries (naming the
-	// offender) before the batch occupies an admission slot. Conditional
-	// specs' evidence rewrites are recorded as one aggregate PhaseCondition
-	// span.
-	specs := make([]*resolvedSpec, len(queries))
-	sigs := make([]preprocess.Signature, len(queries))
-	needIdx := false
-	conditioned := false
-	var resolveStart time.Time
-	if tr != nil {
-		resolveStart = time.Now()
+	specs, err := resolveQueries(st.g, queries, tr, true)
+	if err != nil {
+		return nil, err
 	}
+	return s.solve(ctx, st, specs, o, solveCall{counted: true})
+}
+
+// resolveQueries resolves every query up front — validation plus
+// canonicalization is cheap (conditioning is one O(|E|) graph rewrite), it
+// is what plan-level dedup keys on, and it fails invalid queries before
+// the call occupies an admission slot. Conditional specs' evidence
+// rewrites are recorded as one aggregate PhaseCondition span (terminal-set
+// resolution is a validation pass, too cheap to be a phase). In a batch
+// the error names the offending query.
+func resolveQueries(g *Graph, queries []Query, tr *telemetry.Trace, inBatch bool) ([]*resolvedSpec, error) {
+	var start time.Time
+	if tr != nil {
+		start = time.Now()
+	}
+	specs := make([]*resolvedSpec, len(queries))
+	conditioned := false
 	for i, q := range queries {
-		rs, err := resolveSpec(st.g, q)
+		rs, err := resolveSpec(g, q)
 		if err != nil {
-			return nil, fmt.Errorf("netrel: batch query %d: %w", i, err)
+			if inBatch {
+				return nil, fmt.Errorf("netrel: batch query %d: %w", i, err)
+			}
+			return nil, err
 		}
 		specs[i] = rs
-		sigs[i] = rs.planSig
-		if rs.conditioned {
-			conditioned = true
-		} else {
-			needIdx = true
-		}
+		conditioned = conditioned || rs.conditioned
 	}
 	if tr != nil && conditioned {
-		tr.Add(telemetry.PhaseCondition, time.Since(resolveStart))
+		tr.Add(telemetry.PhaseCondition, time.Since(start))
+	}
+	return specs, nil
+}
+
+// solveCall says how one pass through solve is admitted and accounted.
+type solveCall struct {
+	// exactOnly disables sampling: a subproblem the S2BDD cannot resolve
+	// within the width limit fails the call with ErrNotExact.
+	exactOnly bool
+	// single marks one query from a single-result entry point. It is
+	// admitted once, before planning, at its full queryCost; its errors are
+	// returned bare; its trace carries no batch dedup counters. Every other
+	// call is admitted in two phases (see BatchReliabilityContext).
+	single bool
+	// counted adds the call to PlanStats.
+	counted bool
+}
+
+// solve is the pipeline body behind every S2BDD entry point, single
+// queries included: dedup the resolved specs by plan signature, admit,
+// plan each distinct spec once, dedup the decomposed subproblems across
+// the plans, solve each unique subproblem once against the session cache,
+// and recombine every query's answer from the shared solutions. The call
+// runs entirely on st, whose index and cover tags its specs plan with.
+func (s *Session) solve(ctx context.Context, st *graphState, specs []*resolvedSpec, o options, c solveCall) ([]*Result, error) {
+	tr := telemetry.FromContext(ctx)
+	sigs := make([]preprocess.Signature, len(specs))
+	needIdx := false
+	for i, rs := range specs {
+		sigs[i] = rs.planSig
+		needIdx = needIdx || !rs.conditioned
 	}
 	dd := batch.DedupSpecs(sigs)
 
-	// Admission phase 1: the planning cost.
+	// Admission: a single query at its full cost; anything else first at
+	// its planning cost, repriced once dedup has sized the solve.
 	admittedCost := planCost(dd.Distinct())
+	if c.single {
+		admittedCost = queryCost(o, 1, c.exactOnly)
+	}
 	release, err := s.eng.admit(ctx, admittedCost)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 	// The shared 2ECC index describes the base graph only, so it is built
-	// (or fetched) only when some spec actually runs on the base graph.
+	// (or fetched) only when some spec plans on the base graph through it.
 	var idx *preprocess.Index
-	if needIdx {
+	if needIdx && !o.noExtension {
 		done := tr.Span(telemetry.PhaseIndex)
 		idx, err = s.stateIndexContext(ctx, st)
 		done()
@@ -158,94 +196,78 @@ func (s *Session) batchOn(ctx context.Context, st *graphState, queries []Query, 
 	if err := batch.PlanAll(ctx, s.eng.exec(), dd.Distinct(), planWorkers, func(d int) error {
 		rs := specs[dd.First[d]]
 		p, err := planTerminals(ctx, rs.g, rs.ts, o, rs.planIndex(idx), st.coverScope(rs))
-		if err != nil {
-			return fmt.Errorf("netrel: batch query %d: %w", dd.First[d], err)
+		if err != nil && !c.single {
+			err = fmt.Errorf("netrel: batch query %d: %w", dd.First[d], err)
 		}
 		plans[d] = p
-		return nil
+		return err
 	}); err != nil {
 		return nil, err
 	}
 
 	// Deduplicate subproblems across the distinct plans. plan.Unique is
-	// ordered largest-first, so solveJobs — the same cache-aware engine the
-	// sequential path uses — starts the dominant subproblems before the
-	// worker budget fills with small ones.
-	jobLists := make([][]batch.Job, dd.Distinct())
+	// ordered largest-first, so solveJobs starts the dominant subproblems
+	// before the worker budget fills with small ones.
+	jobLists := make([][]batch.Job, len(plans))
 	for d, p := range plans {
-		if p.done {
-			continue
-		}
-		jobs := make([]batch.Job, len(p.jobs))
-		for j, pj := range p.jobs {
-			jobs[j] = batch.Job{G: pj.g, Ts: pj.ts, Sig: pj.sig, Cover: pj.cover}
-		}
-		jobLists[d] = jobs
+		jobLists[d] = p.jobs
 	}
 	plan := batch.Build(jobLists)
 
-	totalJobs := 0
-	for _, d := range dd.Slot {
-		totalJobs += len(plan.Refs[d])
-	}
-	s.planBatches.Add(1)
-	s.planQueries.Add(uint64(len(queries)))
-	s.planPlanned.Add(uint64(dd.Distinct()))
-	s.planUnique.Add(uint64(len(plan.Unique)))
-	s.planTotal.Add(uint64(totalJobs))
-	if tr != nil {
-		tr.Annotate(telemetry.AnnotQueriesPlanned, int64(dd.Distinct()))
-		tr.Annotate(telemetry.AnnotQueriesDeduped, int64(len(queries)-dd.Distinct()))
-		tr.Annotate(telemetry.AnnotSubproblems, int64(totalJobs))
-		tr.Annotate(telemetry.AnnotSubproblemsDeduped, int64(totalJobs-len(plan.Unique)))
+	if !c.single {
+		totalJobs := 0
+		for _, d := range dd.Slot {
+			totalJobs += len(plan.Refs[d])
+		}
+		if c.counted {
+			s.planBatches.Add(1)
+			s.planQueries.Add(uint64(len(specs)))
+			s.planPlanned.Add(uint64(dd.Distinct()))
+			s.planUnique.Add(uint64(len(plan.Unique)))
+			s.planTotal.Add(uint64(totalJobs))
+		}
+		if tr != nil {
+			tr.Annotate(telemetry.AnnotQueriesPlanned, int64(dd.Distinct()))
+			tr.Annotate(telemetry.AnnotQueriesDeduped, int64(dd.Deduped()))
+			tr.Annotate(telemetry.AnnotSubproblems, int64(totalJobs))
+			tr.Annotate(telemetry.AnnotSubproblemsDeduped, int64(totalJobs-len(plan.Unique)))
+		}
+		// Admission phase 2: reprice at the post-dedup solve cost now that
+		// the unique-subproblem count is known. The slot is kept either way.
+		if err := s.eng.reprice(ctx, admittedCost, batchSolveCost(o, len(plan.Unique), dd.Distinct())); err != nil {
+			return nil, err
+		}
 	}
 
-	// Admission phase 2: reprice at the post-dedup solve cost now that the
-	// unique-subproblem count is known. The slot is kept either way.
-	if err := s.eng.reprice(ctx, admittedCost, batchSolveCost(o, len(plan.Unique), dd.Distinct())); err != nil {
-		return nil, err
+	// Each unique subproblem's fan-in — how many plans its refinement
+	// tightens — weights its bound gap in adaptive rounds, which stream
+	// per-query interval snapshots to the progress sink.
+	fanin := make([]int, len(plan.Unique))
+	for _, refs := range plan.Refs {
+		for _, u := range refs {
+			fanin[u]++
+		}
 	}
-
-	unique := make([]pipelineJob, len(plan.Unique))
-	for u, j := range plan.Unique {
-		unique[u] = pipelineJob{g: j.G, ts: j.Ts, sig: j.Sig, cover: j.Cover}
+	var report func(int, bool, []jobBounds)
+	if o.progress != nil {
+		report = func(round int, final bool, bounds []jobBounds) {
+			for i := range specs {
+				p := plans[dd.Slot[i]]
+				if p.done {
+					r := p.out.Reliability
+					o.progress(Progress{Query: i, Round: round, Lower: r,
+						Upper: r, Estimate: r, Done: final})
+					continue
+				}
+				factor := p.factor.Clamp01().Float64()
+				lo, hi, est, drawn := combineBounds(factor, bounds, plan.Refs[dd.Slot[i]])
+				o.progress(Progress{Query: i, Round: round, Lower: lo,
+					Upper: hi, Estimate: est, SamplesUsed: drawn, Done: final})
+			}
+		}
 	}
 	solveStart := time.Now()
-	var solved []core.Result
-	if o.adaptive() {
-		// Adaptive rounds: weight each unique subproblem's bound gap by its
-		// fan-in — how many queries its refinement tightens — and stream
-		// per-query interval snapshots to the progress sink at every round
-		// boundary. With the default knobs this branch is not taken and the
-		// static solve below runs unchanged.
-		fanin := make([]int, len(plan.Unique))
-		for _, refs := range plan.Refs {
-			for _, u := range refs {
-				fanin[u]++
-			}
-		}
-		var report func(int, bool, []jobBounds)
-		if o.progress != nil {
-			report = func(round int, final bool, bounds []jobBounds) {
-				for i := range queries {
-					p := plans[dd.Slot[i]]
-					if p.done {
-						r := p.out.Reliability
-						o.progress(Progress{Query: i, Round: round, Lower: r,
-							Upper: r, Estimate: r, Done: final})
-						continue
-					}
-					factor := p.factor.Clamp01().Float64()
-					lo, hi, est, drawn := combineBounds(factor, bounds, plan.Refs[dd.Slot[i]])
-					o.progress(Progress{Query: i, Round: round, Lower: lo,
-						Upper: hi, Estimate: est, SamplesUsed: drawn, Done: final})
-				}
-			}
-		}
-		solved, err = solveJobsAdaptive(ctx, s.eng.exec(), unique, fanin, o, s.cache, report)
-	} else {
-		solved, err = solveJobs(ctx, s.eng.exec(), unique, o, false, s.cache)
-	}
+	solved, err := solveJobs(ctx, s.eng.exec(), plan.Unique, fanin, o, c.exactOnly, s.cache, report)
 	if err != nil {
 		return nil, err
 	}
@@ -273,19 +295,18 @@ func (s *Session) batchOn(ctx context.Context, st *graphState, queries []Query, 
 			p.out.Duration = p.planDur + solveDur
 		}
 	}
-
 	combineDone()
 
 	// Fan the combined results out to the queries: every query — duplicates
 	// included — gets its own clone, so no two Results alias storage. Under
-	// WithTrace every Result carries its own copy of the batch-wide phase
-	// breakdown (phases are batch-scoped: one shared solve served them all).
+	// WithTrace every Result carries its own copy of the call-wide phase
+	// breakdown (phases are call-scoped: one shared solve served them all).
 	var phases *PhaseBreakdown
 	if tr != nil && o.trace {
 		phases = newPhaseBreakdown(tr.Snapshot())
 	}
-	out := make([]*Result, len(queries))
-	for i := range queries {
+	out := make([]*Result, len(specs))
+	for i := range specs {
 		out[i] = plans[dd.Slot[i]].cloneOut()
 		out[i].Phases = phases.clone()
 	}

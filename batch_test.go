@@ -535,6 +535,69 @@ func TestBatchTwoPhaseAdmission(t *testing.T) {
 	}
 }
 
+// TestSingleQueryOnePhaseAdmission pins single-query admission: a single
+// query is admitted once, before planning, at its full queryCost — never at
+// a batch's planning cost and then repriced. An engine capped one unit
+// below that cost rejects the query before it plans or touches the cache,
+// while an exact query on the same engine is billed its own (here smaller)
+// exact-mode cost and admitted.
+func TestSingleQueryOnePhaseAdmission(t *testing.T) {
+	g, err := FromEdges(4, []Edge{{0, 1, 0.9}, {1, 2, 0.8}, {2, 3, 0.9}, {3, 0, 0.7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []Option{WithSamples(1000), WithSeed(6), WithMaxWidth(64)}
+	o, err := buildOptions(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled, exact := queryCost(o, 1, false), queryCost(o, 1, true)
+	if exact >= sampled {
+		t.Fatalf("exact cost %d not below sampled cost %d; the case is not exercised", exact, sampled)
+	}
+	eng := NewEngine(EngineConfig{MaxCost: sampled - 1})
+	t.Cleanup(eng.Close)
+	s := NewSession(g)
+	s.SetEngine(eng)
+
+	spec := QuerySpec{Terminals: []int{0, 2}}
+	if _, err := s.Solve(spec, opts...); !errors.Is(err, ErrOverCost) {
+		t.Fatalf("over-cost single query error = %v, want ErrOverCost", err)
+	}
+	if st := s.CacheStats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
+		t.Fatalf("rejected query touched the cache: %+v", st)
+	}
+	if ps := s.PlanStats(); ps != (PlanStats{}) {
+		t.Fatalf("rejected query reached planning: %+v", ps)
+	}
+	if st := eng.Stats(); st.RejectedOverCost != 1 || st.Repriced != 0 || st.InFlight != 0 {
+		t.Fatalf("rejected/repriced/in-flight = %d/%d/%d, want 1/0/0",
+			st.RejectedOverCost, st.Repriced, st.InFlight)
+	}
+
+	res, err := s.SolveExact(spec, opts...)
+	if err != nil {
+		t.Fatalf("exact query (cost %d) rejected under cap %d: %v", exact, sampled-1, err)
+	}
+	if !res.Exact {
+		t.Fatal("SolveExact returned an estimate")
+	}
+	if st := eng.Stats(); st.RejectedOverCost != 1 || st.Repriced != 0 {
+		t.Fatalf("after exact query rejected/repriced = %d/%d, want 1/0", st.RejectedOverCost, st.Repriced)
+	}
+	if ps := s.PlanStats(); ps != (PlanStats{}) {
+		t.Fatalf("single query counted in PlanStats: %+v", ps)
+	}
+
+	// The exact query is billed exactly its exact-mode cost.
+	tight := NewEngine(EngineConfig{MaxCost: exact - 1})
+	t.Cleanup(tight.Close)
+	s.SetEngine(tight)
+	if _, err := s.SolveExact(spec, opts...); !errors.Is(err, ErrOverCost) {
+		t.Fatalf("exact query over its cap error = %v, want ErrOverCost", err)
+	}
+}
+
 // TestBatchConcurrentTwoPhaseAdmission stresses concurrent batches through
 // a small bounded engine — planning on pool slots, interleaved two-phase
 // admissions, shared session cache — under `go test -race`; every surviving

@@ -1,7 +1,9 @@
 // Benchmarks regenerating the paper's evaluation, one benchmark family per
-// table/figure, plus ablation benches for the design choices DESIGN.md
-// calls out. Dataset sizes use the Small scale so the full suite runs in
-// minutes; `cmd/experiments -scale medium|full` reproduces larger runs.
+// table/figure, plus ablation benches for the design choices the options
+// switch (edge ordering, the deletion heuristic, early termination,
+// sample reduction, the extension). Dataset sizes use the Small scale so
+// the full suite runs in minutes; `cmd/experiments -scale medium|full`
+// reproduces larger runs.
 //
 // The parallel-scaling families are run with
 //

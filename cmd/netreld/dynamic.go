@@ -250,7 +250,6 @@ func (s *server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	delta := req.Delta.toDelta()
 	spec := netrel.QuerySpec{Mode: mode, Terminals: req.Terminals, Evidence: toEvidence(req.Evidence)}
 	c := h.c
-	before := sess.CacheStats()
 	tr := telemetry.New()
 	ctx, cancel := s.queryContext(r, name, tr)
 	defer cancel()
@@ -265,22 +264,22 @@ func (s *server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	after := sess.CacheStats()
 	if c != nil {
 		c.whatifs.Add(1)
 		c.countMode(mode, 1)
 	}
 	s.recordQuery(h, "whatif", tr, elapsed)
 	s.logSlow(ctx, name, "whatif", tr, elapsed)
-	// The hit/miss deltas show the cover reuse a what-if is for: on a
-	// warm cache, subproblems outside the delta's components hit.
+	// The request's own hit/miss counts show the cover reuse a what-if is
+	// for: on a warm cache, subproblems outside the delta's components hit.
+	annots := tr.Snapshot().Annots
 	writeJSON(w, http.StatusOK, map[string]any{
 		"graph":            name,
 		"mode":             mode.String(),
 		"topology_changed": delta.TopologyChanged(),
 		"result":           toResponse(res),
-		"cache_hits":       after.Hits - before.Hits,
-		"cache_misses":     after.Misses - before.Misses,
-		"cache":            toCacheResponse(after),
+		"cache_hits":       annots[telemetry.AnnotCacheHits],
+		"cache_misses":     annots[telemetry.AnnotCacheMisses],
+		"cache":            toCacheResponse(sess.CacheStats()),
 	})
 }

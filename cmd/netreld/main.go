@@ -43,7 +43,7 @@
 // delta had been applied, without applying it: bit-identical to mutating
 // for real and querying cold, but subproblems outside the delta's
 // components are answered from the graph's shared result cache (the
-// response's cache_hits/cache_misses deltas show the reuse).
+// response's own cache_hits/cache_misses show the reuse).
 //
 // Queries are mode-polymorphic: a query's "mode" is "terminal-set" (the
 // default), "conditional" — terminal-set reliability given "evidence", a
@@ -1322,8 +1322,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			sse.event("progress", toProgressJSON(p))
 		}))
 	}
-	before := sess.CacheStats()
-	planBefore := sess.PlanStats()
 	tr := telemetry.New()
 	ctx, cancel := s.queryContext(r, name, tr)
 	defer cancel()
@@ -1348,8 +1346,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	after := sess.CacheStats()
-	planAfter := sess.PlanStats()
 	if c != nil {
 		c.batches.Add(1)
 		c.batchQs.Add(uint64(len(results)))
@@ -1363,24 +1359,18 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, r := range results {
 		out[i] = toResponse(r)
 	}
-	// Per-batch deltas overlap under concurrent requests, but they still
-	// show cache and planner effectiveness on a lightly loaded daemon. The
-	// planned delta can exceed this batch's query count when another batch
-	// lands inside the measurement window — clamp so the deduped count
-	// never wraps.
-	planned := planAfter.Planned - planBefore.Planned
-	if n := uint64(len(results)); planned > n {
-		planned = n
-	}
+	// The counts come from the request's own trace, so concurrent requests
+	// never leak into each other's numbers.
+	annots := tr.Snapshot().Annots
 	body := map[string]any{
 		"graph":           name,
 		"results":         out,
 		"duration_ms":     float64(elapsed) / float64(time.Millisecond),
-		"cache_hits":      after.Hits - before.Hits,
-		"cache_misses":    after.Misses - before.Misses,
-		"cache":           toCacheResponse(after),
-		"queries_planned": planned,
-		"queries_deduped": uint64(len(results)) - planned,
+		"cache_hits":      annots[telemetry.AnnotCacheHits],
+		"cache_misses":    annots[telemetry.AnnotCacheMisses],
+		"cache":           toCacheResponse(sess.CacheStats()),
+		"queries_planned": annots[telemetry.AnnotQueriesPlanned],
+		"queries_deduped": annots[telemetry.AnnotQueriesDeduped],
 	}
 	if sse != nil {
 		sse.event("result", body)

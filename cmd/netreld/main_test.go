@@ -1064,3 +1064,94 @@ func TestConcurrentRequests(t *testing.T) {
 		t.Fatalf("engine not drained: in_flight=%d queued=%d", st.InFlight, st.Queued)
 	}
 }
+
+// TestConcurrentCountersPerRequest fires concurrent distinct batches and
+// what-ifs at one graph: every response's cache and planner counters must
+// describe that request alone — its own unique-subproblem lookups and
+// distinct-spec count — never other requests that overlapped it.
+func TestConcurrentCountersPerRequest(t *testing.T) {
+	srv, ts := testServer(t)
+	g := defaultSession(t, srv).Graph()
+	opts := []netrel.Option{netrel.WithSamples(20000), netrel.WithMaxWidth(2), netrel.WithSeed(5)}
+	const params = `"samples":20000,"width":2,"seed":5`
+	batches := [][][]int{
+		{{0, 2}, {1, 3}, {2, 0}},
+		{{0, 1}, {2, 3}},
+		{{0, 1, 2}, {1, 2, 3}, {0, 3}, {0, 1, 2}},
+		{{0, 1, 2, 3}, {3}},
+	}
+	// Each request's own counts, from a fresh session answering it alone.
+	type counts struct{ lookups, planned, deduped uint64 }
+	want := make([]counts, len(batches)+1)
+	bodies := make([]string, len(batches)+1)
+	for i, sets := range batches {
+		queries := make([]netrel.Query, len(sets))
+		parts := make([]string, len(sets))
+		for j, terms := range sets {
+			queries[j] = netrel.Query{Terminals: terms}
+			js, err := json.Marshal(terms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts[j] = fmt.Sprintf(`{"terminals":%s}`, js)
+		}
+		fresh := netrel.NewSession(g)
+		if _, err := fresh.BatchReliability(queries, opts...); err != nil {
+			t.Fatal(err)
+		}
+		ps := fresh.PlanStats()
+		want[i] = counts{lookups: ps.UniqueSubproblems, planned: ps.Planned, deduped: ps.Queries - ps.Planned}
+		bodies[i] = fmt.Sprintf(`{"queries":[%s],%s}`, strings.Join(parts, ","), params)
+	}
+	whatif := len(batches)
+	fresh, err := netrel.NewSession(g).WhatIf(netrel.GraphDelta{SetProb: []netrel.EdgeProbUpdate{{Edge: 1, P: 0.5}}},
+		netrel.QuerySpec{Terminals: []int{0, 2}}, append(opts, netrel.WithTrace())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want[whatif] = counts{lookups: uint64(fresh.Phases.CacheHits + fresh.Phases.CacheMisses)}
+	bodies[whatif] = `{"delta":{"set_prob":[{"edge":1,"p":0.5}]},"terminals":[0,2],` + params + `}`
+
+	var wg sync.WaitGroup
+	for round := 0; round < 6; round++ {
+		for i := range bodies {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				path := "/v1/batch"
+				if i == whatif {
+					path = "/v1/whatif"
+				}
+				resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(bodies[i]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				var got struct {
+					CacheHits      uint64 `json:"cache_hits"`
+					CacheMisses    uint64 `json:"cache_misses"`
+					QueriesPlanned uint64 `json:"queries_planned"`
+					QueriesDeduped uint64 `json:"queries_deduped"`
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("%s: status %d", path, resp.StatusCode)
+					return
+				}
+				if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+					t.Error(err)
+					return
+				}
+				if got.CacheHits+got.CacheMisses != want[i].lookups {
+					t.Errorf("%s %d: cache hits+misses = %d+%d, want its own %d unique subproblems",
+						path, i, got.CacheHits, got.CacheMisses, want[i].lookups)
+				}
+				if got.QueriesPlanned != want[i].planned || got.QueriesDeduped != want[i].deduped {
+					t.Errorf("%s %d: planned/deduped = %d/%d, want %d/%d",
+						path, i, got.QueriesPlanned, got.QueriesDeduped, want[i].planned, want[i].deduped)
+				}
+			}(i)
+		}
+	}
+	wg.Wait()
+}

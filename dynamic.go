@@ -153,7 +153,7 @@ func (s *Session) WhatIfContext(ctx context.Context, delta GraphDelta, spec Quer
 	if err != nil {
 		return nil, err
 	}
-	return s.solveSpecOn(ctx, st, spec, opts, false)
+	return s.solveSpec(ctx, st, spec, opts, false)
 }
 
 // WhatIfBatch is BatchReliability against an ephemeral delta. See

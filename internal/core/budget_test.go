@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
+	"netrel/internal/estimator"
 	"netrel/internal/exact"
 	"netrel/internal/ugraph"
 )
@@ -90,25 +94,60 @@ func TestPoolingPreservesCorrectness(t *testing.T) {
 	}
 }
 
-// TestStatesDoNotAliasAfterPooling: two consecutive runs on the same graph
-// must give identical results — pooled storage must never leak state
-// between runs (each run owns its pool).
+// TestStatesDoNotAliasAfterPooling: repeated runs on the same graph must
+// give identical results — pooled storage must never leak state between
+// runs (each run owns its pool) or within one. The flush case deletes nodes
+// and then flushes the live layer, so both kinds of stratum return their
+// snapshots to the pool mid-run; a snapshot put back twice would hand one
+// storage to two live states. One-shot Compute must also match a deferred
+// NewSampler drained by Resume(Remaining()), for both estimators and any
+// worker count.
 func TestStatesDoNotAliasAfterPooling(t *testing.T) {
 	r := rand.New(rand.NewPCG(29, 31))
 	g := randConnected(r, 40, 60)
 	ts, _ := ugraph.NewTerminals(g, []int{0, 20, 39})
-	cfg := Config{MaxWidth: 8, Samples: 500, Seed: 77, Order: bfsOrder(g, ts)}
-	a, err := Compute(g, ts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		b, err := Compute(g, ts, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Estimate != b.Estimate || a.Lower != b.Lower || a.SamplesUsed != b.SamplesUsed {
-			t.Fatalf("repeat run diverged: %+v vs %+v", a, b)
+	base := Config{MaxWidth: 8, Samples: 500, Seed: 77, Order: bfsOrder(g, ts)}
+	flush := base
+	flush.WorkFactor = 0.02
+	for _, kind := range []estimator.Kind{estimator.MonteCarlo, estimator.HorvitzThompson} {
+		for _, c := range []struct {
+			name string
+			cfg  Config
+		}{{"deleted", base}, {"flush", flush}} {
+			cfg := c.cfg
+			cfg.Estimator = kind
+			label := kind.String() + "/" + c.name
+			cfg.Workers = 1
+			a, err := Compute(g, ts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.NodesDeleted == 0 || a.Strata < 2 || (c.name == "flush" && !a.Flushed) {
+				t.Fatalf("%s: workload deleted %d nodes in %d strata, flushed %v",
+					label, a.NodesDeleted, a.Strata, a.Flushed)
+			}
+			for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+				cfg.Workers = w
+				for i := 0; i < 2; i++ {
+					b, err := Compute(g, ts, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResult(t, fmt.Sprintf("%s workers=%d repeat %d", label, w, i), b, a)
+				}
+				smp, err := NewSampler(context.Background(), g, ts, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := smp.Resume(context.Background(), smp.Remaining()); err != nil {
+					t.Fatal(err)
+				}
+				res, err := smp.Result()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, fmt.Sprintf("%s workers=%d sampler", label, w), res, a)
+			}
 		}
 	}
 }

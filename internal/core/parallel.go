@@ -13,7 +13,6 @@ import (
 	"context"
 	"math/rand/v2"
 
-	"netrel/internal/estimator"
 	"netrel/internal/sampling"
 	"netrel/internal/xfloat"
 )
@@ -27,9 +26,8 @@ const stratumChunk = 128
 // driver stream in Compute).
 const chunkStream = 0x5851f42d4c957f2d
 
-// numChunks is the single source of the chunk-boundary rule: callers size
-// their per-chunk result slots with it and forStratumChunks schedules with
-// it, so they cannot desynchronize.
+// numChunks is the single source of the chunk-boundary rule: a stratum's
+// draws split into exactly this many chunks, the last one possibly short.
 func numChunks(draws int) int {
 	return (draws + stratumChunk - 1) / stratumChunk
 }
@@ -51,25 +49,16 @@ func (r *run) chunkRNG(layer, stratum, chunk int) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, chunkStream))
 }
 
-// forStratumChunks runs do(completer, rng, chunk, n) for every chunk of the
-// stratum's draw budget (n = draws in that chunk) across up to r.workers
-// slots — executed by the shared pool when cfg.Exec is set, otherwise by
-// per-call goroutines. Each slot owns one completer (union-find arena +
-// frontier map), switched to the stratum's layer before its first chunk;
-// each chunk owns its RNG. Chunk boundaries depend only on draws, so the
-// execution venue never changes the fold. Cancellation (r.ctx) stops the
-// schedule at a chunk boundary; the caller detects it via r.ctx.Err() and
-// discards the stratum's partial fold.
-func (r *run) forStratumChunks(layer int, front []int32, stratum, draws int, do func(c *completer, rng *rand.Rand, chunk, n int)) {
-	_ = r.forChunkRange(r.ctx, layer, front, stratum, 0, numChunks(draws), draws, do)
-}
-
-// forChunkRange runs do over the global chunk window [c0, c1) of a stratum
-// whose total draw budget is draws — the resumable sampler's counterpart of
-// forStratumChunks (which is the c0 = 0, c1 = numChunks(draws) case). Chunk
-// indices, and therefore RNG streams and per-chunk draw counts, are global:
-// executing a stratum's chunks across several windows folds exactly like
-// executing them in one.
+// forChunkRange runs do(completer, rng, chunk, n) for every chunk in the
+// global window [c0, c1) of a stratum whose total draw budget is draws (n =
+// draws in that chunk), across up to r.workers slots — executed by the
+// shared pool when cfg.Exec is set, otherwise by per-call goroutines. Each
+// slot owns one completer (union-find arena + frontier map), switched to
+// the stratum's layer before its first chunk; each chunk owns its RNG.
+// Chunk indices, and therefore RNG streams and per-chunk draw counts, are
+// global: executing a stratum's chunks across several windows folds
+// exactly like executing them in one, and the execution venue never
+// changes the fold. Cancellation stops the window at a chunk boundary.
 func (r *run) forChunkRange(ctx context.Context, layer int, front []int32, stratum, c0, c1, draws int, do func(c *completer, rng *rand.Rand, chunk, n int)) error {
 	slot := 0
 	return sampling.ForEachChunkRangeCtx(ctx, r.cfg.Exec, c0, c1-c0, r.workers, func() func(int) {
@@ -92,67 +81,9 @@ func mixNodeFP(fp uint64, idx int) uint64 {
 	return fp ^ (uint64(idx)*0x9e3779b97f4a7c15 + 0x85ebca6b)
 }
 
-// completeChunksMC draws the stratum's completions with the Monte Carlo
-// estimator and returns the connected count (an integer sum, so reduction
-// order is immaterial).
-func (r *run) completeChunksMC(layer int, front []int32, stratum, draws int, snaps []snapshot, pick func(*rand.Rand) int) int {
-	conn := make([]int, numChunks(draws))
-	r.forStratumChunks(layer, front, stratum, draws, func(comp *completer, rng *rand.Rand, chunk, n int) {
-		h := 0
-		for i := 0; i < n; i++ {
-			s := &snaps[pick(rng)]
-			if ok, _, _ := comp.complete(&s.state, false, rng); ok {
-				h++
-			}
-		}
-		conn[chunk] = h
-	})
-	total := 0
-	for _, h := range conn {
-		total += h
-	}
-	return total
-}
-
 // htDraw is one connected completion: its deduplication fingerprint and
 // conditional world probability q_w, in draw order within a chunk.
 type htDraw struct {
 	fp uint64
 	q  xfloat.F
-}
-
-// completeChunksHT draws the stratum's completions with the
-// Horvitz–Thompson estimator and returns the stratum's conditional
-// reliability fraction. Chunks record connected completions in draw order;
-// deduplication and the xfloat accumulation fold in (chunk, draw) order,
-// which keeps the estimate bit-identical for any worker count.
-func (r *run) completeChunksHT(layer int, front []int32, stratum, draws int, snaps []snapshot, mass xfloat.F, pick func(*rand.Rand) int) float64 {
-	res := make([][]htDraw, numChunks(draws))
-	r.forStratumChunks(layer, front, stratum, draws, func(comp *completer, rng *rand.Rand, chunk, n int) {
-		var out []htDraw
-		for i := 0; i < n; i++ {
-			idx := pick(rng)
-			s := &snaps[idx]
-			ok, pr, fp := comp.complete(&s.state, true, rng)
-			if !ok {
-				continue
-			}
-			// Deduplicate across nodes too: mix the node identity into the
-			// completion fingerprint.
-			out = append(out, htDraw{fp: mixNodeFP(fp, idx), q: s.p.Mul(pr).Div(mass)})
-		}
-		res[chunk] = out
-	})
-	var ht estimator.HTEstimate
-	seen := make(map[uint64]bool, draws)
-	for _, chunk := range res {
-		for _, d := range chunk {
-			if seen[d.fp] {
-				continue
-			}
-			seen[d.fp] = true
-			ht.Add(d.q, true, draws)
-		}
-	}
-	return ht.Estimate()
 }

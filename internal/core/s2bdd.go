@@ -251,16 +251,11 @@ func (r *run) execute() (Result, error) {
 		r.remaining[e.U]--
 		r.remaining[e.V]--
 
-		// Sample this layer's deleted stratum (nodes live at layer l+1),
-		// then recycle both the stratum's and the parents' state storage —
-		// neither is referenced past this point.
+		// Sample this layer's deleted stratum (nodes live at layer l+1;
+		// sampleStratum recycles its snapshots), then recycle the parents'
+		// state storage, which nothing references past this point.
 		if len(deleted) > 0 {
 			r.sampleStratum(l+1, curF, deleted, deletedMass)
-			if !r.deferred {
-				// Deferred strata keep their snapshots alive until the
-				// Sampler has drawn them, so their storage is not recycled.
-				r.recycle(deleted)
-			}
 		}
 		for i := range nodes {
 			r.pool.Put(nodes[i].state)
@@ -396,15 +391,18 @@ func (r *run) heuristic(f []int32, n *node) float64 {
 }
 
 // sampleStratum draws completions for one stratum (the deleted nodes of one
-// layer, or the flushed live nodes). Allocation is s′·P_l with stochastic
-// rounding and inverse-allocation weighting, which keeps the combined
-// estimator unbiased even when a stratum's expected allocation is below one
-// sample (see DESIGN.md §3).
+// layer, or the flushed live nodes) and takes ownership of snaps: they go
+// back to the pool exactly once, when the stratum is finished or found to
+// need no draws. Allocation is s′·P_l with stochastic rounding and
+// inverse-allocation weighting, which keeps the combined estimator unbiased
+// even when a stratum's expected allocation is below one sample.
 //
-// The draws are split into fixed-size chunks, each with its own RNG stream
-// seeded from (Seed, layer, stratum, chunk); chunks execute on up to
-// cfg.Workers goroutines and their results fold in chunk order, so the
-// estimate does not depend on the worker count (see parallel.go).
+// A deferred run records the stratum for a Sampler to draw later; a
+// one-shot run draws it straight away through the same chunk schedule (see
+// drawStratum), so peak memory holds one stratum's snapshots at a time.
+// Each chunk's RNG stream is seeded from (Seed, layer, stratum, chunk) and
+// chunk results fold in chunk order, so the estimate does not depend on the
+// worker count (see parallel.go).
 func (r *run) sampleStratum(layer int, front []int32, snaps []snapshot, mass xfloat.F) {
 	if r.tr != nil {
 		start := time.Now()
@@ -417,19 +415,61 @@ func (r *run) sampleStratum(layer int, front []int32, snaps []snapshot, mass xfl
 	r.res.Strata++
 	stratum := r.res.Strata // 1-based stratum ordinal, deterministic
 	r.sampledMass = r.sampledMass.Add(mass)
+	st := r.scheduleStratum(mass)
+	if st == nil {
+		r.recycle(snaps)
+		return
+	}
+	st.layer, st.ordinal, st.front, st.snaps = layer, stratum, front, snaps
+	// Node choice is proportional to node mass within the stratum. cum is
+	// built once, before any chunk runs, and read concurrently by all chunks.
+	st.cum = make([]float64, len(snaps))
+	for i := range snaps {
+		st.acc += snaps[i].p.Div(mass).Float64()
+		st.cum[i] = st.acc
+	}
+	if r.cfg.Estimator == estimator.HorvitzThompson {
+		st.seen = make(map[uint64]bool, st.draws)
+	}
+
+	if r.deferred {
+		// Record the schedule instead of drawing. Everything above — the
+		// stochastic-rounding draw on r.rng included — is identical to the
+		// one-shot path, so construction proceeds bit-identically; the
+		// Sampler replays the draws later with the same (layer, stratum,
+		// chunk) streams. front is a reused buffer, so it is copied.
+		st.front = append([]int32(nil), front...)
+		r.strata = append(r.strata, st)
+		return
+	}
+	if r.tr != nil {
+		r.tr.Annotate(telemetry.AnnotSamplesDrawn, int64(st.draws))
+	}
+	if err := r.drawStratum(r.ctx, st, st.draws); err != nil {
+		r.recycle(snaps) // cancelled: execute reports r.ctx.Err()
+		return
+	}
+	r.res.SamplesUsed += st.draws
+	r.finishStratum(st)
+}
+
+// scheduleStratum allocates a stratum of the given mass its draws and
+// inverse-allocation weight, or returns nil when it gets none (bounds-only
+// mode, a zero budget, or an allocation that rounds to zero).
+func (r *run) scheduleStratum(mass xfloat.F) *stratumState {
 	if r.cfg.Samples == 0 {
-		return // bounds-only mode
+		return nil // bounds-only mode
 	}
 	sp := r.sPrime()
 	r.res.SamplesReduced = sp
 	if sp == 0 {
-		return
+		return nil
 	}
 	x := mass.MulFloat64(float64(sp)).Float64()
 	if x <= 0 {
 		// Expected allocation underflowed float64: skip, account the bias.
 		r.res.StrataSkippedMass += mass.Float64()
-		return
+		return nil
 	}
 	draws := int(math.Floor(x))
 	frac := x - math.Floor(x)
@@ -437,7 +477,7 @@ func (r *run) sampleStratum(layer int, front []int32, snaps []snapshot, mass xfl
 		draws++
 	}
 	if draws == 0 {
-		return
+		return nil
 	}
 	// Inverse-allocation weight: a stratum with expected allocation x < 1
 	// is sampled with probability x; weighting by 1/x restores
@@ -446,60 +486,7 @@ func (r *run) sampleStratum(layer int, front []int32, snaps []snapshot, mass xfl
 	if x < 1 {
 		weight = 1 / x
 	}
-
-	// Node choice is proportional to node mass within the stratum. cum is
-	// built once by the driver and read concurrently by all chunks.
-	cum := make([]float64, len(snaps))
-	acc := 0.0
-	for i := range snaps {
-		acc += snaps[i].p.Div(mass).Float64()
-		cum[i] = acc
-	}
-
-	if r.deferred {
-		// Record the schedule instead of drawing. Everything computed above
-		// — the stochastic-rounding draw on r.rng included — is identical to
-		// the inline path, so construction proceeds bit-identically; the
-		// Sampler replays the draws later with the same (layer, stratum,
-		// chunk) streams. curF is a reused buffer, so the frontier is copied.
-		st := &stratumState{
-			layer: layer, ordinal: stratum,
-			front: append([]int32(nil), front...),
-			snaps: snaps, mass: mass,
-			weight: weight, cum: cum, acc: acc, draws: draws,
-		}
-		if r.cfg.Estimator == estimator.HorvitzThompson {
-			st.seen = make(map[uint64]bool, draws)
-		}
-		r.strata = append(r.strata, st)
-		return
-	}
-	if r.tr != nil {
-		r.tr.Annotate(telemetry.AnnotSamplesDrawn, int64(draws))
-	}
-	pick := func(rng *rand.Rand) int {
-		u := rng.Float64() * acc
-		i := sort.SearchFloat64s(cum, u)
-		if i >= len(snaps) {
-			i = len(snaps) - 1
-		}
-		return i
-	}
-
-	hit := 0.0
-	switch r.cfg.Estimator {
-	case estimator.MonteCarlo:
-		connected := r.completeChunksMC(layer, front, stratum, draws, snaps, pick)
-		hit = float64(connected) / float64(draws)
-	case estimator.HorvitzThompson:
-		// HT over the stratum's conditional world distribution: each world
-		// w has conditional probability q_w = p_node·pr_completion / P_l;
-		// the estimator sums q_w/π_w over distinct connected worlds and
-		// estimates the stratum's conditional reliability fraction.
-		hit = r.completeChunksHT(layer, front, stratum, draws, snaps, mass, pick)
-	}
-	r.res.SamplesUsed += draws
-	r.estSampled = r.estSampled.Add(mass.MulFloat64(hit * weight))
+	return &stratumState{mass: mass, weight: weight, draws: draws}
 }
 
 // finalize assembles the Result.

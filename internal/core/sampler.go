@@ -32,7 +32,7 @@ import (
 type stratumState struct {
 	layer   int
 	ordinal int     // 1-based stratum index (the one-shot run's r.res.Strata)
-	front   []int32 // frontier copy (execute reuses its frontier buffers)
+	front   []int32 // frontier (copied when deferred: execute reuses its buffers)
 	snaps   []snapshot
 	mass    xfloat.F
 	weight  float64
@@ -131,14 +131,14 @@ func (s *Sampler) Resume(ctx context.Context, k int) (int, error) {
 	for s.cur < len(s.r.strata) && taken < k {
 		st := s.r.strata[s.cur]
 		take := min(st.draws-st.drawn, k-taken)
-		if err := s.drawStratum(ctx, st, take); err != nil {
+		if err := s.r.drawStratum(ctx, st, take); err != nil {
 			s.err = err
 			break
 		}
 		taken += take
 		s.r.res.SamplesUsed += take
 		if st.drawn == st.draws {
-			s.finishStratum(st)
+			s.r.finishStratum(st)
 			s.cur++
 		}
 	}
@@ -151,26 +151,29 @@ func (s *Sampler) Resume(ctx context.Context, k int) (int, error) {
 	return taken, s.err
 }
 
+// pick chooses a snapshot with probability proportional to its mass
+// within the stratum.
+func (st *stratumState) pick(rng *rand.Rand) int {
+	u := rng.Float64() * st.acc
+	i := sort.SearchFloat64s(st.cum, u)
+	if i >= len(st.snaps) {
+		i = len(st.snaps) - 1
+	}
+	return i
+}
+
 // drawStratum advances one stratum by take draws (take ≤ its outstanding
 // budget) in three segments: the tail of a previously part-drawn chunk
 // (inline, on its saved live stream), then every fully covered chunk
-// (parallel, exactly like a one-shot run's schedule), then the head of a
-// new part-drawn chunk (inline, stream kept live for the next call).
-func (s *Sampler) drawStratum(ctx context.Context, st *stratumState, take int) error {
-	r := s.r
-	pick := func(rng *rand.Rand) int {
-		u := rng.Float64() * st.acc
-		i := sort.SearchFloat64s(st.cum, u)
-		if i >= len(st.snaps) {
-			i = len(st.snaps) - 1
-		}
-		return i
-	}
+// (parallel across the configured workers), then the head of a new
+// part-drawn chunk (inline, stream kept live for the next call). A one-shot
+// run draws each stratum whole, which is the middle segment alone.
+func (r *run) drawStratum(ctx context.Context, st *stratumState, take int) error {
 	comp := r.completerSlot(0)
 	comp.setLayer(st.layer, st.front)
 	if off := st.drawn % stratumChunk; off != 0 {
 		n := min(stratumChunk-off, st.draws-st.drawn, take)
-		s.drawInline(st, comp, st.rng, n, pick)
+		r.drawInline(st, comp, st.rng, n)
 		st.drawn += n
 		take -= n
 		if st.drawn%stratumChunk == 0 || st.drawn == st.draws {
@@ -188,7 +191,7 @@ func (s *Sampler) drawStratum(ctx context.Context, st *stratumState, take int) e
 		c1 = numChunks(st.draws)
 	}
 	if c1 > c0 {
-		if err := s.drawChunks(ctx, st, c0, c1, pick); err != nil {
+		if err := r.drawChunks(ctx, st, c0, c1); err != nil {
 			return err
 		}
 		covered := min(c1*stratumChunk, st.draws) - st.drawn
@@ -199,7 +202,7 @@ func (s *Sampler) drawStratum(ctx context.Context, st *stratumState, take int) e
 		}
 	}
 	rng := r.chunkRNG(st.layer, st.ordinal, st.drawn/stratumChunk)
-	s.drawInline(st, comp, rng, take, pick)
+	r.drawInline(st, comp, rng, take)
 	st.drawn += take
 	st.rng = rng
 	return ctx.Err()
@@ -207,18 +210,18 @@ func (s *Sampler) drawStratum(ctx context.Context, st *stratumState, take int) e
 
 // drawInline makes n draws on the driver goroutine from rng, folding them
 // directly into the stratum state in draw order.
-func (s *Sampler) drawInline(st *stratumState, comp *completer, rng *rand.Rand, n int, pick func(*rand.Rand) int) {
-	switch s.r.cfg.Estimator {
+func (r *run) drawInline(st *stratumState, comp *completer, rng *rand.Rand, n int) {
+	switch r.cfg.Estimator {
 	case estimator.MonteCarlo:
 		for i := 0; i < n; i++ {
-			sp := &st.snaps[pick(rng)]
+			sp := &st.snaps[st.pick(rng)]
 			if ok, _, _ := comp.complete(&sp.state, false, rng); ok {
 				st.conn++
 			}
 		}
 	case estimator.HorvitzThompson:
 		for i := 0; i < n; i++ {
-			idx := pick(rng)
+			idx := st.pick(rng)
 			sp := &st.snaps[idx]
 			ok, pr, fp := comp.complete(&sp.state, true, rng)
 			if !ok {
@@ -230,8 +233,8 @@ func (s *Sampler) drawInline(st *stratumState, comp *completer, rng *rand.Rand, 
 			}
 			st.seen[fp] = true
 			// π uses the stratum's total scheduled draws, exactly as the
-			// one-shot fold does: the estimator is defined by the schedule,
-			// not by how far resumption has advanced through it.
+			// whole-chunk fold does: the estimator is defined by the
+			// schedule, not by how far resumption has advanced through it.
 			st.ht.Add(sp.p.Mul(pr).Div(st.mass), true, st.draws)
 		}
 	}
@@ -240,15 +243,14 @@ func (s *Sampler) drawInline(st *stratumState, comp *completer, rng *rand.Rand, 
 // drawChunks executes the stratum's whole chunks [c0, c1) across the
 // configured workers and folds their results in chunk order. On a ctx
 // error the partial per-chunk results are discarded unfolded.
-func (s *Sampler) drawChunks(ctx context.Context, st *stratumState, c0, c1 int, pick func(*rand.Rand) int) error {
-	r := s.r
+func (r *run) drawChunks(ctx context.Context, st *stratumState, c0, c1 int) error {
 	switch r.cfg.Estimator {
 	case estimator.MonteCarlo:
 		conn := make([]int, c1-c0)
 		err := r.forChunkRange(ctx, st.layer, st.front, st.ordinal, c0, c1, st.draws, func(comp *completer, rng *rand.Rand, chunk, n int) {
 			h := 0
 			for i := 0; i < n; i++ {
-				sp := &st.snaps[pick(rng)]
+				sp := &st.snaps[st.pick(rng)]
 				if ok, _, _ := comp.complete(&sp.state, false, rng); ok {
 					h++
 				}
@@ -262,11 +264,16 @@ func (s *Sampler) drawChunks(ctx context.Context, st *stratumState, c0, c1 int, 
 			st.conn += h
 		}
 	case estimator.HorvitzThompson:
+		// HT over the stratum's conditional world distribution: each world
+		// w has conditional probability q_w = p_node·pr_completion / P_l.
+		// Chunks record connected completions in draw order; deduplication
+		// (across nodes too, via the mixed fingerprint) and the xfloat
+		// accumulation fold in (chunk, draw) order.
 		res := make([][]htDraw, c1-c0)
 		err := r.forChunkRange(ctx, st.layer, st.front, st.ordinal, c0, c1, st.draws, func(comp *completer, rng *rand.Rand, chunk, n int) {
 			var out []htDraw
 			for i := 0; i < n; i++ {
-				idx := pick(rng)
+				idx := st.pick(rng)
 				sp := &st.snaps[idx]
 				ok, pr, fp := comp.complete(&sp.state, true, rng)
 				if !ok {
@@ -293,10 +300,9 @@ func (s *Sampler) drawChunks(ctx context.Context, st *stratumState, c0, c1 int, 
 }
 
 // finishStratum folds a completed stratum's contribution into the run —
-// the same mass·hit·weight term, added in the same stratum order, as the
-// one-shot path — and releases the stratum's retained storage.
-func (s *Sampler) finishStratum(st *stratumState) {
-	r := s.r
+// mass·hit·weight, added in stratum order — and returns the stratum's
+// snapshots to the pool.
+func (r *run) finishStratum(st *stratumState) {
 	hit := 0.0
 	switch r.cfg.Estimator {
 	case estimator.MonteCarlo:

@@ -23,8 +23,8 @@ type AblationRow struct {
 	Samples  int
 }
 
-// Ablations runs the design-choice variants DESIGN.md calls out, on one
-// road-like and one dense dataset.
+// Ablations runs one variant per design choice the options can switch off
+// or reorder (see variants below), on one road-like and one dense dataset.
 func Ablations(cfg Config) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
 	type variant struct {

@@ -228,7 +228,7 @@ type Figure4Row struct {
 }
 
 // Figure4 varies the number of samples (the paper's x-axis decades; its
-// final tick is read as the 100K decade, see DESIGN.md).
+// final tick is read as the 100K decade).
 func Figure4(cfg Config) ([]Figure4Row, error) {
 	cfg = cfg.withDefaults()
 	const k = 10

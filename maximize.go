@@ -8,11 +8,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
-	"netrel/internal/batch"
-	"netrel/internal/core"
-	"netrel/internal/telemetry"
+	"netrel/internal/preprocess"
 )
 
 // UpgradeBudget configures MaximizeReliability: how many edges may be
@@ -92,7 +89,7 @@ func (s *Session) MaximizeReliabilityContext(ctx context.Context, spec QuerySpec
 	}
 	ctx, _ = ensureTrace(ctx, o)
 
-	base, err := s.solveSpecOn(ctx, st, spec, opts, false)
+	base, err := s.solveSpec(ctx, st, spec, opts, false)
 	if err != nil {
 		return nil, err
 	}
@@ -129,26 +126,12 @@ func (s *Session) MaximizeReliabilityContext(ctx context.Context, spec QuerySpec
 }
 
 // scoreUpgrades answers spec once per candidate, each on the accepted
-// upgrades plus that candidate — one probability-only what-if state per
-// candidate, planned against the shared base index, deduplicated at the
-// subproblem level, and solved in one cache-aware pass.
+// upgrades plus that candidate: one probability-only variant of st's graph
+// per candidate, planned against st's index and cover tags (a
+// probability-only delta keeps the component structure), and all of them
+// solved as one deduplicated batch that PlanStats does not count.
 func (s *Session) scoreUpgrades(ctx context.Context, st *graphState, spec QuerySpec, o options, upgrades []EdgeProbUpdate, cands []int, newProb float64) ([]*Result, error) {
-	tr := telemetry.FromContext(ctx)
-	admittedCost := planCost(len(cands))
-	release, err := s.eng.admit(ctx, admittedCost)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-
-	idx, err := s.stateIndexContext(ctx, st)
-	if err != nil {
-		return nil, err
-	}
-	// Plan each candidate's variant. The variants differ from the base
-	// graph only in probabilities, so the base index describes them all.
-	plans := make([]*queryPlan, len(cands))
-	jobLists := make([][]batch.Job, len(cands))
+	specs := make([]*resolvedSpec, len(cands))
 	for i, cand := range cands {
 		delta := GraphDelta{SetProb: append(append([]EdgeProbUpdate(nil), upgrades...), EdgeProbUpdate{Edge: cand, P: newProb})}
 		vg, err := st.g.Apply(delta)
@@ -159,51 +142,10 @@ func (s *Session) scoreUpgrades(ctx context.Context, st *graphState, spec QueryS
 		if err != nil {
 			return nil, err
 		}
-		p, err := planTerminals(ctx, rs.g, rs.ts, o, rs.planIndex(idx), st.coverScope(rs))
-		if err != nil {
-			return nil, err
-		}
-		plans[i] = p
-		if !p.done {
-			jobs := make([]batch.Job, len(p.jobs))
-			for j, pj := range p.jobs {
-				jobs[j] = batch.Job{G: pj.g, Ts: pj.ts, Sig: pj.sig, Cover: pj.cover}
-			}
-			jobLists[i] = jobs
-		}
+		// Every candidate asks the same spec of a different graph, so none
+		// may share another's plan: key plan dedup by candidate.
+		rs.planSig = preprocess.Signature{Lo: uint64(i)}
+		specs[i] = rs
 	}
-	bp := batch.Build(jobLists)
-	if err := s.eng.reprice(ctx, admittedCost, batchSolveCost(o, len(bp.Unique), len(cands))); err != nil {
-		return nil, err
-	}
-	unique := make([]pipelineJob, len(bp.Unique))
-	for u, j := range bp.Unique {
-		unique[u] = pipelineJob{g: j.G, ts: j.Ts, sig: j.Sig, cover: j.Cover}
-	}
-	solveStart := time.Now()
-	solved, err := solveJobs(ctx, s.eng.exec(), unique, o, false, s.cache)
-	if err != nil {
-		return nil, err
-	}
-	solveDur := time.Since(solveStart)
-
-	combineDone := tr.Span(telemetry.PhaseCombine)
-	out := make([]*Result, len(cands))
-	for i, p := range plans {
-		if !p.done {
-			results := make([]core.Result, len(bp.Refs[i]))
-			for j, u := range bp.Refs[i] {
-				results[j] = solved[u]
-			}
-			combineResults(p.out, results, p.factor)
-			if len(results) == 0 {
-				p.out.Duration = p.planDur
-			} else {
-				p.out.Duration = p.planDur + solveDur
-			}
-		}
-		out[i] = p.cloneOut()
-	}
-	combineDone()
-	return out, nil
+	return s.solve(ctx, st, specs, o, solveCall{})
 }

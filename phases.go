@@ -48,8 +48,8 @@ type PhaseBreakdown struct {
 	Subproblems, SubproblemsDeduped int64
 	// SamplesDrawn counts completion draws actually made; EarlyStops the
 	// subproblems halted by WithTargetWidth before exhausting their
-	// schedule; Rounds the adaptive sampling rounds run (zero on the
-	// static path).
+	// schedule; Rounds the adaptive sampling rounds run (zero for
+	// one-shot solves).
 	SamplesDrawn, EarlyStops, Rounds int64
 }
 

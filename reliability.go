@@ -95,7 +95,9 @@ type Result struct {
 	Subproblems int
 	Preprocess  *PreprocessStats
 
-	// Duration is wall-clock time of the whole computation.
+	// Duration is the query's own plan-plus-solve wall-clock. Admission
+	// waiting and the graph's shared 2ECC index build are not included
+	// (WithTrace reports them as phases).
 	Duration time.Duration
 
 	// Phases is the per-phase wall-clock breakdown of this request,
@@ -115,7 +117,10 @@ type PreprocessStats struct {
 	// Bridges is the number of bridge edges whose probability was factored
 	// out exactly.
 	Bridges int
-	// Duration is the preprocessing wall-clock time (Table 5).
+	// Duration is the query's reduction wall-clock (prune, decompose,
+	// transform). The graph's shared 2ECC index is built once and timed
+	// separately, as the "index" phase under WithTrace; Table 5 reports
+	// their sum.
 	Duration time.Duration
 }
 
@@ -158,11 +163,7 @@ func Solve(g *Graph, spec QuerySpec, opts ...Option) (*Result, error) {
 
 // SolveContext is Solve with cancellation (see ReliabilityContext).
 func SolveContext(ctx context.Context, g *Graph, spec QuerySpec, opts ...Option) (*Result, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	return run(ctx, g, spec, o, false)
+	return oneShotSession(g).SolveContext(ctx, spec, opts...)
 }
 
 // SolveExact is Solve with sampling disabled: if any subproblem of the
@@ -175,11 +176,16 @@ func SolveExact(g *Graph, spec QuerySpec, opts ...Option) (*Result, error) {
 // SolveExactContext is SolveExact with cancellation (see
 // ReliabilityContext).
 func SolveExactContext(ctx context.Context, g *Graph, spec QuerySpec, opts ...Option) (*Result, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	return run(ctx, g, spec, o, true)
+	return oneShotSession(g).SolveExactContext(ctx, spec, opts...)
+}
+
+// oneShotSession is the throwaway session behind the package-level S2BDD
+// entry points: DefaultEngine execution, no result cache, and an index the
+// query builds for itself.
+func oneShotSession(g *Graph) *Session {
+	s := &Session{eng: DefaultEngine()}
+	s.state.Store(&graphState{g: g})
+	return s
 }
 
 // Exact computes R[G,T] exactly via the S2BDD with unbounded sampling
@@ -351,19 +357,6 @@ func FactoringContext(ctx context.Context, g *Graph, terminals []int, opts ...Op
 	return out, nil
 }
 
-// pipelineJob is one decomposed subproblem of the Algorithm 1 pipeline,
-// carrying the canonical signature that identifies it across queries and
-// the invalidation cover its cached result will be tagged with (zero —
-// untagged — outside durable base-graph plans).
-type pipelineJob struct {
-	g     *ugraph.Graph
-	ts    ugraph.Terminals
-	sig   preprocess.Signature
-	cover batch.Cover
-}
-
-func xfloatOne() xfloat.F { return xfloat.One }
-
 // jobSeed derives a subproblem's RNG seed from its canonical signature.
 // Seeding by signature — never by the subproblem's position within a query
 // or its arrival order in a batch — is what makes deduplicated batch
@@ -380,18 +373,17 @@ func jobSeed(seed uint64, sig preprocess.Signature) uint64 {
 	return sampling.SeedStream(seed, sig.Hi, sig.Lo)
 }
 
-// solveJob runs one decomposed subproblem through the S2BDD. The job's seed
-// is derived from its signature, and the S2BDD itself is worker-count
-// independent, so job results don't depend on how the pipeline schedules
-// them.
-func solveJob(ctx context.Context, exec sampling.Executor, j pipelineJob, o options, exactOnly bool, workers int) (core.Result, error) {
-	ord := order.Compute(j.g, o.ordering.strategy(), j.ts[0])
-	cfg := core.Config{
+// jobConfig derives the S2BDD configuration of one decomposed subproblem.
+// The seed derives from the job's signature and the S2BDD is worker-count
+// independent, so a job's result depends neither on how the pipeline
+// schedules it nor on whether it is solved one-shot or resumed in rounds.
+func jobConfig(exec sampling.Executor, j batch.Job, o options, exactOnly bool, workers int) core.Config {
+	return core.Config{
 		MaxWidth:                o.maxWidth,
 		Samples:                 o.samples,
 		Estimator:               o.estimatorKind(),
-		Seed:                    jobSeed(o.seed, j.sig),
-		Order:                   ord,
+		Seed:                    jobSeed(o.seed, j.Sig),
+		Order:                   order.Compute(j.G, o.ordering.strategy(), j.Ts[0]),
 		ExactOnly:               exactOnly,
 		Workers:                 workers,
 		ConstructionWorkers:     o.cworkers,
@@ -403,7 +395,6 @@ func solveJob(ctx context.Context, exec sampling.Executor, j pipelineJob, o opti
 		StallWindow:             o.stallWindow,
 		StallThreshold:          o.stallThreshold,
 	}
-	return core.ComputeContext(ctx, j.g, j.ts, cfg)
 }
 
 // solveJobs solves the given subproblems concurrently with bounded
@@ -418,29 +409,45 @@ func solveJob(ctx context.Context, exec sampling.Executor, j pipelineJob, o opti
 // once the small 2ECCs finish the dominant subproblem — typically holding
 // most of the edges — keeps all cores instead of a split share.
 //
+// By default each job is solved one-shot. The anytime knobs
+// (WithSampleRounds > 1, WithTargetWidth, WithProgress) instead construct a
+// resumable core.Sampler per job and spend the combined budget in rounds:
+// each round allocates its slice of the remaining schedule where
+// bound-gap × fan-in is largest (fanin counts the plans referencing each
+// job), checks WithTargetWidth against the refreshed anytime intervals, and
+// hands report, if non-nil, the per-job interval snapshot (it runs on the
+// calling goroutine, so WithProgress sinks need no locking). A resumed
+// schedule folds bit-identically to a one-shot one, so the rounds alone
+// never change a result. Exact solves never sample, so they stay one-shot.
+//
 // Nothing is cached unless every job succeeded, so a cancelled request
 // leaves no partial state behind; a retry re-solves deterministically.
-func solveJobs(ctx context.Context, exec sampling.Executor, jobs []pipelineJob, o options, exactOnly bool, cache *batch.Cache) ([]core.Result, error) {
+// Only exhausted schedules are cached — bit-identical to the one-shot
+// solve, so the cache never observes how rounds split them; early-stopped
+// results stay request-local.
+func solveJobs(ctx context.Context, exec sampling.Executor, jobs []batch.Job, fanin []int, o options, exactOnly bool, cache *batch.Cache, report func(round int, final bool, bounds []jobBounds)) ([]core.Result, error) {
 	results := make([]core.Result, len(jobs))
+	bounds := make([]jobBounds, len(jobs))
 	fp := o.fingerprint(exactOnly)
 	miss := make([]int, 0, len(jobs))
 	for i, j := range jobs {
-		if r, ok := cache.Get(batch.Key{Sig: j.sig, Fingerprint: fp}); ok {
+		if r, ok := cache.Get(batch.Key{Sig: j.Sig, Fingerprint: fp}); ok {
 			results[i] = r
+			bounds[i] = boundsFromResult(r)
 		} else {
 			miss = append(miss, i)
 		}
 	}
-	if tr := telemetry.FromContext(ctx); tr != nil {
-		tr.Annotate(telemetry.AnnotCacheHits, int64(len(jobs)-len(miss)))
-		tr.Annotate(telemetry.AnnotCacheMisses, int64(len(miss)))
-	}
+	tr := telemetry.FromContext(ctx)
+	tr.Annotate(telemetry.AnnotCacheHits, int64(len(jobs)-len(miss)))
+	tr.Annotate(telemetry.AnnotCacheMisses, int64(len(miss)))
 
+	adaptive := o.adaptive() && !exactOnly
+	samplers := make([]*core.Sampler, len(jobs))
 	total := sampling.ClampWorkers(o.workers, 0)
-	jobPar := min(total, len(miss))
 	errs := make([]error, len(jobs))
 	var failed atomic.Bool
-	if err := sampling.ForEachChunkCtx(ctx, exec, len(miss), jobPar, func() func(int) {
+	if err := sampling.ForEachChunkCtx(ctx, exec, len(miss), min(total, len(miss)), func() func(int) {
 		return func(k int) {
 			// Skip remaining jobs once any job failed (e.g. ErrNotExact from
 			// a tiny component under exactOnly) rather than solving large
@@ -451,7 +458,13 @@ func solveJobs(ctx context.Context, exec sampling.Executor, jobs []pipelineJob, 
 				return
 			}
 			i := miss[k]
-			results[i], errs[i] = solveJob(ctx, exec, jobs[i], o, exactOnly, total)
+			j := jobs[i]
+			cfg := jobConfig(exec, j, o, exactOnly, total)
+			if adaptive {
+				samplers[i], errs[i] = core.NewSampler(ctx, j.G, j.Ts, cfg)
+			} else {
+				results[i], errs[i] = core.ComputeContext(ctx, j.G, j.Ts, cfg)
+			}
 			if errs[i] != nil {
 				failed.Store(true)
 			}
@@ -464,8 +477,101 @@ func solveJobs(ctx context.Context, exec sampling.Executor, jobs []pipelineJob, 
 			return nil, err
 		}
 	}
+	round := 0
+	if adaptive {
+		refresh := func() {
+			for _, i := range miss {
+				lo, hi, est, drawn := samplers[i].Anytime()
+				bounds[i] = jobBounds{lo: lo, hi: hi, est: est, drawn: drawn}
+			}
+		}
+		refresh()
+
+		rounds := max(o.rounds, 1)
+		eps := o.targetWidth
+		for round < rounds {
+			round++
+			// Active subproblems: schedule outstanding and interval still
+			// wider than the target.
+			active := make([]int, 0, len(miss))
+			remaining := 0
+			for _, i := range miss {
+				smp := samplers[i]
+				if smp.Remaining() == 0 || (eps > 0 && bounds[i].hi-bounds[i].lo <= eps) {
+					continue
+				}
+				active = append(active, i)
+				remaining += smp.Remaining()
+			}
+			if len(active) == 0 {
+				break
+			}
+			// The final round drains every active schedule; earlier rounds
+			// split an even slice of the remaining budget by bound-gap ×
+			// fan-in.
+			share := make([]int, len(active))
+			if round == rounds {
+				for k, i := range active {
+					share[k] = samplers[i].Remaining()
+				}
+			} else {
+				pool := (remaining + rounds - round) / (rounds - round + 1)
+				weights := make([]float64, len(active))
+				caps := make([]int, len(active))
+				for k, i := range active {
+					weights[k] = (bounds[i].hi - bounds[i].lo) * float64(max(fanin[i], 1))
+					caps[k] = samplers[i].Remaining()
+				}
+				share = batch.Allocate(pool, weights, caps)
+			}
+			if err := sampling.ForEachChunkCtx(ctx, exec, len(active), min(total, len(active)), func() func(int) {
+				return func(k int) {
+					if failed.Load() || share[k] == 0 {
+						return
+					}
+					i := active[k]
+					if _, err := samplers[i].Resume(ctx, share[k]); err != nil {
+						errs[i] = err
+						failed.Store(true)
+					}
+				}
+			}); err != nil {
+				return nil, err
+			}
+			for _, err := range errs {
+				if err != nil {
+					return nil, err
+				}
+			}
+			refresh()
+			if report != nil {
+				report(round, false, bounds)
+			}
+		}
+
+		earlyStops := 0
+		for _, i := range miss {
+			smp := samplers[i]
+			if smp.Remaining() > 0 {
+				earlyStops++
+			}
+			var err error
+			if results[i], err = smp.Result(); err != nil {
+				return nil, err
+			}
+			bounds[i].est = results[i].Estimate
+			bounds[i].drawn = results[i].SamplesUsed
+		}
+		tr.Annotate(telemetry.AnnotEarlyStops, int64(earlyStops))
+		tr.Annotate(telemetry.AnnotRounds, int64(round))
+	}
 	for _, i := range miss {
-		cache.Put(batch.Key{Sig: jobs[i].sig, Fingerprint: fp}, jobs[i].cover, results[i])
+		if samplers[i] == nil || samplers[i].Remaining() == 0 {
+			cache.Put(batch.Key{Sig: jobs[i].Sig, Fingerprint: fp}, jobs[i].Cover, results[i])
+		}
+	}
+	if adaptive && report != nil {
+		report(round, true, bounds)
 	}
 	return results, nil
 }
@@ -475,9 +581,8 @@ func solveJobs(ctx context.Context, exec sampling.Executor, jobs []pipelineJob, 
 // combined in job order, so the product — like everything else governed by
 // WithWorkers — is bit-identical for every worker count and for every way
 // the subproblems were scheduled (sequentially, batched, or from cache).
-// Duration is the caller's to set: the sequential path reports plan+solve
-// wall-clock of the one query, the batch path each query's own plan
-// duration plus the shared solve phase — never other queries' planning.
+// Duration is the caller's to set: each query's own plan duration plus the
+// shared solve phase — never other queries' planning.
 func combineResults(out *Result, results []core.Result, factor xfloat.F) *Result {
 	estX := factor
 	lowX := factor
@@ -508,43 +613,6 @@ func combineResults(out *Result, results []core.Result, factor xfloat.F) *Result
 		out.Variance = productVariance(factor.Clamp01().Float64(), rhats, varianceTerms)
 	}
 	return out
-}
-
-// finishPipeline solves a planned query's subproblems and combines them.
-// The anytime knobs (WithSampleRounds > 1, WithTargetWidth, WithProgress)
-// reroute the sampling solve through the adaptive round loop; exact solves
-// and the default options keep the static path.
-func finishPipeline(ctx context.Context, exec sampling.Executor, p *queryPlan, o options, exactOnly bool, cache *batch.Cache) (*Result, error) {
-	var results []core.Result
-	var err error
-	if o.adaptive() && !exactOnly {
-		fanin := make([]int, len(p.jobs))
-		refs := make([]int, len(p.jobs))
-		for i := range p.jobs {
-			fanin[i] = 1
-			refs[i] = i
-		}
-		factor := p.factor.Clamp01().Float64()
-		var report func(int, bool, []jobBounds)
-		if o.progress != nil {
-			report = func(round int, final bool, bounds []jobBounds) {
-				lo, hi, est, drawn := combineBounds(factor, bounds, refs)
-				o.progress(Progress{Round: round, Lower: lo, Upper: hi,
-					Estimate: est, SamplesUsed: drawn, Done: final})
-			}
-		}
-		results, err = solveJobsAdaptive(ctx, exec, p.jobs, fanin, o, cache, report)
-	} else {
-		results, err = solveJobs(ctx, exec, p.jobs, o, exactOnly, cache)
-	}
-	if err != nil {
-		return nil, err
-	}
-	done := telemetry.FromContext(ctx).Span(telemetry.PhaseCombine)
-	out := combineResults(p.out, results, p.factor)
-	done()
-	out.Duration = time.Since(p.start)
-	return out, nil
 }
 
 // productVariance propagates per-factor variances through the product

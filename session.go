@@ -9,7 +9,6 @@ import (
 
 	"netrel/internal/batch"
 	"netrel/internal/preprocess"
-	"netrel/internal/sampling"
 	"netrel/internal/telemetry"
 	"netrel/internal/ugraph"
 	"netrel/internal/xfloat"
@@ -231,12 +230,15 @@ func (s *Session) CacheStats() CacheStats {
 // PlanStats reports the batch planner's dedup effectiveness: how many
 // queries arrived in batches, how many distinct terminal sets were actually
 // planned (duplicates share one plan), and how far subproblem-level dedup
-// compressed the solve schedule on top of that. Counters cover every
-// BatchReliability call whose planning phase completed, whether or not the
-// solve phase later succeeded.
+// compressed the solve schedule on top of that. Counters cover every batch
+// call — BatchReliability, WhatIfBatch and TopKReliable — whose planning
+// phase completed, whether or not the solve phase later succeeded. Single
+// queries (Solve, Reliability, Exact, WhatIf and their variants) and
+// MaximizeReliability's candidate rounds are not counted, although they run
+// through the same planner.
 type PlanStats struct {
-	// Batches counts BatchReliability calls that reached planning; Queries
-	// the queries they contained.
+	// Batches counts batch calls that reached planning; Queries the
+	// queries they contained.
 	Batches, Queries uint64
 	// Planned counts distinct terminal sets planned — Queries − Planned
 	// queries were answered by another query's plan.
@@ -312,7 +314,7 @@ func (s *Session) Solve(spec QuerySpec, opts ...Option) (*Result, error) {
 // SolveContext is Solve with cancellation and admission (see
 // ReliabilityContext).
 func (s *Session) SolveContext(ctx context.Context, spec QuerySpec, opts ...Option) (*Result, error) {
-	return s.solveSpec(ctx, spec, opts, false)
+	return s.solveSpec(ctx, s.state.Load(), spec, opts, false)
 }
 
 // SolveExact is Solve with sampling disabled: the S2BDD must resolve every
@@ -325,105 +327,42 @@ func (s *Session) SolveExact(spec QuerySpec, opts ...Option) (*Result, error) {
 // SolveExactContext is SolveExact with cancellation and admission (see
 // ReliabilityContext).
 func (s *Session) SolveExactContext(ctx context.Context, spec QuerySpec, opts ...Option) (*Result, error) {
-	return s.solveSpec(ctx, spec, opts, true)
+	return s.solveSpec(ctx, s.state.Load(), spec, opts, true)
 }
 
-// solveSpec is the single-query pipeline body shared by every session
-// entry point; the query runs entirely on the state snapshot loaded here,
-// so a concurrent Mutate never changes a result mid-flight.
-func (s *Session) solveSpec(ctx context.Context, spec QuerySpec, opts []Option, exactOnly bool) (*Result, error) {
-	return s.solveSpecOn(ctx, s.state.Load(), spec, opts, exactOnly)
-}
-
-// solveSpecOn runs one query against an explicit graph state — the
-// session's current snapshot, or an ephemeral what-if state: resolve the
-// spec, admit, pick the planning index, plan, solve.
-func (s *Session) solveSpecOn(ctx context.Context, st *graphState, spec QuerySpec, opts []Option, exactOnly bool) (*Result, error) {
+// solveSpec answers one query against a graph state — the session's
+// current snapshot, or an ephemeral what-if state — as a batch of one.
+// The query runs entirely on st, so a concurrent Mutate never changes a
+// result mid-flight.
+func (s *Session) solveSpec(ctx context.Context, st *graphState, spec QuerySpec, opts []Option, exactOnly bool) (*Result, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
 		return nil, err
 	}
 	ctx, tr := ensureTrace(ctx, o)
-	rs, err := resolveTimed(st.g, spec, tr)
+	specs, err := resolveQueries(st.g, []Query{spec}, tr, false)
 	if err != nil {
 		return nil, err
 	}
-	release, err := s.eng.admit(ctx, queryCost(o, 1, exactOnly))
+	out, err := s.solve(ctx, st, specs, o, solveCall{exactOnly: exactOnly, single: true})
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	idx, err := s.specIndexOn(ctx, st, rs)
-	if err != nil {
-		return nil, err
-	}
-	return runResolved(ctx, s.eng.exec(), rs, o, exactOnly, idx, s.cache, st.coverScope(rs))
-}
-
-// resolveTimed resolves one spec, recording conditional specs' evidence
-// rewrite under PhaseCondition (terminal-set resolution is a validation
-// pass, too cheap to be a phase).
-func resolveTimed(g *Graph, spec QuerySpec, tr *telemetry.Trace) (*resolvedSpec, error) {
-	var start time.Time
-	if tr != nil {
-		start = time.Now()
-	}
-	rs, err := resolveSpec(g, spec)
-	if err != nil {
-		return nil, err
-	}
-	if tr != nil && rs.conditioned {
-		tr.Add(telemetry.PhaseCondition, time.Since(start))
-	}
-	return rs, nil
-}
-
-// specIndexOn returns the planning index for a resolved spec on a state:
-// the state's (lazily built) base-graph index when the spec runs on the
-// base graph, nil for conditioned specs — their rewritten graph gets its
-// own index inside preprocessing. The ctx check matches
-// stateIndexContext's contract either way. Base-graph index time — the
-// shared build, or the wait for a concurrent builder — is recorded under
-// PhaseIndex (≈0 once the index exists); conditioned specs record theirs
-// inside preprocessing instead.
-func (s *Session) specIndexOn(ctx context.Context, st *graphState, rs *resolvedSpec) (*preprocess.Index, error) {
-	if rs.conditioned {
-		return nil, ctx.Err()
-	}
-	defer telemetry.FromContext(ctx).Span(telemetry.PhaseIndex)()
-	return s.stateIndexContext(ctx, st)
-}
-
-// run executes the Algorithm 1 pipeline for the package-level entry
-// points: index built on the fly, no cache, DefaultEngine execution.
-func run(ctx context.Context, g *Graph, spec QuerySpec, o options, exactOnly bool) (*Result, error) {
-	ctx, tr := ensureTrace(ctx, o)
-	rs, err := resolveTimed(g, spec, tr)
-	if err != nil {
-		return nil, err
-	}
-	eng := DefaultEngine()
-	release, err := eng.admit(ctx, queryCost(o, 1, exactOnly))
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return runResolved(ctx, eng.exec(), rs, o, exactOnly, nil, nil, coverScope{})
+	return out[0], nil
 }
 
 // queryPlan is one query after preprocessing: the jobs still to solve, the
 // exactly-factored bridge product, and the partially-filled result. done
 // marks queries fully answered by preprocessing (disconnected terminals).
-// In a batch, one queryPlan may be shared by every query with the same
-// terminal set — sharers clone out (see cloneOut) before combining, and
+// One queryPlan may be shared by every query of a call with the same
+// spec — sharers clone out (see cloneOut) before combining, and
 // planDur records the plan's own wall-clock so a query's Duration never
 // includes other queries' planning.
 type queryPlan struct {
 	out     *Result
 	factor  xfloat.F
-	jobs    []pipelineJob
+	jobs    []batch.Job
 	done    bool
-	start   time.Time
 	planDur time.Duration
 }
 
@@ -451,19 +390,14 @@ func planTerminals(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, o 
 	start := time.Now()
 	p := &queryPlan{
 		out:    &Result{SamplesRequested: o.samples},
-		factor: xfloatOne(),
-		start:  start,
+		factor: xfloat.One,
 	}
 
 	if o.noExtension {
 		// Extension disabled: the single job is the whole graph, which no
 		// component covers — its cached result stays untagged and is
 		// reclaimed at the next mutation.
-		p.jobs = append(p.jobs, pipelineJob{
-			g:   g,
-			ts:  ts,
-			sig: preprocess.Sign(g, ts),
-		})
+		p.jobs = append(p.jobs, batch.Job{G: g, Ts: ts, Sig: preprocess.Sign(g, ts)})
 		p.planDur = time.Since(start)
 		tr.Add(telemetry.PhasePlan, p.planDur)
 		return p, nil
@@ -495,37 +429,13 @@ func planTerminals(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, o 
 	}
 	p.factor = prep.PB
 	for _, sub := range prep.Subproblems {
-		j := pipelineJob{g: sub.G, ts: sub.Terminals, sig: sub.Sig}
+		j := batch.Job{G: sub.G, Ts: sub.Terminals, Sig: sub.Sig}
 		if cov.ok {
-			j.cover = batch.Cover{Gen: cov.gen, Comp: sub.Comp, Valid: true}
+			j.Cover = batch.Cover{Gen: cov.gen, Comp: sub.Comp, Valid: true}
 		}
 		p.jobs = append(p.jobs, j)
 	}
 	p.planDur = time.Since(start)
 	tr.Add(telemetry.PhasePlan, p.planDur)
 	return p, nil
-}
-
-// runResolved is the pipeline body shared by the package-level entry
-// points (idx == nil: build per call, no cache) and Session (idx
-// precomputed for base-graph specs, cache attached). exec supplies the
-// shared pool (nil: standalone spawning); ctx cancels at layer/chunk
-// granularity.
-func runResolved(ctx context.Context, exec sampling.Executor, rs *resolvedSpec, o options, exactOnly bool, idx *preprocess.Index, cache *batch.Cache, cov coverScope) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	p, err := planTerminals(ctx, rs.g, rs.ts, o, rs.planIndex(idx), cov)
-	if err != nil {
-		return nil, err
-	}
-	out := p.out
-	if !p.done {
-		out, err = finishPipeline(ctx, exec, p, o, exactOnly, cache)
-		if err != nil {
-			return nil, err
-		}
-	}
-	attachPhases(out, telemetry.FromContext(ctx), o)
-	return out, nil
 }
