@@ -15,112 +15,166 @@ import (
 // instantiates the remaining edges (positions ≥ l) and tests whether all
 // terminal-carrying components and still-unseen terminals coalesce.
 //
-// A completer holds no random state of its own: complete takes the RNG as a
-// parameter so one completer per worker can serve many deterministic
+// Every draw consumes exactly one variate per remaining edge, whether it
+// scans them all or stops early, so a stream's position after d draws at
+// layer l is a function of d and l alone (see skipPCG).
+//
+// A completer holds no random state of its own: each draw takes the stream
+// as a parameter so one completer per worker can serve many deterministic
 // per-chunk streams. A completer is not safe for concurrent use; the
 // parallel driver keeps one per worker slot.
 type completer struct {
-	plan *frontier.Plan
-	g    *ugraph.Graph
+	plan  *frontier.Plan
+	n     int           // vertex count; element n+c stands for node component c
+	coins []ugraph.Coin // the run's edges in plan order, shared read-only
+	probs []float64     // their probabilities, for the HT product
 
-	// uf works over n vertex elements plus one element per node component
-	// (ids n..n+maxComps-1). Untouched vertices use their own element;
-	// frontier vertices are represented by their component's element.
-	uf    *unionfind.Arena
-	vslot []int32 // vertex → slot in F_layer, or -1
+	// uf works over n vertex elements plus one element per node component.
+	// Each draw starts by hanging every frontier vertex beneath its
+	// component's element, so edge endpoints are elements as they are.
+	uf *unionfind.Arena
+	// mark[x] == epoch flags root x as carrying a terminal in the current
+	// draw; live counts those roots. The terminals are connected exactly
+	// when live ≤ 1.
+	mark  []uint64
+	epoch uint64
+	live  int
+
 	fr    []int32 // owned copy of the current layer's frontier
 	layer int
 }
 
-func newCompleter(plan *frontier.Plan) *completer {
-	g := plan.Graph()
-	c := &completer{
+// planStream builds a run's edge stream: coins and probabilities in plan
+// order, shared by all of the run's completers.
+func planStream(plan *frontier.Plan) ([]ugraph.Coin, []float64) {
+	g, ord := plan.Graph(), plan.Order()
+	probs := make([]float64, len(ord))
+	for pos, ei := range ord {
+		probs[pos] = g.Edge(ei).P
+	}
+	return ugraph.Coins(g, ord), probs
+}
+
+func newCompleter(plan *frontier.Plan, coins []ugraph.Coin, probs []float64) *completer {
+	n := plan.Graph().N()
+	size := n + plan.MaxFrontier() + 2
+	return &completer{
 		plan:  plan,
-		g:     g,
-		uf:    unionfind.NewArena(g.N() + plan.MaxFrontier() + 2),
-		vslot: make([]int32, g.N()),
+		n:     n,
+		coins: coins,
+		probs: probs,
+		uf:    unionfind.NewArena(size),
+		mark:  make([]uint64, size),
 		layer: -1,
 	}
-	for i := range c.vslot {
-		c.vslot[i] = -1
-	}
-	return c
 }
 
 // setLayer switches the completer to node layer l with frontier f (in
-// canonical slot order), rebuilding the vertex→slot map. Completions are
-// grouped by layer to amortize this cost. The frontier is copied because
-// the driver reuses its buffer across layers.
+// canonical slot order). The frontier is copied because the driver reuses
+// its buffer across layers.
 func (c *completer) setLayer(l int, f []int32) {
 	if c.layer == l {
 		return
 	}
-	for _, v := range c.fr {
-		c.vslot[v] = -1
-	}
 	c.fr = append(c.fr[:0], f...)
-	for slot, v := range c.fr {
-		c.vslot[v] = int32(slot)
-	}
 	c.layer = l
 }
 
-// elem maps a vertex to its union-find element given node state st.
-func (c *completer) elem(st *frontier.State, v int) int {
-	if s := c.vslot[v]; s >= 0 {
-		return c.g.N() + int(st.Comp[s])
+// begin resets the arena to st's partition and marks its terminal-carrying
+// roots: the flagged components and the terminals no processed edge has
+// touched yet.
+func (c *completer) begin(st *frontier.State) {
+	c.uf.Reset()
+	c.epoch++
+	for slot, v := range c.fr {
+		c.uf.Attach(int(v), c.n+int(st.Comp[slot]))
 	}
-	return v
+	c.live = 0
+	for comp, flagged := range st.Flag {
+		if flagged {
+			c.mark[c.n+comp] = c.epoch
+			c.live++
+		}
+	}
+	for _, t := range c.plan.UnseenTerms(c.layer) {
+		c.mark[t] = c.epoch
+		c.live++
+	}
 }
 
-// complete draws one completion of st at the current layer using rng. It
-// returns whether all terminals are connected in the completed possible
-// graph, the conditional probability of the drawn completion (product over
-// remaining edges), and a fingerprint of the completion's edge choices for
-// HT deduplication. needPr skips the probability product for the MC path.
-func (c *completer) complete(st *frontier.State, needPr bool, rng *rand.Rand) (connected bool, pr xfloat.F, fp uint64) {
-	c.uf.Reset()
+// link merges distinct roots ru and rv, keeping live current. The draws
+// run both Finds inline and call it only for a real merge.
+func (c *completer) link(ru, rv int) {
+	if ru > rv {
+		ru, rv = rv, ru
+	}
+	c.uf.Attach(rv, ru)
+	if c.mark[rv] == c.epoch {
+		if c.mark[ru] == c.epoch {
+			c.live--
+		} else {
+			c.mark[ru] = c.epoch
+		}
+	}
+}
+
+// drawMC draws one completion of st at the current layer and reports
+// whether it connects the terminals. Edges only ever merge parts, so once
+// one terminal-carrying root is left the answer is fixed: the draw stops
+// there and skips rng past the coins it did not flip.
+func (c *completer) drawMC(st *frontier.State, rng *rand.PCG) bool {
+	c.begin(st)
+	coins := c.coins[c.layer:]
+	if c.live <= 1 {
+		skipPCG(rng, uint64(len(coins)))
+		return true
+	}
+	for i := range coins {
+		e := &coins[i]
+		if !e.Heads(rng.Uint64()) {
+			continue
+		}
+		if ru, rv := c.uf.Find(int(e.U)), c.uf.Find(int(e.V)); ru != rv {
+			c.link(ru, rv)
+			if c.live == 1 {
+				skipPCG(rng, uint64(len(coins)-i-1))
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// drawHT draws one completion of st at the current layer. It returns
+// whether the terminals are connected, the conditional probability of the
+// drawn completion (product over the remaining edges), and a fingerprint of
+// its edge choices for HT deduplication. Both need every coin, so the scan
+// runs to the end; only the union-find work stops once the answer is fixed.
+func (c *completer) drawHT(st *frontier.State, rng *rand.PCG) (connected bool, pr xfloat.F, fp uint64) {
+	c.begin(st)
 	pr = xfloat.One
 	const (
 		fnvOffset = 0xcbf29ce484222325
 		fnvPrime  = 0x100000001b3
 	)
 	fp = uint64(fnvOffset)
-	ord := c.plan.Order()
-	for pos := c.layer; pos < len(ord); pos++ {
-		e := c.g.Edge(ord[pos])
+	coins := c.coins[c.layer:]
+	probs := c.probs[c.layer:][:len(coins)]
+	for i := range coins {
+		e := &coins[i]
 		fp *= fnvPrime
-		if rng.Float64() < e.P {
+		if e.Heads(rng.Uint64()) {
 			fp ^= 1
-			if needPr {
-				pr = pr.MulFloat64(e.P)
+			pr = pr.MulFloat64(probs[i])
+			if c.live <= 1 {
+				continue
 			}
-			c.uf.Union(c.elem(st, e.U), c.elem(st, e.V))
-		} else if needPr {
-			pr = pr.MulFloat64(1 - e.P)
+			if ru, rv := c.uf.Find(int(e.U)), c.uf.Find(int(e.V)); ru != rv {
+				c.link(ru, rv)
+			}
+		} else {
+			pr = pr.MulFloat64(1 - probs[i])
 		}
 	}
-
-	// All flagged components and all unseen terminals must share one root.
-	anchor := -1
-	for comp, flagged := range st.Flag {
-		if !flagged {
-			continue
-		}
-		r := c.uf.Find(c.g.N() + comp)
-		if anchor == -1 {
-			anchor = r
-		} else if r != anchor {
-			return false, pr, fp
-		}
-	}
-	for _, t := range c.plan.UnseenTerms(c.layer) {
-		r := c.uf.Find(c.elem(st, int(t)))
-		if anchor == -1 {
-			anchor = r
-		} else if r != anchor {
-			return false, pr, fp
-		}
-	}
-	return true, pr, fp
+	return c.live <= 1, pr, fp
 }

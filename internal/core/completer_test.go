@@ -7,6 +7,7 @@ import (
 
 	"netrel/internal/frontier"
 	"netrel/internal/ugraph"
+	"netrel/internal/unionfind"
 	"netrel/internal/xfloat"
 )
 
@@ -27,19 +28,23 @@ func pathPlan(t *testing.T) *frontier.Plan {
 	return p
 }
 
+func testCompleter(p *frontier.Plan) *completer {
+	coins, probs := planStream(p)
+	return newCompleter(p, coins, probs)
+}
+
 func TestCompleterFromRoot(t *testing.T) {
 	// Completing the root state (layer 0) is plain Monte Carlo over the
 	// whole graph: the path connects 0 and 3 with probability 0.125.
 	p := pathPlan(t)
-	c := newCompleter(p)
+	c := testCompleter(p)
 	c.setLayer(0, nil)
 	root := p.Root()
-	rng := rand.New(rand.NewPCG(1, 99))
+	rng := rand.NewPCG(1, 99)
 	hits := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		ok, _, _ := c.complete(&root, false, rng)
-		if ok {
+		if c.drawMC(&root, rng) {
 			hits++
 		}
 	}
@@ -60,14 +65,13 @@ func TestCompleterMidLayerConditional(t *testing.T) {
 	if out := p.Apply(0, &root, true, true, sc, &st); out != frontier.Live {
 		t.Fatalf("unexpected outcome %v", out)
 	}
-	c := newCompleter(p)
+	c := testCompleter(p)
 	c.setLayer(1, p.FrontierAt(1))
-	rng := rand.New(rand.NewPCG(1, 99))
+	rng := rand.NewPCG(1, 99)
 	hits := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		ok, _, _ := c.complete(&st, false, rng)
-		if ok {
+		if c.drawMC(&st, rng) {
 			hits++
 		}
 	}
@@ -82,12 +86,12 @@ func TestCompleterProbabilityProduct(t *testing.T) {
 	// remaining edges — on the 3-edge path from the root, one of the 8
 	// values {0.125}.
 	p := pathPlan(t)
-	c := newCompleter(p)
+	c := testCompleter(p)
 	c.setLayer(0, nil)
 	root := p.Root()
-	rng := rand.New(rand.NewPCG(3, 99))
+	rng := rand.NewPCG(3, 99)
 	for i := 0; i < 50; i++ {
-		_, pr, _ := c.complete(&root, true, rng)
+		_, pr, _ := c.drawHT(&root, rng)
 		if math.Abs(pr.Float64()-0.125) > 1e-12 {
 			t.Fatalf("completion probability %v, want 0.125 (all edges p=0.5)", pr.Float64())
 		}
@@ -96,13 +100,13 @@ func TestCompleterProbabilityProduct(t *testing.T) {
 
 func TestCompleterFingerprintsDistinguishWorlds(t *testing.T) {
 	p := pathPlan(t)
-	c := newCompleter(p)
+	c := testCompleter(p)
 	c.setLayer(0, nil)
 	root := p.Root()
-	rng := rand.New(rand.NewPCG(4, 99))
+	rng := rand.NewPCG(4, 99)
 	byFP := map[uint64]bool{}
 	for i := 0; i < 200; i++ {
-		ok, _, fp := c.complete(&root, false, rng)
+		ok, _, fp := c.drawHT(&root, rng)
 		if prev, seen := byFP[fp]; seen && prev != ok {
 			t.Fatal("same fingerprint with different connectivity")
 		}
@@ -110,21 +114,6 @@ func TestCompleterFingerprintsDistinguishWorlds(t *testing.T) {
 	}
 	if len(byFP) != 8 {
 		t.Fatalf("expected 8 distinct completions of a 3-edge graph, got %d", len(byFP))
-	}
-}
-
-func TestCompleterSetLayerSwitches(t *testing.T) {
-	// Switching layers must fully clear the old vertex→slot mapping.
-	p := pathPlan(t)
-	c := newCompleter(p)
-	c.setLayer(1, p.FrontierAt(1))
-	c.setLayer(2, p.FrontierAt(2))
-	// Frontier at layer 2 is {2}; vertex 1 must no longer map to a slot.
-	if c.vslot[1] != -1 {
-		t.Fatalf("stale slot for vertex 1: %d", c.vslot[1])
-	}
-	if c.vslot[2] == -1 {
-		t.Fatal("vertex 2 missing from layer-2 slots")
 	}
 }
 
@@ -168,5 +157,242 @@ func TestHeuristicPrefersTerminalHeavyNodes(t *testing.T) {
 	heavy.p = heavy.p.MulFloat64(4)
 	if r.heuristic(f, &heavy) <= r.heuristic(f, &flagged) {
 		t.Fatal("heuristic must grow with node probability")
+	}
+}
+
+// refComplete is the full-scan completion the kernel replaced, kept as the
+// reference the kernel must match bit for bit: every remaining edge's coin
+// is a rand.Float64 flip against its probability, endpoints map through a
+// vertex→slot table to their frontier component's element, and
+// connectivity is checked once the scan ends.
+func refComplete(plan *frontier.Plan, layer int, st *frontier.State, rng *rand.Rand) (connected bool, pr xfloat.F, fp uint64) {
+	g := plan.Graph()
+	n := g.N()
+	vslot := map[int]int{}
+	for slot, v := range plan.FrontierAt(layer) {
+		vslot[int(v)] = slot
+	}
+	elem := func(v int) int {
+		if s, ok := vslot[v]; ok {
+			return n + int(st.Comp[s])
+		}
+		return v
+	}
+	uf := unionfind.New(n + plan.MaxFrontier() + 2)
+	pr = xfloat.One
+	fp = 0xcbf29ce484222325
+	ord := plan.Order()
+	for pos := layer; pos < len(ord); pos++ {
+		e := g.Edge(ord[pos])
+		fp *= 0x100000001b3
+		if rng.Float64() < e.P {
+			fp ^= 1
+			pr = pr.MulFloat64(e.P)
+			uf.Union(elem(e.U), elem(e.V))
+		} else {
+			pr = pr.MulFloat64(1 - e.P)
+		}
+	}
+	anchor := -1
+	same := func(r int) bool {
+		if anchor == -1 {
+			anchor = r
+		}
+		return r == anchor
+	}
+	for comp, flagged := range st.Flag {
+		if flagged && !same(uf.Find(n+comp)) {
+			return false, pr, fp
+		}
+	}
+	for _, t := range plan.UnseenTerms(layer) {
+		if !same(uf.Find(elem(int(t)))) {
+			return false, pr, fp
+		}
+	}
+	return true, pr, fp
+}
+
+// randState returns a node state over a frontier of width w: a random
+// partition of the slots into canonically numbered components, each
+// flagged with probability flagP.
+func randState(r *rand.Rand, w int, flagP float64) frontier.State {
+	var st frontier.State
+	for slot := 0; slot < w; slot++ {
+		c := len(st.Flag)
+		if c > 0 && r.IntN(3) != 0 {
+			c = r.IntN(len(st.Flag))
+		} else {
+			st.Flag = append(st.Flag, r.Float64() < flagP)
+			st.Tcnt = append(st.Tcnt, 0)
+		}
+		st.Comp = append(st.Comp, uint16(c))
+	}
+	return st
+}
+
+func pcgState(t *testing.T, p *rand.PCG) string {
+	t.Helper()
+	b, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+func TestThresholdMatchesFloat64Coin(t *testing.T) {
+	r := rand.New(rand.NewPCG(11, 12))
+	ps := []float64{1, 0.5, math.Nextafter(0.5, 0), math.Ldexp(1, -60), 1e-300}
+	for i := 0; i < 20; i++ {
+		ps = append(ps, r.Float64())
+	}
+	for _, p := range ps {
+		c := ugraph.Coin{Thr: ugraph.Threshold(p)}
+		// Every k within two of the threshold, plus random k, each with
+		// random discarded high bits.
+		var ks []uint64
+		for d := uint64(0); d < 5; d++ {
+			if k := c.Thr + d - 2; k < 1<<53 {
+				ks = append(ks, k)
+			}
+		}
+		for i := 0; i < 1000; i++ {
+			ks = append(ks, r.Uint64()>>11)
+		}
+		for _, k := range ks {
+			x := k | r.Uint64()<<53
+			want := float64(k)/(1<<53) < p
+			if got := c.Heads(x); got != want {
+				t.Fatalf("p=%v k=%d: Heads %v, Float64 coin %v", p, k, got, want)
+			}
+		}
+	}
+}
+
+func TestSkipPCGMatchesSteps(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 6))
+	ns := []uint64{0, 1, 2, 127}
+	for i := 0; i < 8; i++ {
+		ns = append(ns, r.Uint64N(1<<20+1))
+	}
+	for _, n := range ns {
+		s1, s2 := r.Uint64(), r.Uint64()
+		jumped, stepped := rand.NewPCG(s1, s2), rand.NewPCG(s1, s2)
+		skipPCG(jumped, n)
+		for i := uint64(0); i < n; i++ {
+			stepped.Uint64()
+		}
+		if pcgState(t, jumped) != pcgState(t, stepped) || jumped.Uint64() != stepped.Uint64() {
+			t.Fatalf("skip %d differs from %d steps", n, n)
+		}
+	}
+}
+
+// TestCompleterDrawsMatchReference runs one MC and one HT completer across
+// random graphs, layers and node states — switching layer between draws,
+// so stale per-layer state would show — and checks every draw against
+// refComplete: the same answer, probability and fingerprint, and the
+// stream left at the same position.
+func TestCompleterDrawsMatchReference(t *testing.T) {
+	r := rand.New(rand.NewPCG(21, 22))
+	for trial := 0; trial < 40; trial++ {
+		n := 3 + r.IntN(25)
+		g := randConnected(r, n, r.IntN(3*n))
+		if trial%2 == 0 {
+			// Exercise the threshold extremes alongside the random ones.
+			es := g.Edges()
+			for i := range es {
+				switch r.IntN(6) {
+				case 0:
+					es[i].P = 1
+				case 1:
+					es[i].P = math.Ldexp(1, -60)
+				}
+			}
+		}
+		k := 2 + r.IntN(min(n-1, 5))
+		ts, err := ugraph.NewTerminals(g, r.Perm(n)[:k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := frontier.NewPlan(g, ts, r.Perm(g.M()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc, ht := testCompleter(plan), testCompleter(plan)
+		for draw := 0; draw < 60; draw++ {
+			l := r.IntN(g.M() + 1)
+			front := plan.FrontierAt(l)
+			st := randState(r, len(front), 0.4)
+			mc.setLayer(l, front)
+			ht.setLayer(l, front)
+			seed := r.Uint64()
+			ref, got := rand.NewPCG(seed, 1), rand.NewPCG(seed, 1)
+			wantOK, wantPr, wantFP := refComplete(plan, l, &st, rand.New(ref))
+			if ok := mc.drawMC(&st, got); ok != wantOK || pcgState(t, got) != pcgState(t, ref) {
+				t.Fatalf("trial %d layer %d: MC draw %v, reference %v (or stream position differs)", trial, l, ok, wantOK)
+			}
+			ref, got = rand.NewPCG(seed, 2), rand.NewPCG(seed, 2)
+			wantOK, wantPr, wantFP = refComplete(plan, l, &st, rand.New(ref))
+			ok, pr, fp := ht.drawHT(&st, got)
+			if ok != wantOK || pr != wantPr || fp != wantFP || pcgState(t, got) != pcgState(t, ref) {
+				t.Fatalf("trial %d layer %d: HT draw (%v, %v, %x), reference (%v, %v, %x)", trial, l, ok, pr, fp, wantOK, wantPr, wantFP)
+			}
+		}
+	}
+}
+
+var benchHits int
+
+// BenchmarkCompletion times the completion-draw kernel on a synthetic dense
+// graph shaped like the scaled Hit-d protein network (900 vertices, about
+// 12k edges, 10 terminals), where S2BDD bounds stay loose and completion
+// draws dominate: each draw completes a random node state at an early
+// layer, so nearly every edge remains to be flipped.
+func BenchmarkCompletion(b *testing.B) {
+	r := rand.New(rand.NewPCG(1, 2))
+	g := randConnected(r, 900, 11200)
+	ts, err := ugraph.NewTerminals(g, r.Perm(g.N())[:10])
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := frontier.NewPlan(g, ts, bfsOrder(g, ts))
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := g.M() / 50
+	front := plan.FrontierAt(l)
+	states := make([]frontier.State, 64)
+	for i := range states {
+		st := randState(r, len(front), 0)
+		for f := 0; f < 3 && f < len(st.Flag); f++ {
+			st.Flag[r.IntN(len(st.Flag))] = true
+		}
+		states[i] = st
+	}
+	for _, est := range []string{"MC", "HT"} {
+		b.Run(est, func(b *testing.B) {
+			c := testCompleter(plan)
+			c.setLayer(l, front)
+			rng := rand.NewPCG(3, 4)
+			hits := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st := &states[i%len(states)]
+				var ok bool
+				if est == "MC" {
+					ok = c.drawMC(st, rng)
+				} else {
+					ok, _, _ = c.drawHT(st, rng)
+				}
+				if ok {
+					hits++
+				}
+			}
+			ns := float64(b.Elapsed().Nanoseconds())
+			b.ReportMetric(ns/float64(b.N), "ns/draw")
+			b.ReportMetric(ns/float64(b.N)/float64(g.M()-l), "ns/edge")
+			benchHits = hits
+		})
 	}
 }

@@ -122,6 +122,8 @@ type run struct {
 	workers  int
 	cworkers int           // construction (layer-expansion) worker budget
 	compls   []*completer  // one per sampling worker slot, created lazily
+	coins    []ugraph.Coin // the completers' shared edge stream (planStream)
+	probs    []float64
 	expands  []*expandSlot // one per construction worker slot, created lazily
 
 	pc xfloat.F // mass proven connected (1-sink)

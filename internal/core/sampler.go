@@ -4,13 +4,13 @@
 // stratum allocation, stochastic rounding, and the flush rules all see
 // exactly the schedule a one-shot run would — but records each stratum's
 // draws instead of making them. Resume(k) then advances the recorded
-// schedule k draws at a time. Because every whole chunk replays the same
-// (Seed, layer, stratum, chunk) stream a one-shot run derives, and partial
-// chunks keep their live RNG across calls (completions consume a
-// data-dependent number of variates, so a mid-chunk stream cannot be
-// re-derived), Resume(k₁) followed by Resume(k₂) folds bit-identically to a
-// single Resume(k₁+k₂) for any worker count — and exhausting the schedule is
-// bit-identical to ComputeContext.
+// schedule k draws at a time. Every whole chunk replays the same (Seed,
+// layer, stratum, chunk) stream a one-shot run derives, and a draw at layer
+// l consumes exactly 1 + (M − l) variates (the pick, then one per remaining
+// edge), so a partial chunk re-derives its stream and skips it to the draw
+// where the previous call stopped. Resume(k₁) followed by Resume(k₂)
+// therefore folds bit-identically to a single Resume(k₁+k₂) for any worker
+// count — and exhausting the schedule is bit-identical to ComputeContext.
 package core
 
 import (
@@ -44,10 +44,6 @@ type stratumState struct {
 	conn int                  // Monte Carlo fold: connected count
 	ht   estimator.HTEstimate // Horvitz–Thompson fold
 	seen map[uint64]bool      // HT dedup, keyed by mixed fingerprint
-
-	// rng is the in-progress chunk's live stream, non-nil exactly when the
-	// previous Resume stopped mid-chunk.
-	rng *rand.Rand
 }
 
 // Sampler is a resumable S2BDD run: construction is complete, sampling
@@ -152,9 +148,10 @@ func (s *Sampler) Resume(ctx context.Context, k int) (int, error) {
 }
 
 // pick chooses a snapshot with probability proportional to its mass
-// within the stratum.
-func (st *stratumState) pick(rng *rand.Rand) int {
-	u := rng.Float64() * st.acc
+// within the stratum, from one variate turned into a float exactly as
+// rand.Float64 does.
+func (st *stratumState) pick(rng *rand.PCG) int {
+	u := float64(rng.Uint64()<<11>>11) / (1 << 53) * st.acc
 	i := sort.SearchFloat64s(st.cum, u)
 	if i >= len(st.snaps) {
 		i = len(st.snaps) - 1
@@ -163,140 +160,65 @@ func (st *stratumState) pick(rng *rand.Rand) int {
 }
 
 // drawStratum advances one stratum by take draws (take ≤ its outstanding
-// budget) in three segments: the tail of a previously part-drawn chunk
-// (inline, on its saved live stream), then every fully covered chunk
-// (parallel across the configured workers), then the head of a new
-// part-drawn chunk (inline, stream kept live for the next call). A one-shot
-// run draws each stratum whole, which is the middle segment alone.
+// budget). The draws [drawn, drawn+take) span chunks [c0, c1), the first
+// and last possibly in part; the chunks run across the configured workers
+// and fold in chunk order, so any split of a stratum into calls folds like
+// one whole call. If ctx stops the window early, the per-chunk results are
+// discarded unfolded.
 func (r *run) drawStratum(ctx context.Context, st *stratumState, take int) error {
-	comp := r.completerSlot(0)
-	comp.setLayer(st.layer, st.front)
-	if off := st.drawn % stratumChunk; off != 0 {
-		n := min(stratumChunk-off, st.draws-st.drawn, take)
-		r.drawInline(st, comp, st.rng, n)
-		st.drawn += n
-		take -= n
-		if st.drawn%stratumChunk == 0 || st.drawn == st.draws {
-			st.rng = nil
-		}
-		if take == 0 {
-			return ctx.Err()
+	lo, hi := st.drawn, st.drawn+take
+	c0, c1 := lo/stratumChunk, numChunks(hi)
+	hits := make([]int, c1-c0)
+	drawn := make([][]htDraw, c1-c0)
+	err := r.forChunkRange(ctx, st.layer, st.front, c0, c1, func(comp *completer, chunk int) {
+		from := max(lo, chunk*stratumChunk)
+		to := min(hi, (chunk+1)*stratumChunk)
+		hits[chunk-c0], drawn[chunk-c0] = r.drawSegment(st, comp, chunk, from-chunk*stratumChunk, to-from)
+	})
+	if err != nil {
+		return err
+	}
+	// HT over the stratum's conditional world distribution: each world w
+	// has conditional probability q_w = p_node·pr_completion / P_l.
+	// Deduplication (across nodes too, via the mixed fingerprint) and the
+	// xfloat accumulation fold in (chunk, draw) order. π uses the stratum's
+	// total scheduled draws: the estimator is defined by the schedule, not
+	// by how far resumption has advanced through it.
+	for i, h := range hits {
+		st.conn += h
+		for _, d := range drawn[i] {
+			if st.seen[d.fp] {
+				continue
+			}
+			st.seen[d.fp] = true
+			st.ht.Add(d.q, true, st.draws)
 		}
 	}
-	// st.drawn is chunk-aligned here; cover the whole chunks in [c0, c1).
-	c0 := st.drawn / stratumChunk
-	end := st.drawn + take
-	c1 := end / stratumChunk
-	if end == st.draws {
-		c1 = numChunks(st.draws)
-	}
-	if c1 > c0 {
-		if err := r.drawChunks(ctx, st, c0, c1); err != nil {
-			return err
-		}
-		covered := min(c1*stratumChunk, st.draws) - st.drawn
-		st.drawn += covered
-		take -= covered
-		if take == 0 {
-			return ctx.Err()
-		}
-	}
-	rng := r.chunkRNG(st.layer, st.ordinal, st.drawn/stratumChunk)
-	r.drawInline(st, comp, rng, take)
-	st.drawn += take
-	st.rng = rng
+	st.drawn = hi
 	return ctx.Err()
 }
 
-// drawInline makes n draws on the driver goroutine from rng, folding them
-// directly into the stratum state in draw order.
-func (r *run) drawInline(st *stratumState, comp *completer, rng *rand.Rand, n int) {
-	switch r.cfg.Estimator {
-	case estimator.MonteCarlo:
-		for i := 0; i < n; i++ {
-			sp := &st.snaps[st.pick(rng)]
-			if ok, _, _ := comp.complete(&sp.state, false, rng); ok {
-				st.conn++
+// drawSegment makes draws [off, off+n) of one chunk with comp. It re-derives
+// the chunk's stream and skips the off draws before the segment, each of
+// which consumed exactly 1 + (M − layer) variates. Monte Carlo returns the
+// connected count, Horvitz–Thompson the connected draws in draw order.
+func (r *run) drawSegment(st *stratumState, comp *completer, chunk, off, n int) (hits int, out []htDraw) {
+	rng := r.chunkRNG(st.layer, st.ordinal, chunk)
+	skipPCG(rng, uint64(off)*uint64(1+r.plan.M()-st.layer))
+	for i := 0; i < n; i++ {
+		idx := st.pick(rng)
+		sp := &st.snaps[idx]
+		if r.cfg.Estimator == estimator.MonteCarlo {
+			if comp.drawMC(&sp.state, rng) {
+				hits++
 			}
+			continue
 		}
-	case estimator.HorvitzThompson:
-		for i := 0; i < n; i++ {
-			idx := st.pick(rng)
-			sp := &st.snaps[idx]
-			ok, pr, fp := comp.complete(&sp.state, true, rng)
-			if !ok {
-				continue
-			}
-			fp = mixNodeFP(fp, idx)
-			if st.seen[fp] {
-				continue
-			}
-			st.seen[fp] = true
-			// π uses the stratum's total scheduled draws, exactly as the
-			// whole-chunk fold does: the estimator is defined by the
-			// schedule, not by how far resumption has advanced through it.
-			st.ht.Add(sp.p.Mul(pr).Div(st.mass), true, st.draws)
+		if ok, pr, fp := comp.drawHT(&sp.state, rng); ok {
+			out = append(out, htDraw{fp: mixNodeFP(fp, idx), q: sp.p.Mul(pr).Div(st.mass)})
 		}
 	}
-}
-
-// drawChunks executes the stratum's whole chunks [c0, c1) across the
-// configured workers and folds their results in chunk order. On a ctx
-// error the partial per-chunk results are discarded unfolded.
-func (r *run) drawChunks(ctx context.Context, st *stratumState, c0, c1 int) error {
-	switch r.cfg.Estimator {
-	case estimator.MonteCarlo:
-		conn := make([]int, c1-c0)
-		err := r.forChunkRange(ctx, st.layer, st.front, st.ordinal, c0, c1, st.draws, func(comp *completer, rng *rand.Rand, chunk, n int) {
-			h := 0
-			for i := 0; i < n; i++ {
-				sp := &st.snaps[st.pick(rng)]
-				if ok, _, _ := comp.complete(&sp.state, false, rng); ok {
-					h++
-				}
-			}
-			conn[chunk-c0] = h
-		})
-		if err != nil {
-			return err
-		}
-		for _, h := range conn {
-			st.conn += h
-		}
-	case estimator.HorvitzThompson:
-		// HT over the stratum's conditional world distribution: each world
-		// w has conditional probability q_w = p_node·pr_completion / P_l.
-		// Chunks record connected completions in draw order; deduplication
-		// (across nodes too, via the mixed fingerprint) and the xfloat
-		// accumulation fold in (chunk, draw) order.
-		res := make([][]htDraw, c1-c0)
-		err := r.forChunkRange(ctx, st.layer, st.front, st.ordinal, c0, c1, st.draws, func(comp *completer, rng *rand.Rand, chunk, n int) {
-			var out []htDraw
-			for i := 0; i < n; i++ {
-				idx := st.pick(rng)
-				sp := &st.snaps[idx]
-				ok, pr, fp := comp.complete(&sp.state, true, rng)
-				if !ok {
-					continue
-				}
-				out = append(out, htDraw{fp: mixNodeFP(fp, idx), q: sp.p.Mul(pr).Div(st.mass)})
-			}
-			res[chunk-c0] = out
-		})
-		if err != nil {
-			return err
-		}
-		for _, chunk := range res {
-			for _, d := range chunk {
-				if st.seen[d.fp] {
-					continue
-				}
-				st.seen[d.fp] = true
-				st.ht.Add(d.q, true, st.draws)
-			}
-		}
-	}
-	return nil
+	return hits, out
 }
 
 // finishStratum folds a completed stratum's contribution into the run —
@@ -312,7 +234,7 @@ func (r *run) finishStratum(st *stratumState) {
 	}
 	r.estSampled = r.estSampled.Add(st.mass.MulFloat64(hit * st.weight))
 	r.recycle(st.snaps)
-	st.snaps, st.front, st.cum, st.seen, st.rng = nil, nil, nil, nil, nil
+	st.snaps, st.front, st.cum, st.seen = nil, nil, nil, nil
 }
 
 // Result assembles the answer for the draws made so far. With the schedule

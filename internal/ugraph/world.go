@@ -11,20 +11,25 @@ import (
 // connectivity, reusing all buffers across draws. It is not safe for
 // concurrent use; create one per goroutine.
 type WorldSampler struct {
-	g   *Graph
-	ts  Terminals
-	rng *rand.Rand
-	uf  *unionfind.Arena
+	g     *Graph
+	ts    Terminals
+	coins []Coin // g's edges in index order
+	rng   *rand.PCG
+	uf    *unionfind.Arena
 }
+
+// worldStream is the PCG stream constant of every WorldSampler.
+const worldStream = 0x9e3779b97f4a7c15
 
 // NewWorldSampler returns a sampler over g for terminal set ts, seeded
 // deterministically from seed.
 func NewWorldSampler(g *Graph, ts Terminals, seed uint64) *WorldSampler {
 	return &WorldSampler{
-		g:   g,
-		ts:  ts,
-		rng: rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15)),
-		uf:  unionfind.NewArena(g.N()),
+		g:     g,
+		ts:    ts,
+		coins: Coins(g, nil),
+		rng:   rand.NewPCG(seed, worldStream),
+		uf:    unionfind.NewArena(g.N()),
 	}
 }
 
@@ -33,7 +38,7 @@ func NewWorldSampler(g *Graph, ts Terminals, seed uint64) *WorldSampler {
 // unit so draws depend only on the unit's seed, not on which goroutine ran
 // previous units.
 func (s *WorldSampler) Reseed(seed uint64) {
-	s.rng = rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
+	s.rng.Seed(seed, worldStream)
 }
 
 // SampleConnected draws one possible world Gp according to the edge
@@ -41,13 +46,8 @@ func (s *WorldSampler) Reseed(seed uint64) {
 // The draw and the connectivity check are fused: an edge flip immediately
 // feeds the union-find, so no per-world edge mask is materialized.
 func (s *WorldSampler) SampleConnected() bool {
-	s.uf.Reset()
-	for _, e := range s.g.edges {
-		if s.rng.Float64() < e.P {
-			s.uf.Union(e.U, e.V)
-		}
-	}
-	return s.terminalsJoined()
+	ok, _, _ := s.sample(false)
+	return ok
 }
 
 // SampleConnectedWithProb draws one possible world and additionally returns
@@ -56,24 +56,34 @@ func (s *WorldSampler) SampleConnected() bool {
 // inverse-inclusion weighting and the fingerprint to deduplicate worlds
 // (its sum ranges over distinct sampled units).
 func (s *WorldSampler) SampleConnectedWithProb() (connected bool, pr xfloat.F, fingerprint uint64) {
+	return s.sample(true)
+}
+
+// sample draws one world, one variate per edge in index order; needPr adds
+// the world probability.
+func (s *WorldSampler) sample(needPr bool) (connected bool, pr xfloat.F, fp uint64) {
 	s.uf.Reset()
 	pr = xfloat.One
 	const (
 		fnvOffset = 0xcbf29ce484222325
 		fnvPrime  = 0x100000001b3
 	)
-	h := uint64(fnvOffset)
-	for _, e := range s.g.edges {
-		h *= fnvPrime
-		if s.rng.Float64() < e.P {
-			h ^= 1
-			pr = pr.MulFloat64(e.P)
-			s.uf.Union(e.U, e.V)
-		} else {
-			pr = pr.MulFloat64(1 - e.P)
+	fp = uint64(fnvOffset)
+	edges := s.g.edges[:len(s.coins)]
+	for i := range s.coins {
+		c := &s.coins[i]
+		fp *= fnvPrime
+		if c.Heads(s.rng.Uint64()) {
+			fp ^= 1
+			if needPr {
+				pr = pr.MulFloat64(edges[i].P)
+			}
+			s.uf.Union(int(c.U), int(c.V))
+		} else if needPr {
+			pr = pr.MulFloat64(1 - edges[i].P)
 		}
 	}
-	return s.terminalsJoined(), pr, h
+	return s.terminalsJoined(), pr, fp
 }
 
 func (s *WorldSampler) terminalsJoined() bool {

@@ -5,7 +5,10 @@
 // Two variants are provided: DSU, a straightforward allocate-per-use
 // structure, and Arena, a reusable structure with O(touched) reset designed
 // for the hot sampling loop where millions of connectivity checks run on the
-// same vertex universe.
+// same vertex universe. Arena.Attach hangs one root beneath another without
+// a Find, so a caller can pre-seed a known partition (the S2BDD completer
+// attaches each frontier vertex to its component's element) or link roots
+// it has already found; Reset undoes attachments like unions.
 package unionfind
 
 // DSU is a disjoint-set union with union by rank and path halving.
@@ -119,16 +122,23 @@ func (a *Arena) Union(x, y int) bool {
 	if rx > ry {
 		rx, ry = ry, rx
 	}
-	a.parent[ry] = int32(rx)
-	a.touched = append(a.touched, int32(ry))
+	a.Attach(ry, rx)
 	return true
+}
+
+// Attach makes r the parent of x, which must be a root, and logs x for
+// Reset.
+func (a *Arena) Attach(x, r int) {
+	a.parent[x] = int32(r)
+	a.touched = append(a.touched, int32(x))
 }
 
 // Same reports whether x and y are in the same set.
 func (a *Arena) Same(x, y int) bool { return a.Find(x) == a.Find(y) }
 
-// Reset undoes all unions since the previous Reset in O(touched) time.
-// A node's parent pointer first deviates from itself only inside Union,
+// Reset undoes all unions and attachments since the previous Reset in
+// O(touched) time.
+// A node's parent pointer first deviates from itself only inside Attach,
 // which logs it; path halving afterwards only rewrites pointers of nodes
 // already logged. Restoring the logged nodes therefore restores the whole
 // structure.
