@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -57,10 +58,6 @@ type mutateRequest deltaJSON
 // the result cache keeps every entry whose component the delta did not
 // touch, so post-mutation queries re-solve only the covered subproblems.
 func (s *server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
-	if s.rejectDraining(w) {
-		return
-	}
-	name := r.PathValue("name")
 	var req mutateRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -71,36 +68,26 @@ func (s *server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 			errors.New(`empty delta: give "set_prob", "remove" or "add"`))
 		return
 	}
-	h, err := s.graph(name)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+	h := s.graph(w, r.PathValue("name"))
+	if h == nil {
 		return
 	}
-	tr := telemetry.New()
-	ctx, cancel := s.queryContext(r, name, tr)
-	defer cancel()
-	start := time.Now()
-	stats, err := s.reg.MutateContext(ctx, name, delta)
-	elapsed := time.Since(start)
-	if err != nil {
-		if h.c != nil {
-			h.c.failures.Add(1)
+	s.serveQuery(w, r, h, "mutate", nil, false, func(ctx context.Context, q *queryRun) (any, error) {
+		stats, err := s.reg.MutateContext(ctx, h.name, delta)
+		if err != nil {
+			return nil, err
 		}
-		writeError(w, statusFor(err), err)
-		return
-	}
-	if h.c != nil {
+		elapsed := time.Since(q.start)
 		h.c.mutations.Add(1)
-	}
-	s.recordQuery(h, "mutate", tr, elapsed)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"graph":            name,
-		"version":          stats.Version,
-		"topology_changed": stats.TopologyChanged,
-		"index_updated":    stats.IndexUpdated,
-		"invalidated":      stats.InvalidatedEntries,
-		"kept":             stats.KeptEntries,
-		"duration_ms":      float64(elapsed) / float64(time.Millisecond),
+		return map[string]any{
+			"graph":            h.name,
+			"version":          stats.Version,
+			"topology_changed": stats.TopologyChanged,
+			"index_updated":    stats.IndexUpdated,
+			"invalidated":      stats.InvalidatedEntries,
+			"kept":             stats.KeptEntries,
+			"duration_ms":      float64(elapsed) / float64(time.Millisecond),
+		}, nil
 	})
 }
 
@@ -119,10 +106,6 @@ type patchGraphRequest struct {
 // The new settings apply to the next admission; in-flight and queued
 // requests keep the terms they were admitted under.
 func (s *server) handlePatchGraph(w http.ResponseWriter, r *http.Request) {
-	if s.rejectDraining(w) {
-		return
-	}
-	name := r.PathValue("name")
 	var req patchGraphRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -149,13 +132,12 @@ func (s *server) handlePatchGraph(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	h, err := s.graph(name)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+	h := s.graph(w, r.PathValue("name"))
+	if h == nil {
 		return
 	}
 	if req.Weight != nil {
-		s.eng.SetTenantWeight(name, *req.Weight)
+		s.eng.SetTenantWeight(h.name, *req.Weight)
 	}
 	if req.QuotaRate != nil {
 		burst := 0.0
@@ -163,123 +145,67 @@ func (s *server) handlePatchGraph(w http.ResponseWriter, r *http.Request) {
 			burst = *req.QuotaBurst
 		}
 		// rate 0 removes the quota; burst 0 selects one second of refill.
-		s.eng.SetTenantQuota(name, *req.QuotaRate, burst)
+		s.eng.SetTenantQuota(h.name, *req.QuotaRate, burst)
 	}
-	ts := s.eng.TenantStats(h.name)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"graph": name,
-		"qos": qosResponse{
-			Weight:          ts.Weight,
-			QuotaRate:       ts.QuotaRate,
-			QuotaBurst:      ts.QuotaBurst,
-			QuotaTokens:     ts.QuotaTokens,
-			QuotaRejected:   ts.RejectedOverQuota,
-			Queued:          ts.Queued,
-			AdmissionWaits:  ts.Waited,
-			AdmissionWaitMS: float64(ts.WaitedNanos) / 1e6,
-		},
+		"graph": h.name,
+		"qos":   toQoSResponse(s.eng.TenantStats(h.name)),
 	})
 }
 
 // whatifRequest is the body of POST /v1/whatif: a single query (the
-// queryRequest shape minus streaming) plus the ephemeral "delta" it is
-// answered under. The session is untouched; the result is bit-identical
+// queryRequest shape minus exact and anytime) plus the ephemeral "delta" it
+// is answered under. The session is untouched; the result is bit-identical
 // to mutating the graph for real and querying, while every subproblem the
 // delta does not cover is answered from the graph's shared result cache.
 type whatifRequest struct {
-	Graph     string         `json:"graph,omitempty"`
-	Delta     deltaJSON      `json:"delta"`
-	Mode      string         `json:"mode,omitempty"`
-	Terminals []int          `json:"terminals"`
-	Evidence  []evidenceJSON `json:"evidence,omitempty"`
-	Samples   int            `json:"samples,omitempty"`
-	Width     int            `json:"width,omitempty"`
-	Seed      uint64         `json:"seed,omitempty"`
-	Workers   int            `json:"workers,omitempty"`
-	Estimator string         `json:"estimator,omitempty"`
-	Trace     bool           `json:"trace,omitempty"`
+	Graph string    `json:"graph,omitempty"`
+	Delta deltaJSON `json:"delta"`
+	specJSON
+	samplingJSON
 }
 
 func (s *server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
-	if s.rejectDraining(w) {
-		return
-	}
 	var req whatifRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	h, err := s.graph(req.Graph)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+	h := s.graph(w, req.Graph)
+	if h == nil {
 		return
 	}
-	name, sess := h.name, h.sess
-	mode, err := parseMode(req.Mode, false)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Terminals are validated here against the base graph (the vertex set
-	// never changes under a delta); evidence indices refer to the
-	// delta-applied edge order, so they — like the delta itself — are
+	// Terminals are validated against the base graph (the vertex set never
+	// changes under a delta); evidence indices, like the delta itself, are
 	// validated by the library, whose errors map to 400s.
-	if len(req.Terminals) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%v query needs at least one terminal", mode))
-		return
-	}
-	for i, t := range req.Terminals {
-		if t < 0 || t >= sess.Graph().N() {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("%v query: terminals[%d] = %d out of range [0,%d)", mode, i, t, sess.Graph().N()))
-			return
-		}
-	}
-	if len(req.Evidence) > 0 && mode != netrel.ModeConditional {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf(`%v query cannot carry evidence (use mode "conditional")`, mode))
-		return
-	}
-	opts, err := s.options(req.Samples, req.Width, req.Seed, req.Workers, req.Estimator)
+	spec, err := req.spec(h.sess.Graph().N(), uncheckedEdges)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Trace {
-		opts = append(opts, netrel.WithTrace())
+	opts, err := s.options(req.samplingJSON, nil)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	delta := req.Delta.toDelta()
-	spec := netrel.QuerySpec{Mode: mode, Terminals: req.Terminals, Evidence: toEvidence(req.Evidence)}
-	c := h.c
-	tr := telemetry.New()
-	ctx, cancel := s.queryContext(r, name, tr)
-	defer cancel()
-	start := time.Now()
-	res, err := sess.WhatIfContext(ctx, delta, spec, opts...)
-	elapsed := time.Since(start)
-	if err != nil {
-		if c != nil {
-			c.failures.Add(1)
+	s.serveQuery(w, r, h, "whatif", opts, false, func(ctx context.Context, q *queryRun) (any, error) {
+		res, err := h.sess.WhatIfContext(ctx, delta, spec, q.opts...)
+		if err != nil {
+			return nil, err
 		}
-		s.logTimeout(ctx, name, "whatif", tr, elapsed, err)
-		writeError(w, statusFor(err), err)
-		return
-	}
-	if c != nil {
-		c.whatifs.Add(1)
-		c.countMode(mode, 1)
-	}
-	s.recordQuery(h, "whatif", tr, elapsed)
-	s.logSlow(ctx, name, "whatif", tr, elapsed)
-	// The request's own hit/miss counts show the cover reuse a what-if is
-	// for: on a warm cache, subproblems outside the delta's components hit.
-	annots := tr.Snapshot().Annots
-	writeJSON(w, http.StatusOK, map[string]any{
-		"graph":            name,
-		"mode":             mode.String(),
-		"topology_changed": delta.TopologyChanged(),
-		"result":           toResponse(res),
-		"cache_hits":       annots[telemetry.AnnotCacheHits],
-		"cache_misses":     annots[telemetry.AnnotCacheMisses],
-		"cache":            toCacheResponse(sess.CacheStats()),
+		h.c.whatifs.Add(1)
+		h.c.countMode(spec.Mode, 1)
+		// The request's own hit/miss counts show the cover reuse a what-if is
+		// for: on a warm cache, subproblems outside the delta's components hit.
+		annots := q.tr.Snapshot().Annots
+		return map[string]any{
+			"graph":            h.name,
+			"mode":             spec.Mode.String(),
+			"topology_changed": delta.TopologyChanged(),
+			"result":           toResponse(res),
+			"cache_hits":       annots[telemetry.AnnotCacheHits],
+			"cache_misses":     annots[telemetry.AnnotCacheMisses],
+			"cache":            toCacheResponse(h.sess.CacheStats()),
+		}, nil
 	})
 }

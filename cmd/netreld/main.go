@@ -52,7 +52,9 @@
 // evidence indices are validated up front; an out-of-range index fails the
 // request with a 400 naming the offending index and the query's mode.
 //
-// The "graph" field defaults to "default". Every response is JSON; results
+// A request body is exactly one JSON object; any bytes after it other than
+// whitespace fail the request with a 400. The "graph" field defaults to
+// "default". Every response is JSON; results
 // are deterministic per seed regardless of concurrency, pool size, or
 // worker count. Request contexts propagate into the solver, so a client
 // that disconnects cancels its computation at the next chunk boundary. On
@@ -445,9 +447,10 @@ func (s *server) register(name, source string, g *netrel.Graph, qos graphQoS) er
 
 // graph fetches a request's graph handle — session, counters, and metric
 // instruments of one registration generation, resolved once at request
-// start ("" = the default graph). The fetch counts as a registry touch,
-// driving last-query recency and memory-pressure enforcement.
-func (s *server) graph(name string) (*graphHandle, error) {
+// start ("" = the default graph) — or answers 404 and returns nil. The
+// fetch counts as a registry touch, driving last-query recency and
+// memory-pressure enforcement.
+func (s *server) graph(w http.ResponseWriter, name string) *graphHandle {
 	if name == "" {
 		name = defaultGraphName
 	}
@@ -455,16 +458,18 @@ func (s *server) graph(name string) (*graphHandle, error) {
 	h := s.graphs[name]
 	s.mu.RUnlock()
 	if h == nil {
-		return nil, fmt.Errorf("%w: %q", netrel.ErrGraphNotFound, name)
+		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %q", netrel.ErrGraphNotFound, name))
+		return nil
 	}
 	// Touch the registry (recency + pressure enforcement). Under
 	// evict/re-register churn the registry may already hold a newer
 	// generation than h — this request still runs on h's session and
 	// records into h's instruments, never the new generation's.
 	if _, err := s.reg.Session(name); err != nil {
-		return nil, err // evicted between the handle fetch and now
+		writeError(w, http.StatusNotFound, err) // evicted between the handle fetch and now
+		return nil
 	}
-	return h, nil
+	return h
 }
 
 func (s *server) handleFor(name string) *graphHandle {
@@ -504,45 +509,54 @@ type evidenceJSON struct {
 	Up   bool `json:"up"`
 }
 
-// queryRequest is the JSON body of a single reliability query; zero-valued
-// option fields fall back to the daemon defaults, a missing graph to
-// "default", a missing mode to "terminal-set". The anytime knobs — "rounds"
-// (adaptive sampling rounds), "target_width" (stop sampling at this interval
-// width) and "stream" (SSE progress per round) — default to the classic
-// one-shot schedule.
+// The request fields the query endpoints share are embedded structs, which
+// encoding/json flattens into the enclosing object (DisallowUnknownFields
+// still applies to them). A missing graph falls back to "default".
+
+// specJSON is one query's spec: its mode — "terminal-set" (the default) or
+// "conditional" — terminals, and evidence.
+type specJSON struct {
+	Mode      string         `json:"mode,omitempty"`
+	Terminals []int          `json:"terminals"`
+	Evidence  []evidenceJSON `json:"evidence,omitempty"`
+}
+
+// samplingJSON holds the solve knobs of every query endpoint; zero values
+// fall back to the daemon defaults. "trace" echoes the request's phase
+// breakdown on each result (batch- or scan-wide for batches and top-k).
+type samplingJSON struct {
+	Samples   int    `json:"samples,omitempty"`
+	Width     int    `json:"width,omitempty"`
+	Seed      uint64 `json:"seed,omitempty"`
+	Workers   int    `json:"workers,omitempty"`
+	Estimator string `json:"estimator,omitempty"` // "mc" (default) or "ht"
+	Trace     bool   `json:"trace,omitempty"`
+}
+
+// anytimeJSON holds the anytime knobs of /v1/reliability and /v1/batch —
+// "rounds" (adaptive sampling rounds), "target_width" (stop sampling at
+// this interval width) and "stream" (SSE progress per round, then the
+// result). Unset, they keep the classic one-shot schedule.
+type anytimeJSON struct {
+	Rounds      int     `json:"rounds,omitempty"`
+	TargetWidth float64 `json:"target_width,omitempty"`
+	Stream      bool    `json:"stream,omitempty"`
+}
+
+// queryRequest is the JSON body of a single reliability query.
 type queryRequest struct {
-	Graph       string         `json:"graph,omitempty"`
-	Mode        string         `json:"mode,omitempty"` // "terminal-set" (default) or "conditional"
-	Terminals   []int          `json:"terminals"`
-	Evidence    []evidenceJSON `json:"evidence,omitempty"`
-	Samples     int            `json:"samples,omitempty"`
-	Width       int            `json:"width,omitempty"`
-	Seed        uint64         `json:"seed,omitempty"`
-	Workers     int            `json:"workers,omitempty"`
-	Estimator   string         `json:"estimator,omitempty"` // "mc" (default) or "ht"
-	Exact       bool           `json:"exact,omitempty"`
-	Trace       bool           `json:"trace,omitempty"` // include a phase breakdown in the result
-	Rounds      int            `json:"rounds,omitempty"`
-	TargetWidth float64        `json:"target_width,omitempty"`
-	Stream      bool           `json:"stream,omitempty"` // SSE: progress per round, then the result
+	Graph string `json:"graph,omitempty"`
+	specJSON
+	samplingJSON
+	anytimeJSON
+	Exact bool `json:"exact,omitempty"`
 }
 
 type batchRequest struct {
-	Graph   string `json:"graph,omitempty"`
-	Queries []struct {
-		Mode      string         `json:"mode,omitempty"`
-		Terminals []int          `json:"terminals"`
-		Evidence  []evidenceJSON `json:"evidence,omitempty"`
-	} `json:"queries"`
-	Samples     int     `json:"samples,omitempty"`
-	Width       int     `json:"width,omitempty"`
-	Seed        uint64  `json:"seed,omitempty"`
-	Workers     int     `json:"workers,omitempty"`
-	Estimator   string  `json:"estimator,omitempty"`
-	Trace       bool    `json:"trace,omitempty"` // batch-scoped breakdown, echoed on every result
-	Rounds      int     `json:"rounds,omitempty"`
-	TargetWidth float64 `json:"target_width,omitempty"`
-	Stream      bool    `json:"stream,omitempty"` // SSE: per-query progress per round, then the results
+	Graph   string     `json:"graph,omitempty"`
+	Queries []specJSON `json:"queries"`
+	samplingJSON
+	anytimeJSON
 }
 
 // topkRequest ranks the k most reliable extension vertices of a base
@@ -552,12 +566,7 @@ type topkRequest struct {
 	Terminals []int          `json:"terminals"`
 	K         int            `json:"k"`
 	Evidence  []evidenceJSON `json:"evidence,omitempty"`
-	Samples   int            `json:"samples,omitempty"`
-	Width     int            `json:"width,omitempty"`
-	Seed      uint64         `json:"seed,omitempty"`
-	Workers   int            `json:"workers,omitempty"`
-	Estimator string         `json:"estimator,omitempty"`
-	Trace     bool           `json:"trace,omitempty"` // scan-wide breakdown, echoed on every entry
+	samplingJSON
 }
 
 // registerRequest registers a new graph: either inline TSV content or a
@@ -711,6 +720,19 @@ func toResponse(r *netrel.Result) queryResponse {
 	return out
 }
 
+func toQoSResponse(ts netrel.TenantStats) qosResponse {
+	return qosResponse{
+		Weight:          ts.Weight,
+		QuotaRate:       ts.QuotaRate,
+		QuotaBurst:      ts.QuotaBurst,
+		QuotaTokens:     ts.QuotaTokens,
+		QuotaRejected:   ts.RejectedOverQuota,
+		Queued:          ts.Queued,
+		AdmissionWaits:  ts.Waited,
+		AdmissionWaitMS: float64(ts.WaitedNanos) / 1e6,
+	}
+}
+
 func toCacheResponse(st netrel.CacheStats) cacheResponse {
 	return cacheResponse{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries, Capacity: st.Capacity}
 }
@@ -768,7 +790,17 @@ func (s *server) queryContext(r *http.Request, graph string, tr *telemetry.Trace
 	return ctx, func() {}
 }
 
-func (s *server) options(samples, width int, seed uint64, workers int, estimator string) ([]netrel.Option, error) {
+// defaultStreamRounds is the sampling-round count of streaming requests
+// that leave "rounds" unset: enough round boundaries for a useful bounds
+// stream while keeping per-round overhead negligible. Safe to default —
+// without a target width the round structure never changes the result.
+const defaultStreamRounds = 8
+
+// options builds a request's solve options: its sampling knobs over the
+// daemon defaults, held to the per-request cost caps; its anytime knobs on
+// the endpoints that take them (at != nil); and its trace flag.
+func (s *server) options(smp samplingJSON, at *anytimeJSON) ([]netrel.Option, error) {
+	samples, width, workers := smp.Samples, smp.Width, smp.Workers
 	if samples <= 0 {
 		samples = s.def.samples
 	}
@@ -788,44 +820,37 @@ func (s *server) options(samples, width int, seed uint64, workers int, estimator
 	opts := []netrel.Option{
 		netrel.WithSamples(samples),
 		netrel.WithMaxWidth(width),
-		netrel.WithSeed(seed),
+		netrel.WithSeed(smp.Seed),
 		netrel.WithWorkers(workers),
 	}
-	switch estimator {
+	switch smp.Estimator {
 	case "", "mc":
 	case "ht":
 		opts = append(opts, netrel.WithEstimator(netrel.EstimatorHorvitzThompson))
 	default:
-		return nil, fmt.Errorf("unknown estimator %q (want \"mc\" or \"ht\")", estimator)
+		return nil, fmt.Errorf("unknown estimator %q (want \"mc\" or \"ht\")", smp.Estimator)
 	}
-	return opts, nil
-}
-
-// defaultStreamRounds is the sampling-round count of streaming requests
-// that leave "rounds" unset: enough round boundaries for a useful bounds
-// stream while keeping per-round overhead negligible. Safe to default —
-// without a target width the round structure never changes the result.
-const defaultStreamRounds = 8
-
-// anytimeOptions validates a request's adaptive-sampling knobs and appends
-// the matching library options. Streaming requests get defaultStreamRounds
-// rounds when they don't pick a count, so the stream has boundaries to
-// flush at.
-func anytimeOptions(opts []netrel.Option, rounds int, targetWidth float64, stream bool) ([]netrel.Option, error) {
-	if rounds < 0 {
-		return nil, fmt.Errorf("rounds must be at least 1, got %d", rounds)
+	if at != nil {
+		rounds := at.Rounds
+		if rounds < 0 {
+			return nil, fmt.Errorf("rounds must be at least 1, got %d", rounds)
+		}
+		if at.TargetWidth < 0 || math.IsNaN(at.TargetWidth) {
+			return nil, fmt.Errorf("target_width must be non-negative, got %v", at.TargetWidth)
+		}
+		// A stream needs round boundaries to flush at.
+		if at.Stream && rounds == 0 {
+			rounds = defaultStreamRounds
+		}
+		if rounds > 0 {
+			opts = append(opts, netrel.WithSampleRounds(rounds))
+		}
+		if at.TargetWidth > 0 {
+			opts = append(opts, netrel.WithTargetWidth(at.TargetWidth))
+		}
 	}
-	if targetWidth < 0 || math.IsNaN(targetWidth) {
-		return nil, fmt.Errorf("target_width must be non-negative, got %v", targetWidth)
-	}
-	if stream && rounds == 0 {
-		rounds = defaultStreamRounds
-	}
-	if rounds > 0 {
-		opts = append(opts, netrel.WithSampleRounds(rounds))
-	}
-	if targetWidth > 0 {
-		opts = append(opts, netrel.WithTargetWidth(targetWidth))
+	if smp.Trace {
+		opts = append(opts, netrel.WithTrace())
 	}
 	return opts, nil
 }
@@ -891,47 +916,65 @@ func (s *sseWriter) event(name string, v any) {
 	s.f.Flush()
 }
 
-// parseMode maps the wire mode name to a QueryMode. "topk" is only valid
-// where allowTopK (the /v1/topk endpoint) — elsewhere the caller is pointed
-// there.
-func parseMode(mode string, allowTopK bool) (netrel.QueryMode, error) {
+// parseMode maps the wire mode name to a QueryMode. "topk" returns a
+// ranking, so the caller is pointed to /v1/topk.
+func parseMode(mode string) (netrel.QueryMode, error) {
 	switch mode {
 	case "", "terminal-set":
 		return netrel.ModeTerminalSet, nil
 	case "conditional":
 		return netrel.ModeConditional, nil
 	case "topk":
-		if allowTopK {
-			return netrel.ModeTopK, nil
-		}
 		return 0, errors.New(`mode "topk" returns a ranking; POST it to /v1/topk`)
 	default:
 		return 0, fmt.Errorf("unknown mode %q (want \"terminal-set\", \"conditional\" or \"topk\")", mode)
 	}
 }
 
-// validateSpec checks a query's terminal and evidence indices against the
-// graph before the request occupies an admission slot, so an out-of-range
-// index fails fast with a message naming the offending index and the query's
-// mode (the library would reject it too, but later and less specifically).
-func validateSpec(g *netrel.Graph, mode netrel.QueryMode, terminals []int, evidence []evidenceJSON) error {
+// uncheckedEdges tells validateSpec to leave evidence edge indices to the
+// library: a what-if's evidence refers to the edge order after its delta.
+const uncheckedEdges = -1
+
+// validateSpec checks a query's terminal indices against the graph's n
+// vertices and, unless edges is uncheckedEdges, its evidence indices
+// against the graph's edge count before the request occupies an admission
+// slot, so an out-of-range index fails fast with a message naming the
+// offending index and the query's mode (the library would reject it too,
+// but later and less specifically).
+func validateSpec(n, edges int, mode netrel.QueryMode, terminals []int, evidence []evidenceJSON) error {
 	if len(terminals) == 0 {
 		return fmt.Errorf("%v query needs at least one terminal", mode)
 	}
 	for i, t := range terminals {
-		if t < 0 || t >= g.N() {
-			return fmt.Errorf("%v query: terminals[%d] = %d out of range [0,%d)", mode, i, t, g.N())
+		if t < 0 || t >= n {
+			return fmt.Errorf("%v query: terminals[%d] = %d out of range [0,%d)", mode, i, t, n)
 		}
 	}
 	if len(evidence) > 0 && mode != netrel.ModeConditional && mode != netrel.ModeTopK {
 		return fmt.Errorf(`%v query cannot carry evidence (use mode "conditional")`, mode)
 	}
+	if edges == uncheckedEdges {
+		return nil
+	}
 	for i, ev := range evidence {
-		if ev.Edge < 0 || ev.Edge >= g.M() {
-			return fmt.Errorf("%v query: evidence[%d].edge = %d out of range [0,%d)", mode, i, ev.Edge, g.M())
+		if ev.Edge < 0 || ev.Edge >= edges {
+			return fmt.Errorf("%v query: evidence[%d].edge = %d out of range [0,%d)", mode, i, ev.Edge, edges)
 		}
 	}
 	return nil
+}
+
+// spec parses and validates a wire query against a graph of n vertices and
+// the given edge count (see validateSpec).
+func (q specJSON) spec(n, edges int) (netrel.QuerySpec, error) {
+	mode, err := parseMode(q.Mode)
+	if err != nil {
+		return netrel.QuerySpec{}, err
+	}
+	if err := validateSpec(n, edges, mode, q.Terminals, q.Evidence); err != nil {
+		return netrel.QuerySpec{}, err
+	}
+	return netrel.QuerySpec{Mode: mode, Terminals: q.Terminals, Evidence: toEvidence(q.Evidence)}, nil
 }
 
 func toEvidence(evidence []evidenceJSON) []netrel.EdgeObservation {
@@ -970,8 +1013,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		if h == nil {
 			continue // evicted between List and the handle fetch
 		}
-		sess := h.sess
-		ts := s.eng.TenantStats(info.Name)
+		sess, c := h.sess, h.c
 		g := graphStatsResponse{
 			Source:           info.Source,
 			Vertices:         info.Vertices,
@@ -984,31 +1026,20 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			IndexBuilds:      sess.IndexBuilds(),
 			Cache:            toCacheResponse(sess.CacheStats()),
 			Planner:          toPlannerResponse(sess.PlanStats()),
-			PhaseSeconds:     s.phaseSeconds(info.Name),
-			QoS: qosResponse{
-				Weight:          ts.Weight,
-				QuotaRate:       ts.QuotaRate,
-				QuotaBurst:      ts.QuotaBurst,
-				QuotaTokens:     ts.QuotaTokens,
-				QuotaRejected:   ts.RejectedOverQuota,
-				Queued:          ts.Queued,
-				AdmissionWaits:  ts.Waited,
-				AdmissionWaitMS: float64(ts.WaitedNanos) / 1e6,
-			},
-		}
-		if c := h.c; c != nil {
-			g.Queries = c.queries.Load()
-			g.BatchRequests = c.batches.Load()
-			g.BatchedQueries = c.batchQs.Load()
-			g.WhatIfQueries = c.whatifs.Load()
-			g.Failures = c.failures.Load()
-			g.SamplesDrawn = c.samplesDrawn.Load()
-			g.EarlyStops = c.earlyStops.Load()
-			g.Modes = modesResponse{
+			PhaseSeconds:     h.gm.phaseSeconds(),
+			QoS:              toQoSResponse(s.eng.TenantStats(info.Name)),
+			Queries:          c.queries.Load(),
+			BatchRequests:    c.batches.Load(),
+			BatchedQueries:   c.batchQs.Load(),
+			WhatIfQueries:    c.whatifs.Load(),
+			Failures:         c.failures.Load(),
+			SamplesDrawn:     c.samplesDrawn.Load(),
+			EarlyStops:       c.earlyStops.Load(),
+			Modes: modesResponse{
 				TerminalSet: c.modeTerminalSet.Load(),
 				Conditional: c.modeConditional.Load(),
 				TopK:        c.modeTopK.Load(),
-			}
+			},
 		}
 		totalQueries += g.Queries
 		totalBatches += g.BatchRequests
@@ -1063,9 +1094,6 @@ func (s *server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
-	if s.rejectDraining(w) {
-		return
-	}
 	var req registerRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -1152,55 +1180,32 @@ func (s *server) handleEvictGraph(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"evicted": name})
 }
 
-func (s *server) handleReliability(w http.ResponseWriter, r *http.Request) {
-	if s.rejectDraining(w) {
-		return
-	}
-	var req queryRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	h, err := s.graph(req.Graph)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	name, sess := h.name, h.sess
-	mode, err := parseMode(req.Mode, false)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := validateSpec(sess.Graph(), mode, req.Terminals, req.Evidence); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	opts, err := s.options(req.Samples, req.Width, req.Seed, req.Workers, req.Estimator)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Exact && (req.Stream || req.Rounds != 0 || req.TargetWidth != 0) {
-		writeError(w, http.StatusBadRequest,
-			errors.New(`exact queries do not sample: "stream", "rounds" and "target_width" need a sampling query`))
-		return
-	}
-	opts, err = anytimeOptions(opts, req.Rounds, req.TargetWidth, req.Stream)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Trace {
-		opts = append(opts, netrel.WithTrace())
-	}
-	spec := netrel.QuerySpec{Mode: mode, Terminals: req.Terminals, Evidence: toEvidence(req.Evidence)}
-	c := h.c
-	// A streaming request commits to SSE before solving: every round
-	// boundary emits a "progress" event, and the terminal "result" (or
-	// "error") event carries what the JSON response would have been. The
-	// progress sink runs on this goroutine, so the writes never race.
+// queryRun is what serveQuery hands a request's solve closure: the solve
+// options (a stream's progress sink appended), the request's trace — batch
+// and what-if read their own cache and planner counts from it — and the
+// solve's start time, from which batch and mutate report their duration.
+type queryRun struct {
+	opts  []netrel.Option
+	tr    *telemetry.Trace
+	start time.Time
+}
+
+// serveQuery runs one query request against its graph handle, the steps
+// every query endpoint shares. A streaming request commits to SSE before
+// solving: every round boundary emits a "progress" event, and the terminal
+// "result" (or "error") event carries what the JSON response would have
+// been; the progress sink runs on this goroutine, so the writes never race.
+// Every request carries a telemetry trace — it feeds the per-graph phase and
+// latency metrics and the slow-query and timeout logs, all under label
+// (the mode name, or "batch", "topk", "whatif", "mutate"); "trace": true
+// additionally echoes the breakdown on the result. Observation-only:
+// results are bit-identical either way. solve runs the request and, on
+// success, bumps the graph's counters for it and returns the response body.
+func (s *server) serveQuery(w http.ResponseWriter, r *http.Request, h *graphHandle, label string,
+	opts []netrel.Option, stream bool, solve func(context.Context, *queryRun) (any, error)) {
 	var sse *sseWriter
-	if req.Stream {
+	if stream {
+		var err error
 		if sse, err = newSSEWriter(w); err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return
@@ -1209,26 +1214,15 @@ func (s *server) handleReliability(w http.ResponseWriter, r *http.Request) {
 			sse.event("progress", toProgressJSON(p))
 		}))
 	}
-	// Every request carries a telemetry trace — it feeds the per-graph
-	// phase and latency metrics and the slow-query log; "trace": true
-	// additionally echoes the breakdown on the result. Observation-only:
-	// results are bit-identical either way.
-	tr := telemetry.New()
-	ctx, cancel := s.queryContext(r, name, tr)
+	q := &queryRun{opts: opts, tr: telemetry.New()}
+	ctx, cancel := s.queryContext(r, h.name, q.tr)
 	defer cancel()
-	start := time.Now()
-	var res *netrel.Result
-	if req.Exact {
-		res, err = sess.SolveExactContext(ctx, spec, opts...)
-	} else {
-		res, err = sess.SolveContext(ctx, spec, opts...)
-	}
-	elapsed := time.Since(start)
+	q.start = time.Now()
+	body, err := solve(ctx, q)
+	elapsed := time.Since(q.start)
 	if err != nil {
-		if c != nil {
-			c.failures.Add(1)
-		}
-		s.logTimeout(ctx, name, mode.String(), tr, elapsed, err)
+		h.c.failures.Add(1)
+		s.logTimeout(ctx, h.name, label, q.tr, elapsed, err)
 		if sse != nil {
 			// The 200 and the event stream are already on the wire; the error
 			// becomes the stream's terminal event instead of a status.
@@ -1238,18 +1232,8 @@ func (s *server) handleReliability(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	if c != nil {
-		c.queries.Add(1)
-		c.countMode(mode, 1)
-	}
-	s.recordQuery(h, mode.String(), tr, elapsed)
-	s.logSlow(ctx, name, mode.String(), tr, elapsed)
-	body := map[string]any{
-		"graph":  name,
-		"mode":   mode.String(),
-		"result": toResponse(res),
-		"cache":  toCacheResponse(sess.CacheStats()),
-	}
+	s.recordQuery(h, label, q.tr, elapsed)
+	s.logSlow(ctx, h.name, label, q.tr, elapsed)
 	if sse != nil {
 		sse.event("result", body)
 		return
@@ -1257,10 +1241,59 @@ func (s *server) handleReliability(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if s.rejectDraining(w) {
+func (s *server) handleReliability(w http.ResponseWriter, r *http.Request) {
+	var req queryRequest
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
+	h := s.graph(w, req.Graph)
+	if h == nil {
+		return
+	}
+	g := h.sess.Graph()
+	spec, err := req.spec(g.N(), g.M())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	// Exact queries do not sample, so any anytime knob conflicts; the
+	// conflict is reported after the sampling knobs' own errors.
+	at := &req.anytimeJSON
+	if req.Exact {
+		at = nil
+	}
+	opts, err := s.options(req.samplingJSON, at)
+	if err == nil && req.Exact && req.anytimeJSON != (anytimeJSON{}) {
+		err = errors.New(`exact queries do not sample: "stream", "rounds" and "target_width" need a sampling query`)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	solve := h.sess.SolveContext
+	if req.Exact {
+		solve = h.sess.SolveExactContext
+	}
+	s.serveQuery(w, r, h, spec.Mode.String(), opts, req.Stream, func(ctx context.Context, q *queryRun) (any, error) {
+		res, err := solve(ctx, spec, q.opts...)
+		if err != nil {
+			return nil, err
+		}
+		h.c.queries.Add(1)
+		h.c.countMode(spec.Mode, 1)
+		return map[string]any{
+			"graph":  h.name,
+			"mode":   spec.Mode.String(),
+			"result": toResponse(res),
+			"cache":  toCacheResponse(h.sess.CacheStats()),
+		}, nil
+	})
+}
+
+// handleBatch serves a batch of terminal-set and conditional queries. A
+// streaming batch emits one "progress" event per query per round boundary
+// (fan-in-shared subproblems tighten several queries at once).
+func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -1274,109 +1307,59 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch of %d queries exceeds the daemon cap %d", len(req.Queries), s.def.maxQueries))
 		return
 	}
-	h, err := s.graph(req.Graph)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+	h := s.graph(w, req.Graph)
+	if h == nil {
 		return
 	}
-	name, sess := h.name, h.sess
-	opts, err := s.options(req.Samples, req.Width, req.Seed, req.Workers, req.Estimator)
+	opts, err := s.options(req.samplingJSON, &req.anytimeJSON)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	opts, err = anytimeOptions(opts, req.Rounds, req.TargetWidth, req.Stream)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Trace {
-		opts = append(opts, netrel.WithTrace())
-	}
+	g := h.sess.Graph()
 	queries := make([]netrel.Query, len(req.Queries))
-	modes := make([]netrel.QueryMode, len(req.Queries))
 	for i, q := range req.Queries {
-		mode, err := parseMode(q.Mode, false)
+		if queries[i], err = q.spec(g.N(), g.M()); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
+			return
+		}
+	}
+	s.serveQuery(w, r, h, "batch", opts, req.Stream, func(ctx context.Context, q *queryRun) (any, error) {
+		// Admission happens inside BatchReliabilityContext in two phases: the
+		// batch's planning cost (one unit per distinct terminal set) is
+		// checked against -maxcost before any planning, and the post-dedup
+		// solve cost — unique subproblems, never more than distinct terminal
+		// sets × (samples + construction budget) — directly after it. Either
+		// phase over the cap rejects the batch with an error naming the limit
+		// before any solving.
+		results, err := h.sess.BatchReliabilityContext(ctx, queries, q.opts...)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
-			return
+			return nil, err
 		}
-		if err := validateSpec(sess.Graph(), mode, q.Terminals, q.Evidence); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
-			return
+		elapsed := time.Since(q.start)
+		h.c.batches.Add(1)
+		h.c.batchQs.Add(uint64(len(results)))
+		for _, query := range queries {
+			h.c.countMode(query.Mode, 1)
 		}
-		queries[i] = netrel.Query{Mode: mode, Terminals: q.Terminals, Evidence: toEvidence(q.Evidence)}
-		modes[i] = mode
-	}
-	c := h.c
-	// Streaming batches emit one "progress" event per query per round
-	// boundary (fan-in-shared subproblems tighten several queries at once),
-	// then the terminal "result" event with the normal batch body.
-	var sse *sseWriter
-	if req.Stream {
-		if sse, err = newSSEWriter(w); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
+		out := make([]queryResponse, len(results))
+		for i, r := range results {
+			out[i] = toResponse(r)
 		}
-		opts = append(opts, netrel.WithProgress(func(p netrel.Progress) {
-			sse.event("progress", toProgressJSON(p))
-		}))
-	}
-	tr := telemetry.New()
-	ctx, cancel := s.queryContext(r, name, tr)
-	defer cancel()
-	start := time.Now()
-	// Admission happens inside BatchReliabilityContext in two phases: the
-	// batch's planning cost (one unit per distinct terminal set) is checked
-	// against -maxcost before any planning, and the post-dedup solve cost —
-	// unique subproblems, never more than distinct terminal sets × (samples
-	// + construction budget) — directly after it. Either phase over the cap
-	// rejects the batch with an error naming the limit before any solving.
-	results, err := sess.BatchReliabilityContext(ctx, queries, opts...)
-	elapsed := time.Since(start)
-	if err != nil {
-		if c != nil {
-			c.failures.Add(1)
-		}
-		s.logTimeout(ctx, name, "batch", tr, elapsed, err)
-		if sse != nil {
-			sse.event("error", map[string]string{"error": err.Error()})
-			return
-		}
-		writeError(w, statusFor(err), err)
-		return
-	}
-	if c != nil {
-		c.batches.Add(1)
-		c.batchQs.Add(uint64(len(results)))
-		for _, m := range modes {
-			c.countMode(m, 1)
-		}
-	}
-	s.recordQuery(h, "batch", tr, elapsed)
-	s.logSlow(ctx, name, "batch", tr, elapsed)
-	out := make([]queryResponse, len(results))
-	for i, r := range results {
-		out[i] = toResponse(r)
-	}
-	// The counts come from the request's own trace, so concurrent requests
-	// never leak into each other's numbers.
-	annots := tr.Snapshot().Annots
-	body := map[string]any{
-		"graph":           name,
-		"results":         out,
-		"duration_ms":     float64(elapsed) / float64(time.Millisecond),
-		"cache_hits":      annots[telemetry.AnnotCacheHits],
-		"cache_misses":    annots[telemetry.AnnotCacheMisses],
-		"cache":           toCacheResponse(sess.CacheStats()),
-		"queries_planned": annots[telemetry.AnnotQueriesPlanned],
-		"queries_deduped": annots[telemetry.AnnotQueriesDeduped],
-	}
-	if sse != nil {
-		sse.event("result", body)
-		return
-	}
-	writeJSON(w, http.StatusOK, body)
+		// The counts come from the request's own trace, so concurrent
+		// requests never leak into each other's numbers.
+		annots := q.tr.Snapshot().Annots
+		return map[string]any{
+			"graph":           h.name,
+			"results":         out,
+			"duration_ms":     float64(elapsed) / float64(time.Millisecond),
+			"cache_hits":      annots[telemetry.AnnotCacheHits],
+			"cache_misses":    annots[telemetry.AnnotCacheMisses],
+			"cache":           toCacheResponse(h.sess.CacheStats()),
+			"queries_planned": annots[telemetry.AnnotQueriesPlanned],
+			"queries_deduped": annots[telemetry.AnnotQueriesDeduped],
+		}, nil
+	})
 }
 
 // handleTopK serves top-k reliable search: rank every vertex outside the
@@ -1384,20 +1367,16 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // the request's evidence when present — and return the k best. The scan is
 // one deduplicated candidate batch, so the -maxqueries batch cap bounds it.
 func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	if s.rejectDraining(w) {
-		return
-	}
 	var req topkRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	h, err := s.graph(req.Graph)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+	h := s.graph(w, req.Graph)
+	if h == nil {
 		return
 	}
-	name, sess := h.name, h.sess
-	if err := validateSpec(sess.Graph(), netrel.ModeTopK, req.Terminals, req.Evidence); err != nil {
+	g := h.sess.Graph()
+	if err := validateSpec(g.N(), g.M(), netrel.ModeTopK, req.Terminals, req.Evidence); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -1405,18 +1384,15 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("topk query needs k > 0, got %d", req.K))
 		return
 	}
-	if candidates := sess.Graph().N() - len(req.Terminals); s.def.maxQueries > 0 && candidates > s.def.maxQueries {
+	if candidates := g.N() - len(req.Terminals); s.def.maxQueries > 0 && candidates > s.def.maxQueries {
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("topk scan of %d candidate vertices exceeds the daemon batch cap %d", candidates, s.def.maxQueries))
 		return
 	}
-	opts, err := s.options(req.Samples, req.Width, req.Seed, req.Workers, req.Estimator)
+	opts, err := s.options(req.samplingJSON, nil)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	if req.Trace {
-		opts = append(opts, netrel.WithTrace())
 	}
 	spec := netrel.QuerySpec{
 		Mode:      netrel.ModeTopK,
@@ -1424,68 +1400,60 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		Evidence:  toEvidence(req.Evidence),
 		K:         req.K,
 	}
-	c := h.c
-	tr := telemetry.New()
-	ctx, cancel := s.queryContext(r, name, tr)
-	defer cancel()
-	start := time.Now()
-	entries, err := sess.TopKReliableContext(ctx, spec, opts...)
-	elapsed := time.Since(start)
-	if err != nil {
-		if c != nil {
-			c.failures.Add(1)
+	s.serveQuery(w, r, h, "topk", opts, false, func(ctx context.Context, q *queryRun) (any, error) {
+		entries, err := h.sess.TopKReliableContext(ctx, spec, q.opts...)
+		if err != nil {
+			return nil, err
 		}
-		s.logTimeout(ctx, name, "topk", tr, elapsed, err)
-		writeError(w, statusFor(err), err)
-		return
-	}
-	if c != nil {
-		c.queries.Add(1)
-		c.countMode(netrel.ModeTopK, 1)
-	}
-	s.recordQuery(h, "topk", tr, elapsed)
-	s.logSlow(ctx, name, "topk", tr, elapsed)
-	type topkEntry struct {
-		Vertex int           `json:"vertex"`
-		Result queryResponse `json:"result"`
-	}
-	out := make([]topkEntry, len(entries))
-	for i, e := range entries {
-		out[i] = topkEntry{Vertex: e.Vertex, Result: toResponse(e.Result)}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"graph":       name,
-		"mode":        netrel.ModeTopK.String(),
-		"k":           req.K,
-		"results":     out,
-		"duration_ms": float64(elapsed) / float64(time.Millisecond),
+		elapsed := time.Since(q.start)
+		h.c.queries.Add(1)
+		h.c.countMode(netrel.ModeTopK, 1)
+		type topkEntry struct {
+			Vertex int           `json:"vertex"`
+			Result queryResponse `json:"result"`
+		}
+		out := make([]topkEntry, len(entries))
+		for i, e := range entries {
+			out[i] = topkEntry{Vertex: e.Vertex, Result: toResponse(e.Result)}
+		}
+		return map[string]any{
+			"graph":       h.name,
+			"mode":        netrel.ModeTopK.String(),
+			"k":           req.K,
+			"results":     out,
+			"duration_ms": float64(elapsed) / float64(time.Millisecond),
+		}, nil
 	})
 }
 
-// rejectDraining 503s mutating requests once shutdown has begun.
-func (s *server) rejectDraining(w http.ResponseWriter) bool {
-	if !s.draining.Load() {
+// decodeBody decodes a request body — exactly one JSON object, capped at
+// -maxbody bytes — into dst; once shutdown has begun it 503s instead. On
+// failure it answers the request itself and returns false.
+func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
+	if s.draining.Load() {
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
 		return false
 	}
-	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
-	return true
-}
-
-func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.def.maxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit))
-			return false
+	var tooLarge *http.MaxBytesError
+	err := dec.Decode(dst)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		if !errors.As(err, &tooLarge) {
+			err = errors.New("trailing data after the JSON object")
+		}
+	}
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit))
 		return false
 	}
-	return true
+	writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	return false
 }
 
 // statusFor maps computation errors to HTTP statuses: anything the caller

@@ -539,6 +539,30 @@ func TestRequestValidation(t *testing.T) {
 			t.Errorf("POST %s %q: missing error body", c.url, c.body)
 		}
 	}
+	// A body is exactly one JSON object: trailing whitespace is fine, any
+	// other trailing bytes fail the request instead of being ignored.
+	trailing := []struct {
+		url, body string
+		want      int
+	}{
+		{"/v1/reliability", `{"terminals":[0,2],"samples":100,"seed":1} {"terminals":[1,3]}`, http.StatusBadRequest},
+		{"/v1/reliability", `{"terminals":[0,2],"samples":100,"seed":1} garbage`, http.StatusBadRequest},
+		{"/v1/reliability", `{"terminals":[0,2],"samples":100,"seed":1}]`, http.StatusBadRequest},
+		{"/v1/batch", `{"queries":[{"terminals":[0,2]}]}{}`, http.StatusBadRequest},
+		{"/v1/topk", `{"terminals":[0],"k":1} 1`, http.StatusBadRequest},
+		{"/v1/whatif", `{"delta":{},"terminals":[0,2]} null`, http.StatusBadRequest},
+		{"/v1/graphs", `{"name":"x","dataset":"Karate"} x`, http.StatusBadRequest},
+		{"/v1/reliability", "{\"terminals\":[0,2],\"samples\":100,\"seed\":1} \n\t\r\n", http.StatusOK},
+	}
+	for _, c := range trailing {
+		var got map[string]any
+		code := postJSON(t, ts.URL+c.url, c.body, &got)
+		if code != c.want {
+			t.Errorf("POST %s %q: status %d, want %d", c.url, c.body, code, c.want)
+		} else if msg, _ := got["error"].(string); c.want != http.StatusOK && !strings.HasPrefix(msg, "bad request body") {
+			t.Errorf("POST %s %q: error %q, want a bad request body error", c.url, c.body, msg)
+		}
+	}
 	// GET on a POST endpoint.
 	resp, err := http.Get(ts.URL + "/v1/reliability")
 	if err != nil {

@@ -50,15 +50,14 @@ type graphMetrics struct {
 	phaseNanos    [telemetry.NumPhases]atomic.Int64
 }
 
-// serverMetrics owns the registry and the per-graph instrument tables.
+// serverMetrics owns the registry and the HTTP instruments.
 type serverMetrics struct {
 	reg           *telemetry.Registry
 	httpInFlight  *telemetry.Gauge
 	admissionWait *telemetry.Histogram
 
-	mu     sync.Mutex
-	http   map[int]*telemetry.Counter // netrel_http_requests_total by code
-	graphs map[string]*graphMetrics
+	mu   sync.Mutex
+	http map[int]*telemetry.Counter // netrel_http_requests_total by code
 }
 
 func newServerMetrics() *serverMetrics {
@@ -68,8 +67,7 @@ func newServerMetrics() *serverMetrics {
 		httpInFlight: reg.Gauge("netrel_http_in_flight", "HTTP requests currently being served.", nil),
 		admissionWait: reg.Histogram("netrel_admission_wait_seconds",
 			"Engine admission queue wait of answered requests that had to queue.", nil, nil),
-		http:   make(map[int]*telemetry.Counter),
-		graphs: make(map[string]*graphMetrics),
+		http: make(map[int]*telemetry.Counter),
 	}
 }
 
@@ -198,19 +196,12 @@ func (s *server) registerGraphMetrics(name string, sess *netrel.Session, c *grap
 			telemetry.Labels{"graph": name, "phase": p.String()},
 			func() float64 { return float64(gm.phaseNanos[p].Load()) / 1e9 })
 	}
-	m.mu.Lock()
-	m.graphs[name] = gm
-	m.mu.Unlock()
 	return gm
 }
 
 // pruneGraphMetrics drops every series of an evicted graph.
 func (s *server) pruneGraphMetrics(name string) {
-	m := s.metrics
-	m.mu.Lock()
-	delete(m.graphs, name)
-	m.mu.Unlock()
-	m.reg.PruneLabel("graph", name)
+	s.metrics.reg.PruneLabel("graph", name)
 }
 
 // recordQuery folds one answered request into its graph's series: a latency
@@ -222,22 +213,16 @@ func (s *server) pruneGraphMetrics(name string) {
 // the old generation's (pruned, orphaned) instruments, never the new
 // generation's live series.
 func (s *server) recordQuery(h *graphHandle, mode string, tr *telemetry.Trace, elapsed time.Duration) {
-	m := s.metrics
 	gm := h.gm
-	if gm == nil {
-		return
-	}
 	if lat := gm.latency[mode]; lat != nil {
 		lat.Observe(elapsed.Seconds())
 	}
 	snap := tr.Snapshot()
-	if c := h.c; c != nil {
-		if n := snap.Annots[telemetry.AnnotSamplesDrawn]; n > 0 {
-			c.samplesDrawn.Add(uint64(n))
-		}
-		if n := snap.Annots[telemetry.AnnotEarlyStops]; n > 0 {
-			c.earlyStops.Add(uint64(n))
-		}
+	if n := snap.Annots[telemetry.AnnotSamplesDrawn]; n > 0 {
+		h.c.samplesDrawn.Add(uint64(n))
+	}
+	if n := snap.Annots[telemetry.AnnotEarlyStops]; n > 0 {
+		h.c.earlyStops.Add(uint64(n))
 	}
 	for p := telemetry.Phase(0); p < telemetry.NumPhases; p++ {
 		if snap.Nanos[p] != 0 {
@@ -246,22 +231,13 @@ func (s *server) recordQuery(h *graphHandle, mode string, tr *telemetry.Trace, e
 	}
 	if snap.Counts[telemetry.PhaseAdmission] > 0 {
 		wait := float64(snap.Nanos[telemetry.PhaseAdmission]) / 1e9
-		m.admissionWait.Observe(wait)
-		if gm.admissionWait != nil {
-			gm.admissionWait.Observe(wait)
-		}
+		s.metrics.admissionWait.Observe(wait)
+		gm.admissionWait.Observe(wait)
 	}
 }
 
 // phaseSeconds is the /v1/stats view of a graph's accumulated phase time.
-func (s *server) phaseSeconds(name string) map[string]float64 {
-	m := s.metrics
-	m.mu.Lock()
-	gm := m.graphs[name]
-	m.mu.Unlock()
-	if gm == nil {
-		return nil
-	}
+func (gm *graphMetrics) phaseSeconds() map[string]float64 {
 	out := make(map[string]float64)
 	for p := telemetry.Phase(0); p < telemetry.NumPhases; p++ {
 		if n := gm.phaseNanos[p].Load(); n != 0 {

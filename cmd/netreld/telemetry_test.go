@@ -372,6 +372,10 @@ func TestStructuredAndSlowQueryLogs(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/reliability", `{"terminals":[0,2],"samples":1000}`, nil); code != http.StatusOK {
 		t.Fatalf("query status %d", code)
 	}
+	// Mutations run through the same request pipeline, slow log included.
+	if code := patchJSON(t, ts.URL+"/v1/graphs/default/edges", `{"set_prob":[{"edge":0,"p":0.5}]}`, nil); code != http.StatusOK {
+		t.Fatalf("mutate status %d", code)
+	}
 	// The middleware line lands after the response; poll briefly.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -380,7 +384,8 @@ func TestStructuredAndSlowQueryLogs(t *testing.T) {
 			strings.Contains(logs, `"path":"/v1/reliability"`) &&
 			strings.Contains(logs, `"msg":"slow query"`) &&
 			strings.Contains(logs, `"graph":"default"`) &&
-			strings.Contains(logs, `"request_id"`) {
+			strings.Contains(logs, `"request_id"`) &&
+			strings.Contains(logs, `"mode":"mutate"`) {
 			break
 		}
 		if time.Now().After(deadline) {
