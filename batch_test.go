@@ -15,9 +15,7 @@ import (
 // dense random 2ECCs of `blockSize` vertices, consecutive blocks joined by
 // a single bridge. Queries whose terminals sit in the first and last block
 // all decompose onto the same interior subproblems, so a batch planner
-// should solve each interior block once for the whole batch. Mirrors
-// expt.BenchBlockChain (same shape and constants), which package netrel
-// cannot import without a cycle.
+// should solve each interior block once for the whole batch.
 func blockChainGraph(t testing.TB, blocks, blockSize int, seed uint64) *Graph {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 0xb10c))
@@ -138,6 +136,53 @@ func TestBatchSharesSubproblems(t *testing.T) {
 	// 3 interior blocks solved once each + 2·6 end blocks = 15 unique.
 	if unique != (blocks-2)+2*len(queries) {
 		t.Fatalf("unique solves = %d, want %d", unique, (blocks-2)+2*len(queries))
+	}
+}
+
+// sequentialAndBatch returns the two sides that BenchmarkBatchReliability
+// and TestSpeedupFloors compare: every query solved alone with result reuse
+// off, and all of them as one batch on a fresh session.
+func sequentialAndBatch(g *Graph, queries []Query, opts []Option) (seq, bat func() error) {
+	seq = func() error {
+		s := NewSession(g)
+		s.SetCacheCapacity(0)
+		for _, q := range queries {
+			if _, err := s.Reliability(q.Terminals, opts...); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	bat = func() error {
+		_, err := NewSession(g).BatchReliability(queries, opts...)
+		return err
+	}
+	return seq, bat
+}
+
+// BenchmarkBatchReliability is the batch engine's acceptance benchmark: 12
+// end-to-end terminal pairs over a chain of 8 dense 2ECC blocks, where
+// every interior block is shared by all queries (24 of 96 subproblems are
+// unique — 75% shared, well past the ≥30% sharing bar). sequential solves
+// each query alone (result reuse disabled); batch deduplicates subproblems
+// across the batch. Both produce bit-identical results; TestSpeedupFloors
+// holds the batch to ≥1.5× faster.
+func BenchmarkBatchReliability(b *testing.B) {
+	const blocks, blockSize = 8, 10
+	g := blockChainGraph(b, blocks, blockSize, 29)
+	seq, bat := sequentialAndBatch(g, endToEndQueries(g, blocks, blockSize, 12),
+		[]Option{WithSamples(4000), WithMaxWidth(24), WithoutSampleReduction(), WithSeed(7)})
+	for _, side := range []struct {
+		name string
+		run  func() error
+	}{{"sequential", seq}, {"batch", bat}} {
+		b.Run(side.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := side.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 
 	"netrel"
 	"netrel/datasets"
-	"netrel/internal/expt"
 )
 
 // graphCache memoizes generated datasets across benchmarks.
@@ -333,45 +332,6 @@ func BenchmarkParallelConstruction(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkBatchReliability is the batch engine's acceptance benchmark: 12
-// end-to-end terminal pairs over a chain of 8 dense 2ECC blocks, where
-// every interior block is shared by all queries (24 of 96 subproblems are
-// unique — 75% shared, well past the ≥30% sharing bar). sequential solves
-// each query alone (result reuse disabled); batch deduplicates subproblems
-// across the batch and must come in ≥1.5× faster. Both produce bit-identical
-// results.
-func BenchmarkBatchReliability(b *testing.B) {
-	const blocks, blockSize, nQueries = 8, 10, 12
-	g, err := expt.BenchBlockChain(blocks, blockSize, 29)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := expt.BenchQueries(g, blockSize, nQueries)
-	opts := []netrel.Option{
-		netrel.WithSamples(4000), netrel.WithMaxWidth(24),
-		netrel.WithoutSampleReduction(), netrel.WithSeed(7),
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := netrel.NewSession(g)
-			s.SetCacheCapacity(0)
-			for _, q := range queries {
-				if _, err := s.Reliability(q.Terminals, opts...); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := netrel.NewSession(g)
-			if _, err := s.BatchReliability(queries, opts...); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkParallelSampling measures the Monte Carlo baseline's worker

@@ -6,14 +6,9 @@
 //	experiments -exp all -scale small
 //	experiments -exp fig3 -scale medium -searches 20 -samples 10000
 //	experiments -exp table3 -searches 100 -repeats 100   # paper-size run
-//	experiments -exp bench -benchout BENCH_trajectory.json
 //
-// The bench experiment emits a machine-readable benchmark snapshot
-// (ns/op for the S2BDD hot paths, the sharded construction speedup on the
-// widest bundled dataset, the batch engine's speedup over sequential
-// per-query solving, and the parallel-planning speedup on a
-// high-duplication batch) so performance trajectories can be compared
-// across PRs by tooling.
+// Performance across revisions is measured by the repository benchmark in
+// relbench/ (see BENCHMARK.json), not by this command.
 package main
 
 import (
@@ -27,8 +22,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table2|fig3|fig4|fig5|table3|table4|table5|ablation|bench|all")
-		benchout = flag.String("benchout", "BENCH_trajectory.json", "output file for -exp bench ('' = stdout only)")
+		exp      = flag.String("exp", "all", "experiment: table2|fig3|fig4|fig5|table3|table4|table5|ablation|all")
 		scale    = flag.String("scale", "small", "dataset scale: small|medium|full")
 		samples  = flag.Int("samples", 10000, "sample budget s")
 		width    = flag.Int("width", 10000, "maximum S2BDD width w")
@@ -52,32 +46,6 @@ func main() {
 		Repeats:   *repeats,
 		Seed:      *seed,
 		BDDBudget: *budget,
-	}
-	if *exp == "bench" {
-		report, err := expt.BenchTrajectory(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		if err := expt.RenderBenchJSON(os.Stdout, report); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		if *benchout != "" {
-			f, err := os.Create(*benchout)
-			if err == nil {
-				err = expt.RenderBenchJSON(f, report)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintln(os.Stderr, "experiments: wrote", *benchout)
-		}
-		return
 	}
 	if err := expt.Run(*exp, cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)

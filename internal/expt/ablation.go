@@ -87,15 +87,9 @@ func RenderAblations(w io.Writer, rows []AblationRow) {
 }
 
 // Run dispatches an experiment by name and renders it to w. Known names:
-// table2, fig3, fig4, fig5, table3, table4, table5, ablation, bench, all.
+// table2, fig3, fig4, fig5, table3, table4, table5, ablation, all.
 func Run(name string, cfg Config, w io.Writer) error {
 	switch name {
-	case "bench":
-		report, err := BenchTrajectory(cfg)
-		if err != nil {
-			return err
-		}
-		return RenderBenchJSON(w, report)
 	case "table2":
 		rows, err := Table2(cfg)
 		if err != nil {

@@ -35,10 +35,6 @@ type Config struct {
 	// SampleBudgets overrides Figure 4's x-axis decades (default
 	// 100, 1K, 10K, 100K).
 	SampleBudgets []int
-	// ConstructionWidth is the S2BDD layer width of the bench trajectory's
-	// construction-sharding workload (default 256 = 4 expansion chunks;
-	// tests use a smaller sharded width to keep -race runs short).
-	ConstructionWidth int
 	// Seed drives all randomness.
 	Seed uint64
 }
@@ -58,9 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BDDBudget <= 0 {
 		c.BDDBudget = 500_000
-	}
-	if c.ConstructionWidth <= 0 {
-		c.ConstructionWidth = 256
 	}
 	return c
 }

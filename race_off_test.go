@@ -1,5 +1,5 @@
 //go:build !race
 
-package expt
+package netrel
 
 const raceDetectorEnabled = false

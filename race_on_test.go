@@ -1,6 +1,6 @@
 //go:build race
 
-package expt
+package netrel
 
 // raceDetectorEnabled reports whether the race detector is compiled in;
 // wall-clock benchmark measurements are skipped under it (5–10× slowdown
