@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand/v2"
-
 	"netrel/internal/frontier"
 	"netrel/internal/ugraph"
 	"netrel/internal/unionfind"
@@ -15,19 +13,26 @@ import (
 // instantiates the remaining edges (positions ≥ l) and tests whether all
 // terminal-carrying components and still-unseen terminals coalesce.
 //
-// Every draw consumes exactly one variate per remaining edge, whether it
-// scans them all or stops early, so a stream's position after d draws at
-// layer l is a function of d and l alone (see skipPCG).
+// The coin of the edge at position l+i always reads variate i of the
+// draw's stream. A Monte Carlo draw is a search: it grows the
+// terminal-carrying components along the edges whose coins come up heads
+// and stops as soon as the terminals join or one of those components can
+// grow no further, so it flips only the coins the search reaches. Yet
+// every draw, MC or HT, advances the stream by exactly one variate per
+// remaining edge, so a stream's position after d draws at layer l is a
+// function of d and l alone (see pcg.jump).
 //
 // A completer holds no random state of its own: each draw takes the stream
 // as a parameter so one completer per worker can serve many deterministic
 // per-chunk streams. A completer is not safe for concurrent use; the
-// parallel driver keeps one per worker slot.
+// parallel driver keeps one per worker slot, and the blank fields at both
+// ends keep the slots' draw-by-draw writes off each other's cache lines.
 type completer struct {
+	_ [64]byte
+
 	plan  *frontier.Plan
-	n     int           // vertex count; element n+c stands for node component c
-	coins []ugraph.Coin // the run's edges in plan order, shared read-only
-	probs []float64     // their probabilities, for the HT product
+	n     int         // vertex count; element n+c stands for node component c
+	edges *edgeStream // the run's edges, shared read-only
 
 	// uf works over n vertex elements plus one element per node component.
 	// Each draw starts by hanging every frontier vertex beneath its
@@ -40,32 +45,91 @@ type completer struct {
 	epoch uint64
 	live  int
 
+	// The MC search. queue holds the elements it has reached, in order;
+	// pend[r] counts the reached elements under root r not yet expanded.
+	// head[c] is the first frontier slot of component c and nextSlot[s]
+	// the slot after s in the same component, -1 ending either. vs holds
+	// the draw's variates, vs[i] for the edge at position layer+i.
+	queue    []int32
+	pend     []int32
+	head     []int32
+	nextSlot []int32
+	vs       []uint64
+
 	fr    []int32 // owned copy of the current layer's frontier
 	layer int
+	skip  lcgMap // the stream advance of one draw's M − layer variates
+
+	flips int // coins evaluated over all draws, for BenchmarkCompletion
+
+	_ [64]byte
 }
 
-// planStream builds a run's edge stream: coins and probabilities in plan
-// order, shared by all of the run's completers.
-func planStream(plan *frontier.Plan) ([]ugraph.Coin, []float64) {
+// edgeStream is a run's edge data in plan order, built once and shared
+// read-only by all of its completers.
+type edgeStream struct {
+	coins []ugraph.Coin // the edges in plan order
+	probs []float64     // their probabilities, for the HT product
+	// adj[adjAt[v]:adjAt[v+1]] lists vertex v's edges, highest position
+	// first, so the edges left at layer l are a prefix of the list.
+	// Self-loops join nothing and are left out.
+	adjAt []int32
+	adj   []arc
+}
+
+// arc is one end of an edge: its plan position and its other endpoint.
+type arc struct{ pos, to int32 }
+
+// planStream builds a run's edgeStream.
+func planStream(plan *frontier.Plan) *edgeStream {
 	g, ord := plan.Graph(), plan.Order()
-	probs := make([]float64, len(ord))
-	for pos, ei := range ord {
-		probs[pos] = g.Edge(ei).P
+	n := g.N()
+	es := &edgeStream{
+		coins: ugraph.Coins(g, ord),
+		probs: make([]float64, len(ord)),
+		adjAt: make([]int32, n+1),
 	}
-	return ugraph.Coins(g, ord), probs
+	for pos, ei := range ord {
+		es.probs[pos] = g.Edge(ei).P
+	}
+	for _, e := range es.coins {
+		if e.U != e.V {
+			es.adjAt[e.U+1]++
+			es.adjAt[e.V+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		es.adjAt[v+1] += es.adjAt[v]
+	}
+	es.adj = make([]arc, es.adjAt[n])
+	at := append([]int32(nil), es.adjAt[:n]...)
+	for pos := len(es.coins) - 1; pos >= 0; pos-- {
+		e := es.coins[pos]
+		if e.U != e.V {
+			es.adj[at[e.U]] = arc{int32(pos), e.V}
+			es.adj[at[e.V]] = arc{int32(pos), e.U}
+			at[e.U]++
+			at[e.V]++
+		}
+	}
+	return es
 }
 
-func newCompleter(plan *frontier.Plan, coins []ugraph.Coin, probs []float64) *completer {
+func newCompleter(plan *frontier.Plan, edges *edgeStream) *completer {
 	n := plan.Graph().N()
 	size := n + plan.MaxFrontier() + 2
 	return &completer{
-		plan:  plan,
-		n:     n,
-		coins: coins,
-		probs: probs,
-		uf:    unionfind.NewArena(size),
-		mark:  make([]uint64, size),
-		layer: -1,
+		plan:     plan,
+		n:        n,
+		edges:    edges,
+		uf:       unionfind.NewArena(size),
+		mark:     make([]uint64, size),
+		queue:    make([]int32, 0, size),
+		pend:     make([]int32, size),
+		head:     make([]int32, plan.MaxFrontier()),
+		nextSlot: make([]int32, plan.MaxFrontier()),
+		vs:       make([]uint64, plan.M()),
+		layer:    -1,
 	}
 }
 
@@ -78,33 +142,36 @@ func (c *completer) setLayer(l int, f []int32) {
 	}
 	c.fr = append(c.fr[:0], f...)
 	c.layer = l
+	c.skip = lcgSteps(uint64(c.plan.M() - l))
 }
 
-// begin resets the arena to st's partition and marks its terminal-carrying
-// roots: the flagged components and the terminals no processed edge has
-// touched yet.
+// begin resets the arena to st's partition and marks and queues its
+// terminal-carrying roots: the flagged components and the terminals no
+// processed edge has touched yet.
 func (c *completer) begin(st *frontier.State) {
 	c.uf.Reset()
 	c.epoch++
 	for slot, v := range c.fr {
 		c.uf.Attach(int(v), c.n+int(st.Comp[slot]))
 	}
-	c.live = 0
+	c.queue = c.queue[:0]
 	for comp, flagged := range st.Flag {
 		if flagged {
 			c.mark[c.n+comp] = c.epoch
-			c.live++
+			c.queue = append(c.queue, int32(c.n+comp))
 		}
 	}
 	for _, t := range c.plan.UnseenTerms(c.layer) {
 		c.mark[t] = c.epoch
-		c.live++
+		c.queue = append(c.queue, t)
 	}
+	c.live = len(c.queue)
 }
 
-// link merges distinct roots ru and rv, keeping live current. The draws
-// run both Finds inline and call it only for a real merge.
-func (c *completer) link(ru, rv int) {
+// link merges distinct roots ru and rv, keeping live current, and returns
+// the merged root. The draws run both Finds inline and call it only for a
+// real merge.
+func (c *completer) link(ru, rv int) int {
 	if ru > rv {
 		ru, rv = rv, ru
 	}
@@ -116,32 +183,91 @@ func (c *completer) link(ru, rv int) {
 			c.mark[ru] = c.epoch
 		}
 	}
+	return ru
 }
 
 // drawMC draws one completion of st at the current layer and reports
-// whether it connects the terminals. Edges only ever merge parts, so once
-// one terminal-carrying root is left the answer is fixed: the draw stops
-// there and skips rng past the coins it did not flip.
-func (c *completer) drawMC(st *frontier.State, rng *rand.PCG) bool {
+// whether it connects the terminals. It searches outward from the queued
+// terminal-carrying elements: expanding an element walks its vertices'
+// remaining edges, flips each coin that could join two components, and
+// queues the unreached elements that heads edges join. Edges only ever
+// merge parts, so the answer is fixed, and the draw stops, once one
+// terminal-carrying root is left (connected) or once a root has no
+// element left to expand (that component is closed: disconnected).
+//
+// Variates are generated on demand up to the highest position a coin
+// needs; the stream is then set, in one jump, to where it would be after
+// all M − layer of them.
+func (c *completer) drawMC(st *frontier.State, rng *pcg) bool {
+	at := *rng // the stream after vs[:filled]
+	*rng = c.skip.apply(at)
 	c.begin(st)
-	coins := c.coins[c.layer:]
 	if c.live <= 1 {
-		skipPCG(rng, uint64(len(coins)))
 		return true
 	}
-	for i := range coins {
-		e := &coins[i]
-		if !e.Heads(rng.Uint64()) {
-			continue
+	for comp := range st.Flag {
+		c.head[comp] = -1
+	}
+	for slot := len(c.fr) - 1; slot >= 0; slot-- {
+		comp := st.Comp[slot]
+		c.nextSlot[slot] = c.head[comp]
+		c.head[comp] = int32(slot)
+	}
+	for _, x := range c.queue {
+		c.pend[x] = 1
+	}
+	l, n := c.layer, c.n
+	coins, adjAt, adj := c.edges.coins, c.edges.adjAt, c.edges.adj
+	filled, flipped := 0, 0
+	for h := 0; h < len(c.queue); h++ {
+		x := int(c.queue[h])
+		rx := c.uf.Find(x)
+		// A component element stands for its frontier slots' vertices.
+		v, slot := x, int32(-1)
+		if x >= n {
+			slot = c.head[x-n]
 		}
-		if ru, rv := c.uf.Find(int(e.U)), c.uf.Find(int(e.V)); ru != rv {
-			c.link(ru, rv)
-			if c.live == 1 {
-				skipPCG(rng, uint64(len(coins)-i-1))
-				return true
+		for ; v < n || slot >= 0; v = n {
+			if slot >= 0 {
+				v, slot = int(c.fr[slot]), c.nextSlot[slot]
+			}
+			for _, a := range adj[adjAt[v]:adjAt[v+1]] {
+				if int(a.pos) < l {
+					break
+				}
+				rw := c.uf.Find(int(a.to))
+				if rw == rx {
+					continue
+				}
+				k := int(a.pos) - l
+				if k >= filled {
+					at.fill(c.vs[filled : k+1])
+					filled = k + 1
+				}
+				flipped++
+				if !coins[a.pos].Heads(c.vs[k]) {
+					continue
+				}
+				p := c.pend[rx]
+				if c.mark[rw] == c.epoch {
+					p += c.pend[rw]
+				} else {
+					p++
+					c.queue = append(c.queue, int32(rw))
+				}
+				rx = c.link(rx, rw)
+				c.pend[rx] = p
+				if c.live == 1 {
+					c.flips += flipped
+					return true
+				}
 			}
 		}
+		if c.pend[rx]--; c.pend[rx] == 0 {
+			break
+		}
 	}
+	c.flips += flipped
 	return false
 }
 
@@ -150,7 +276,7 @@ func (c *completer) drawMC(st *frontier.State, rng *rand.PCG) bool {
 // drawn completion (product over the remaining edges), and a fingerprint of
 // its edge choices for HT deduplication. Both need every coin, so the scan
 // runs to the end; only the union-find work stops once the answer is fixed.
-func (c *completer) drawHT(st *frontier.State, rng *rand.PCG) (connected bool, pr xfloat.F, fp uint64) {
+func (c *completer) drawHT(st *frontier.State, rng *pcg) (connected bool, pr xfloat.F, fp uint64) {
 	c.begin(st)
 	pr = xfloat.One
 	const (
@@ -158,12 +284,15 @@ func (c *completer) drawHT(st *frontier.State, rng *rand.PCG) (connected bool, p
 		fnvPrime  = 0x100000001b3
 	)
 	fp = uint64(fnvOffset)
-	coins := c.coins[c.layer:]
-	probs := c.probs[c.layer:][:len(coins)]
+	coins := c.edges.coins[c.layer:]
+	probs := c.edges.probs[c.layer:][:len(coins)]
+	vs := c.vs[:len(coins)]
+	rng.fill(vs)
+	c.flips += len(coins)
 	for i := range coins {
 		e := &coins[i]
 		fp *= fnvPrime
-		if e.Heads(rng.Uint64()) {
+		if e.Heads(vs[i]) {
 			fp ^= 1
 			pr = pr.MulFloat64(probs[i])
 			if c.live <= 1 {

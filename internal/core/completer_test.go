@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"netrel/internal/frontier"
@@ -29,8 +31,7 @@ func pathPlan(t *testing.T) *frontier.Plan {
 }
 
 func testCompleter(p *frontier.Plan) *completer {
-	coins, probs := planStream(p)
-	return newCompleter(p, coins, probs)
+	return newCompleter(p, planStream(p))
 }
 
 func TestCompleterFromRoot(t *testing.T) {
@@ -40,11 +41,11 @@ func TestCompleterFromRoot(t *testing.T) {
 	c := testCompleter(p)
 	c.setLayer(0, nil)
 	root := p.Root()
-	rng := rand.NewPCG(1, 99)
+	rng := pcg{1, 99}
 	hits := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		if c.drawMC(&root, rng) {
+		if c.drawMC(&root, &rng) {
 			hits++
 		}
 	}
@@ -67,11 +68,11 @@ func TestCompleterMidLayerConditional(t *testing.T) {
 	}
 	c := testCompleter(p)
 	c.setLayer(1, p.FrontierAt(1))
-	rng := rand.NewPCG(1, 99)
+	rng := pcg{1, 99}
 	hits := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		if c.drawMC(&st, rng) {
+		if c.drawMC(&st, &rng) {
 			hits++
 		}
 	}
@@ -89,9 +90,9 @@ func TestCompleterProbabilityProduct(t *testing.T) {
 	c := testCompleter(p)
 	c.setLayer(0, nil)
 	root := p.Root()
-	rng := rand.NewPCG(3, 99)
+	rng := pcg{3, 99}
 	for i := 0; i < 50; i++ {
-		_, pr, _ := c.drawHT(&root, rng)
+		_, pr, _ := c.drawHT(&root, &rng)
 		if math.Abs(pr.Float64()-0.125) > 1e-12 {
 			t.Fatalf("completion probability %v, want 0.125 (all edges p=0.5)", pr.Float64())
 		}
@@ -103,10 +104,10 @@ func TestCompleterFingerprintsDistinguishWorlds(t *testing.T) {
 	c := testCompleter(p)
 	c.setLayer(0, nil)
 	root := p.Root()
-	rng := rand.NewPCG(4, 99)
+	rng := pcg{4, 99}
 	byFP := map[uint64]bool{}
 	for i := 0; i < 200; i++ {
-		ok, _, fp := c.drawHT(&root, rng)
+		ok, _, fp := c.drawHT(&root, &rng)
 		if prev, seen := byFP[fp]; seen && prev != ok {
 			t.Fatal("same fingerprint with different connectivity")
 		}
@@ -231,13 +232,31 @@ func randState(r *rand.Rand, w int, flagP float64) frontier.State {
 	return st
 }
 
-func pcgState(t *testing.T, p *rand.PCG) string {
+// pcgState encodes a stream's state as rand.PCG.MarshalBinary does, for a
+// rand.PCG or a pcg alike, so the two compare directly.
+func pcgState(t *testing.T, p any) string {
 	t.Helper()
-	b, err := p.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	switch p := p.(type) {
+	case *rand.PCG:
+		b, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	case *pcg:
+		return pcgState(t, rand.NewPCG(p.hi, p.lo))
 	}
-	return string(b)
+	t.Fatalf("pcgState: unexpected stream type %T", p)
+	return ""
+}
+
+// skipPCG jumps rng by n steps through pcg.jump, so the jump can be
+// checked against rand.PCG's own stepping.
+func skipPCG(rng *rand.PCG, n uint64) {
+	b, _ := rng.MarshalBinary() // a PCG always marshals; the error is always nil
+	s := pcg{binary.BigEndian.Uint64(b[4:]), binary.BigEndian.Uint64(b[12:])}
+	s.jump(n)
+	rng.Seed(s.hi, s.lo)
 }
 
 func TestThresholdMatchesFloat64Coin(t *testing.T) {
@@ -288,6 +307,52 @@ func TestSkipPCGMatchesSteps(t *testing.T) {
 	}
 }
 
+// TestPCGStreamMatchesRand checks the value-type stream against rand.PCG
+// output for output and state for state: next, fill at lengths that cover
+// an empty fill, a lone variate, one lane pair, an odd tail and a whole
+// Hit-d-sized draw, and jump over the lengths TestSkipPCGMatchesSteps
+// uses.
+func TestPCGStreamMatchesRand(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 8))
+	for trial := 0; trial < 10; trial++ {
+		s1, s2 := r.Uint64(), r.Uint64()
+		ref, got := rand.NewPCG(s1, s2), &pcg{s1, s2}
+		for i := 0; i < 50; i++ {
+			if g, w := got.next(), ref.Uint64(); g != w || pcgState(t, got) != pcgState(t, ref) {
+				t.Fatalf("next %d: %x, rand.PCG %x (or states differ)", i, g, w)
+			}
+		}
+		for _, n := range []int{0, 1, 2, 3, 7, 12416} {
+			buf := make([]uint64, n)
+			got.fill(buf)
+			for i, g := range buf {
+				if w := ref.Uint64(); g != w {
+					t.Fatalf("fill(%d)[%d]: %x, rand.PCG %x", n, i, g, w)
+				}
+			}
+			if pcgState(t, got) != pcgState(t, ref) {
+				t.Fatalf("fill(%d) leaves the stream elsewhere than %d steps", n, n)
+			}
+		}
+	}
+	r = rand.New(rand.NewPCG(5, 6))
+	ns := []uint64{0, 1, 2, 127}
+	for i := 0; i < 8; i++ {
+		ns = append(ns, r.Uint64N(1<<20+1))
+	}
+	for _, n := range ns {
+		s1, s2 := r.Uint64(), r.Uint64()
+		ref, got := rand.NewPCG(s1, s2), &pcg{s1, s2}
+		got.jump(n)
+		for i := uint64(0); i < n; i++ {
+			ref.Uint64()
+		}
+		if pcgState(t, got) != pcgState(t, ref) || got.next() != ref.Uint64() {
+			t.Fatalf("jump %d differs from %d steps", n, n)
+		}
+	}
+}
+
 // TestCompleterDrawsMatchReference runs one MC and one HT completer across
 // random graphs, layers and node states — switching layer between draws,
 // so stale per-layer state would show — and checks every draw against
@@ -327,12 +392,12 @@ func TestCompleterDrawsMatchReference(t *testing.T) {
 			mc.setLayer(l, front)
 			ht.setLayer(l, front)
 			seed := r.Uint64()
-			ref, got := rand.NewPCG(seed, 1), rand.NewPCG(seed, 1)
+			ref, got := rand.NewPCG(seed, 1), &pcg{seed, 1}
 			wantOK, wantPr, wantFP := refComplete(plan, l, &st, rand.New(ref))
 			if ok := mc.drawMC(&st, got); ok != wantOK || pcgState(t, got) != pcgState(t, ref) {
 				t.Fatalf("trial %d layer %d: MC draw %v, reference %v (or stream position differs)", trial, l, ok, wantOK)
 			}
-			ref, got = rand.NewPCG(seed, 2), rand.NewPCG(seed, 2)
+			ref, got = rand.NewPCG(seed, 2), &pcg{seed, 2}
 			wantOK, wantPr, wantFP = refComplete(plan, l, &st, rand.New(ref))
 			ok, pr, fp := ht.drawHT(&st, got)
 			if ok != wantOK || pr != wantPr || fp != wantFP || pcgState(t, got) != pcgState(t, ref) {
@@ -342,13 +407,184 @@ func TestCompleterDrawsMatchReference(t *testing.T) {
 	}
 }
 
+// matchReference makes one MC and one HT draw of st at layer l from
+// stream seed and compares each with refComplete: the answer, the HT
+// probability and fingerprint, and the stream position afterwards.
+func matchReference(t *testing.T, plan *frontier.Plan, mc, ht *completer, l int, st *frontier.State, seed uint64) {
+	t.Helper()
+	front := plan.FrontierAt(l)
+	mc.setLayer(l, front)
+	ht.setLayer(l, front)
+	ref, got := rand.NewPCG(seed, 1), &pcg{seed, 1}
+	wantOK, _, _ := refComplete(plan, l, st, rand.New(ref))
+	if ok := mc.drawMC(st, got); ok != wantOK || pcgState(t, got) != pcgState(t, ref) {
+		t.Fatalf("layer %d: MC draw %v, reference %v (or stream position differs)", l, ok, wantOK)
+	}
+	ref, got = rand.NewPCG(seed, 2), &pcg{seed, 2}
+	wantOK, wantPr, wantFP := refComplete(plan, l, st, rand.New(ref))
+	ok, pr, fp := ht.drawHT(st, got)
+	if ok != wantOK || pr != wantPr || fp != wantFP || pcgState(t, got) != pcgState(t, ref) {
+		t.Fatalf("layer %d: HT draw (%v, %v, %x), reference (%v, %v, %x)", l, ok, pr, fp, wantOK, wantPr, wantFP)
+	}
+}
+
+// randMultigraph returns a graph of m random edges on n vertices,
+// self-loops and parallel edges included, with probabilities drawn from
+// (0, 1] with the threshold extremes 1 and 2⁻⁶⁰ over-represented, plus k
+// terminals among the vertices that have an edge. It returns a nil plan
+// when no vertex has one.
+func randMultigraph(r *rand.Rand, n, m, k int) *frontier.Plan {
+	g := ugraph.New(n)
+	for i := 0; i < m; i++ {
+		u, v := r.IntN(n), r.IntN(n)
+		if r.IntN(4) == 0 {
+			v = u
+		}
+		p := 1 - r.Float64()
+		switch r.IntN(6) {
+		case 0:
+			p = 1
+		case 1:
+			p = math.Ldexp(1, -60)
+		}
+		if _, err := g.AddEdge(u, v, p); err != nil {
+			panic(err)
+		}
+		if r.IntN(4) == 0 {
+			if _, err := g.AddEdge(u, v, p); err != nil {
+				panic(err)
+			}
+		}
+	}
+	var touched []int
+	for v := 0; v < n; v++ {
+		if g.Degree(v) > 0 {
+			touched = append(touched, v)
+		}
+	}
+	if len(touched) == 0 {
+		return nil
+	}
+	r.Shuffle(len(touched), func(i, j int) { touched[i], touched[j] = touched[j], touched[i] })
+	ts, err := ugraph.NewTerminals(g, touched[:min(k, len(touched))])
+	if err != nil {
+		panic(err)
+	}
+	plan, err := frontier.NewPlan(g, ts, r.Perm(g.M()))
+	if err != nil {
+		panic(err)
+	}
+	return plan
+}
+
+// TestCompleterMatchesReferenceEdgeCases adds the shapes
+// TestCompleterDrawsMatchReference's random connected graphs never make.
+func TestCompleterMatchesReferenceEdgeCases(t *testing.T) {
+	t.Run("loops-and-parallel", func(t *testing.T) {
+		r := rand.New(rand.NewPCG(31, 32))
+		for trial := 0; trial < 30; trial++ {
+			plan := randMultigraph(r, 2+r.IntN(10), 1+r.IntN(30), 2+r.IntN(4))
+			mc, ht := testCompleter(plan), testCompleter(plan)
+			for draw := 0; draw < 40; draw++ {
+				l := r.IntN(plan.M() + 1)
+				st := randState(r, len(plan.FrontierAt(l)), 0.4)
+				matchReference(t, plan, mc, ht, l, &st, r.Uint64())
+			}
+		}
+	})
+	t.Run("power-law-closed", func(t *testing.T) {
+		// A dense graph with power-law degrees and weak edges: most draws
+		// leave some terminal component closed, which MC must detect
+		// before it reaches the last coin.
+		r := rand.New(rand.NewPCG(33, 34))
+		const n = 120
+		g := ugraph.New(n)
+		wt := make([]float64, n+1)
+		for v := 0; v < n; v++ {
+			wt[v+1] = wt[v] + math.Pow(float64(v+1), -0.6)
+		}
+		hub := func() int {
+			i := sort.SearchFloat64s(wt, r.Float64()*wt[n])
+			return max(i-1, 0)
+		}
+		for v := 1; v < n; v++ {
+			if _, err := g.AddEdge(hub()%v, v, 0.05+0.3*r.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 900; i++ {
+			u, v := hub(), hub()
+			if u == v {
+				continue
+			}
+			if _, err := g.AddEdge(u, v, 0.02+0.1*r.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts, err := ugraph.NewTerminals(g, r.Perm(n)[:6])
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := frontier.NewPlan(g, ts, bfsOrder(g, ts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc, ht := testCompleter(plan), testCompleter(plan)
+		early := 0
+		for draw := 0; draw < 200; draw++ {
+			l := r.IntN(plan.M() / 4)
+			st := randState(r, len(plan.FrontierAt(l)), 0.3)
+			before := mc.flips
+			matchReference(t, plan, mc, ht, l, &st, r.Uint64())
+			if mc.flips-before < plan.M()-l {
+				early++
+			}
+		}
+		if early < 100 {
+			t.Fatalf("only %d of 200 MC draws stopped before the last coin", early)
+		}
+	})
+	t.Run("no-remaining-coin", func(t *testing.T) {
+		r := rand.New(rand.NewPCG(35, 36))
+		for trial := 0; trial < 30; trial++ {
+			plan := randMultigraph(r, 2+r.IntN(10), 1+r.IntN(20), 2+r.IntN(4))
+			mc, ht := testCompleter(plan), testCompleter(plan)
+			l := plan.M()
+			for draw := 0; draw < 10; draw++ {
+				st := randState(r, len(plan.FrontierAt(l)), 0.5)
+				matchReference(t, plan, mc, ht, l, &st, r.Uint64())
+			}
+		}
+	})
+}
+
+// FuzzCompleterMatchesReference checks MC and HT draws of a random small
+// multigraph plan, layer, node state and stream against refComplete.
+func FuzzCompleterMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint8(6), uint8(10), uint8(3), uint16(2), uint64(7))
+	f.Add(uint64(2), uint8(12), uint8(40), uint8(5), uint16(0), uint64(8))
+	f.Add(uint64(3), uint8(3), uint8(2), uint8(2), uint16(9), uint64(9))
+	f.Fuzz(func(t *testing.T, gseed uint64, n, m, k uint8, layer uint16, seed uint64) {
+		r := rand.New(rand.NewPCG(gseed, 0))
+		plan := randMultigraph(r, 1+int(n%24), 1+int(m%64), 2+int(k%5))
+		if plan == nil {
+			return
+		}
+		l := int(layer) % (plan.M() + 1)
+		st := randState(r, len(plan.FrontierAt(l)), 0.4)
+		matchReference(t, plan, testCompleter(plan), testCompleter(plan), l, &st, seed)
+	})
+}
+
 var benchHits int
 
 // BenchmarkCompletion times the completion-draw kernel on a synthetic dense
 // graph shaped like the scaled Hit-d protein network (900 vertices, about
 // 12k edges, 10 terminals), where S2BDD bounds stay loose and completion
 // draws dominate: each draw completes a random node state at an early
-// layer, so nearly every edge remains to be flipped.
+// layer, so nearly every edge remains to be drawn. coins/draw counts the
+// coins a draw evaluates: all remaining ones for HT, the ones its search
+// reaches for MC.
 func BenchmarkCompletion(b *testing.B) {
 	r := rand.New(rand.NewPCG(1, 2))
 	g := randConnected(r, 900, 11200)
@@ -374,16 +610,16 @@ func BenchmarkCompletion(b *testing.B) {
 		b.Run(est, func(b *testing.B) {
 			c := testCompleter(plan)
 			c.setLayer(l, front)
-			rng := rand.NewPCG(3, 4)
+			rng := pcg{3, 4}
 			hits := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st := &states[i%len(states)]
 				var ok bool
 				if est == "MC" {
-					ok = c.drawMC(st, rng)
+					ok = c.drawMC(st, &rng)
 				} else {
-					ok, _, _ = c.drawHT(st, rng)
+					ok, _, _ = c.drawHT(st, &rng)
 				}
 				if ok {
 					hits++
@@ -391,6 +627,7 @@ func BenchmarkCompletion(b *testing.B) {
 			}
 			ns := float64(b.Elapsed().Nanoseconds())
 			b.ReportMetric(ns/float64(b.N), "ns/draw")
+			b.ReportMetric(float64(c.flips)/float64(b.N), "coins/draw")
 			b.ReportMetric(ns/float64(b.N)/float64(g.M()-l), "ns/edge")
 			benchHits = hits
 		})

@@ -7,13 +7,18 @@
 // (Seed, layer, stratum, chunk) and chunk results fold in chunk order. The
 // worker count therefore affects only the execution schedule, never the
 // arithmetic, making results bit-identical for every worker count.
+//
+// A draw reads the coin of remaining edge i from variate i of its chunk's
+// stream. A Monte Carlo draw is a search that flips only the coins it
+// reaches, yet every draw at layer l still consumes exactly 1 + (M − l)
+// variates: the pick, then one per remaining edge, the unread ones skipped
+// by a jump of the 128-bit LCG state. A part-drawn chunk is therefore
+// resumed by re-deriving its stream and jumping it over the draws already
+// made.
 package core
 
 import (
 	"context"
-	"encoding/binary"
-	"math/bits"
-	"math/rand/v2"
 
 	"netrel/internal/sampling"
 	"netrel/internal/xfloat"
@@ -39,56 +44,19 @@ func numChunks(draws int) int {
 // goroutine grows the slice (worker closures are built before the pool
 // starts), so no locking is needed.
 func (r *run) completerSlot(slot int) *completer {
-	if r.coins == nil {
-		r.coins, r.probs = planStream(r.plan)
+	if r.edges == nil {
+		r.edges = planStream(r.plan)
 	}
 	for len(r.compls) <= slot {
-		r.compls = append(r.compls, newCompleter(r.plan, r.coins, r.probs))
+		r.compls = append(r.compls, newCompleter(r.plan, r.edges))
 	}
 	return r.compls[slot]
 }
 
 // chunkRNG builds the deterministic stream for one (layer, stratum, chunk)
 // coordinate.
-func (r *run) chunkRNG(layer, stratum, chunk int) *rand.PCG {
-	seed := sampling.SeedStream(r.cfg.Seed, uint64(layer), uint64(stratum), uint64(chunk))
-	return rand.NewPCG(seed, chunkStream)
-}
-
-// skipPCG advances rng by n steps, as n calls of Uint64 would, in O(log n).
-// The PCG state is a 128-bit LCG s ↦ a·s + c; applying the map twice gives
-// s ↦ a²·s + (a+1)·c, so n steps compose from the 2^i-step maps of n's set
-// bits. The state is read through MarshalBinary ("pcg:" then the high and
-// low words, big-endian) and written back with Seed, which sets it
-// verbatim.
-func skipPCG(rng *rand.PCG, n uint64) {
-	if n == 0 {
-		return
-	}
-	b, _ := rng.MarshalBinary() // a PCG always marshals; the error is always nil
-	hi, lo := binary.BigEndian.Uint64(b[4:]), binary.BigEndian.Uint64(b[12:])
-	// rand.PCG's multiplier and increment: the one-step map.
-	ahi, alo := uint64(2549297995355413924), uint64(4865540595714422341)
-	chi, clo := uint64(6364136223846793005), uint64(1442695040888963407)
-	for ; n != 0; n >>= 1 {
-		var carry uint64
-		if n&1 != 0 {
-			hi, lo = mul128(ahi, alo, hi, lo)
-			lo, carry = bits.Add64(lo, clo, 0)
-			hi += chi + carry
-		}
-		a1lo, carry := bits.Add64(alo, 1, 0)
-		chi, clo = mul128(ahi+carry, a1lo, chi, clo)
-		ahi, alo = mul128(ahi, alo, ahi, alo)
-	}
-	rng.Seed(hi, lo)
-}
-
-// mul128 returns the low 128 bits of (ahi:alo)·(bhi:blo).
-func mul128(ahi, alo, bhi, blo uint64) (hi, lo uint64) {
-	hi, lo = bits.Mul64(alo, blo)
-	hi += ahi*blo + alo*bhi
-	return hi, lo
+func (r *run) chunkRNG(layer, stratum, chunk int) pcg {
+	return pcg{sampling.SeedStream(r.cfg.Seed, uint64(layer), uint64(stratum), uint64(chunk)), chunkStream}
 }
 
 // forChunkRange runs do(completer, chunk) for every chunk in the global

@@ -72,7 +72,8 @@ func TestChunkStreamsDiffer(t *testing.T) {
 	for layer := 0; layer < 8; layer++ {
 		for stratum := 0; stratum < 8; stratum++ {
 			for chunk := 0; chunk < 8; chunk++ {
-				v := r.chunkRNG(layer, stratum, chunk).Uint64()
+				rng := r.chunkRNG(layer, stratum, chunk)
+				v := rng.next()
 				if seen[v] {
 					t.Fatalf("stream collision at (%d,%d,%d)", layer, stratum, chunk)
 				}

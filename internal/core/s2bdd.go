@@ -122,8 +122,7 @@ type run struct {
 	workers  int
 	cworkers int           // construction (layer-expansion) worker budget
 	compls   []*completer  // one per sampling worker slot, created lazily
-	coins    []ugraph.Coin // the completers' shared edge stream (planStream)
-	probs    []float64
+	edges    *edgeStream   // the completers' shared edge data (planStream)
 	expands  []*expandSlot // one per construction worker slot, created lazily
 
 	pc xfloat.F // mass proven connected (1-sink)

@@ -16,7 +16,6 @@ package core
 import (
 	"context"
 	"math"
-	"math/rand/v2"
 	"sort"
 	"time"
 
@@ -150,8 +149,8 @@ func (s *Sampler) Resume(ctx context.Context, k int) (int, error) {
 // pick chooses a snapshot with probability proportional to its mass
 // within the stratum, from one variate turned into a float exactly as
 // rand.Float64 does.
-func (st *stratumState) pick(rng *rand.PCG) int {
-	u := float64(rng.Uint64()<<11>>11) / (1 << 53) * st.acc
+func (st *stratumState) pick(rng *pcg) int {
+	u := float64(rng.next()<<11>>11) / (1 << 53) * st.acc
 	i := sort.SearchFloat64s(st.cum, u)
 	if i >= len(st.snaps) {
 		i = len(st.snaps) - 1
@@ -204,17 +203,17 @@ func (r *run) drawStratum(ctx context.Context, st *stratumState, take int) error
 // connected count, Horvitz–Thompson the connected draws in draw order.
 func (r *run) drawSegment(st *stratumState, comp *completer, chunk, off, n int) (hits int, out []htDraw) {
 	rng := r.chunkRNG(st.layer, st.ordinal, chunk)
-	skipPCG(rng, uint64(off)*uint64(1+r.plan.M()-st.layer))
+	rng.jump(uint64(off) * uint64(1+r.plan.M()-st.layer))
 	for i := 0; i < n; i++ {
-		idx := st.pick(rng)
+		idx := st.pick(&rng)
 		sp := &st.snaps[idx]
 		if r.cfg.Estimator == estimator.MonteCarlo {
-			if comp.drawMC(&sp.state, rng) {
+			if comp.drawMC(&sp.state, &rng) {
 				hits++
 			}
 			continue
 		}
-		if ok, pr, fp := comp.drawHT(&sp.state, rng); ok {
+		if ok, pr, fp := comp.drawHT(&sp.state, &rng); ok {
 			out = append(out, htDraw{fp: mixNodeFP(fp, idx), q: sp.p.Mul(pr).Div(st.mass)})
 		}
 	}

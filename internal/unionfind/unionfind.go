@@ -80,9 +80,15 @@ func (d *DSU) Reset() {
 // elements touched since the last reset rather than to the universe size.
 // It trades the rank heuristic for a touch log; path halving keeps Find
 // effectively constant for the short-lived structures built per sample.
+//
+// Parallel samplers keep one Arena per worker and write its touch log on
+// every sample, so the blank fields give the header cache lines of its
+// own: two workers' Arenas allocated side by side never share one.
 type Arena struct {
+	_       [64]byte
 	parent  []int32
 	touched []int32
+	_       [64]byte
 }
 
 // NewArena returns an Arena over n elements.
