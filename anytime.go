@@ -1,16 +1,15 @@
 // Anytime adaptive sampling: the sampling rounds behind WithSampleRounds,
 // WithTargetWidth and WithProgress.
 //
-// By default solveJobs draws every unique subproblem's full sample schedule
-// in one shot. Under the anytime knobs it constructs a resumable
-// core.Sampler per subproblem instead and spends the combined budget in
-// rounds: each round allocates its slice of the remaining
-// schedule where bound-gap × query-fan-in is largest (batch.Allocate),
-// checks WithTargetWidth against the refreshed anytime intervals, and
-// reports progress. Since a resumed schedule folds bit-identically to a
-// one-shot schedule, the round structure alone never changes a result —
-// with eps = 0 every schedule is eventually exhausted and the answers match
-// the one-shot solve bit for bit.
+// solveJobs constructs a resumable core.Sampler per unique subproblem and
+// spends the combined budget in rounds — one by default, which draws every
+// schedule whole. With more rounds, each allocates its slice of the
+// remaining schedule where bound-gap × query-fan-in is largest
+// (batch.Allocate), checks WithTargetWidth against the refreshed anytime
+// intervals, and reports progress. Since a schedule folds bit-identically
+// however rounds split it, the round structure alone never changes a
+// result — with eps = 0 every schedule is eventually exhausted and the
+// answers match the one-round solve bit for bit.
 package netrel
 
 import (

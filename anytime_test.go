@@ -2,7 +2,7 @@ package netrel
 
 // Anytime adaptive sampling (PR 8): round splits must be invisible in the
 // results (WithSampleRounds with the default target width is bit-identical
-// to the static schedule for any round count, worker count, and mode),
+// to the default single round for any round count, worker count, and mode),
 // WithTargetWidth must save samples without leaving the proven bounds,
 // progress streams must tighten monotonically, and a cancellation at a
 // round boundary must leave the session cache empty with a bit-identical
@@ -42,9 +42,8 @@ func TestAdaptiveRoundsBitIdentical(t *testing.T) {
 				t.Fatalf("spec %d not exercising the sampling path: %+v", si, want)
 			}
 			for _, w := range workerCounts() {
-				// WithProgress alone routes through the adaptive path even at
-				// one round, so rounds = 1 here tests path equivalence, not a
-				// no-op.
+				// With WithProgress, rounds = 1 also reports progress at its
+				// round boundary; that must not perturb the result either.
 				for _, rounds := range []int{1, 2, 3, 7} {
 					got, err := sess.Solve(spec, append(append([]Option{}, base...),
 						WithWorkers(w), WithSampleRounds(rounds),

@@ -23,7 +23,7 @@ type Query = QuerySpec
 // graph in one pass. Queries may mix terminal-set and conditional modes
 // freely; they are first deduplicated by canonical spec signature (mode,
 // terminal set, evidence) — every distinct spec is planned exactly once,
-// chunk-parallel on the engine pool under the WithPlanWorkers budget, and
+// chunk-parallel on the engine pool under the WithWorkers budget, and
 // the plan fans out to all queries that share it. Terminal-set specs plan
 // against the shared 2ECC index; conditional specs plan their conditioned
 // graph from scratch (the base graph's index does not describe it). The
@@ -189,11 +189,7 @@ func (s *Session) solve(ctx context.Context, st *graphState, specs []*resolvedSp
 	// the resolved spec, so the worker count never changes them, and errors
 	// are attributed to the first query using the slot.
 	plans := make([]*queryPlan, dd.Distinct())
-	planWorkers := o.pworkers
-	if planWorkers <= 0 {
-		planWorkers = o.workers
-	}
-	if err := batch.PlanAll(ctx, s.eng.exec(), dd.Distinct(), planWorkers, func(d int) error {
+	if err := batch.PlanAll(ctx, s.eng.exec(), dd.Distinct(), o.workers, func(d int) error {
 		rs := specs[dd.First[d]]
 		p, err := planTerminals(ctx, rs.g, rs.ts, o, rs.planIndex(idx), st.coverScope(rs))
 		if err != nil && !c.single {
@@ -249,7 +245,7 @@ func (s *Session) solve(ctx context.Context, st *graphState, specs []*resolvedSp
 		}
 	}
 	var report func(int, bool, []jobBounds)
-	if o.progress != nil {
+	if o.progress != nil && !c.exactOnly {
 		report = func(round int, final bool, bounds []jobBounds) {
 			for i := range specs {
 				p := plans[dd.Slot[i]]

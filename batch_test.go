@@ -377,9 +377,10 @@ func TestSessionConcurrentMixedQueries(t *testing.T) {
 
 // TestBatchPlanDeterminism is the tentpole acceptance sweep: a batch with
 // duplicate terminal sets and a disconnected ("done") query must be
-// bit-identical across plan workers 1, 4 and GOMAXPROCS, and against
-// sequential Session.Reliability — while duplicates are planned exactly
-// once, asserted via the session's planner stats.
+// bit-identical across worker budgets 1, 3, 4 and GOMAXPROCS (planning
+// runs on the WithWorkers budget), and against sequential
+// Session.Reliability — while duplicates are planned exactly once,
+// asserted via the session's planner stats.
 func TestBatchPlanDeterminism(t *testing.T) {
 	const blocks, blockSize = 4, 8
 	base := blockChainGraph(t, blocks, blockSize, 7)
@@ -414,7 +415,7 @@ func TestBatchPlanDeterminism(t *testing.T) {
 	for _, pw := range append(workerCounts(), 3) {
 		t.Run(fmt.Sprintf("planworkers=%d", pw), func(t *testing.T) {
 			s := NewSession(g)
-			got, err := s.BatchReliability(queries, append(append([]Option{}, opts...), WithPlanWorkers(pw))...)
+			got, err := s.BatchReliability(queries, append(append([]Option{}, opts...), WithWorkers(pw))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -677,10 +678,10 @@ func TestBatchConcurrentTwoPhaseAdmission(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			// Different plan-worker counts per round exercise every
-			// scheduling shape concurrently; results must not care.
+			// Different worker counts per round exercise every planning
+			// and solving shape concurrently; results must not care.
 			outs[r], errs[r] = shared.BatchReliability(queries,
-				append(append([]Option{}, opts...), WithPlanWorkers(r%3))...)
+				append(append([]Option{}, opts...), WithWorkers(r%3))...)
 		}(r)
 	}
 	wg.Wait()

@@ -314,19 +314,19 @@ func BenchmarkParallelS2BDD(b *testing.B) {
 // BenchmarkParallelConstruction measures the sharded S2BDD construction
 // phase (PR 4): a bounds-only run (samples 0) on the dense protein network
 // expands every layer at the width cap with no sampling at all, so the
-// whole run is layer expansion — the part WithConstructionWorkers spreads
-// across cores (192-wide layers split into 3 chunks of 64 parents).
+// whole run is layer expansion, which WithWorkers spreads across cores
+// (192-wide layers split into 3 chunks of 64 parents).
 // workers=1 is the sequential schedule; every row computes bit-identical
 // bounds. Run with -benchtime 1x: one op sweeps all ~12k layers.
 func BenchmarkParallelConstruction(b *testing.B) {
 	g := dataset(b, "Hit-d")
 	ts := terminals(b, g, 10, 31)
 	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("cworkers=%d", workers), func(b *testing.B) {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := netrel.Reliability(g, ts,
 					netrel.WithSamples(0), netrel.WithMaxWidth(192),
-					netrel.WithConstructionWorkers(workers), netrel.WithSeed(7)); err != nil {
+					netrel.WithWorkers(workers), netrel.WithSeed(7)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -71,7 +71,7 @@
 // carrying monotonically tightening [lower, upper] bounds per query, then a
 // terminal "result" event with the normal JSON body (or an "error" event).
 // With "target_width" unset the rounds are invisible in the result — it is
-// bit-identical to the one-shot schedule per seed.
+// bit-identical to the default single round per seed.
 //
 // Observability: every query request may set "trace": true to receive a
 // per-phase wall-clock breakdown alongside its result; tracing is
@@ -536,7 +536,7 @@ type samplingJSON struct {
 // anytimeJSON holds the anytime knobs of /v1/reliability and /v1/batch —
 // "rounds" (adaptive sampling rounds), "target_width" (stop sampling at
 // this interval width) and "stream" (SSE progress per round, then the
-// result). Unset, they keep the classic one-shot schedule.
+// result). Unset, every schedule is drawn whole in a single round.
 type anytimeJSON struct {
 	Rounds      int     `json:"rounds,omitempty"`
 	TargetWidth float64 `json:"target_width,omitempty"`

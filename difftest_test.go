@@ -308,15 +308,15 @@ func TestDifferentialConditional(t *testing.T) {
 	}
 }
 
-// TestDifferentialConstructionWorkers pins the construction-sharding split
-// specifically: ConstructionWorkers must be as result-neutral as Workers,
-// including when it diverges from the sampling budget.
+// TestDifferentialConstructionWorkers pins construction sharding
+// specifically: on a workload whose 192-wide layers split into several
+// expansion chunks, the WithWorkers budget construction runs on must be
+// result-neutral.
 func TestDifferentialConstructionWorkers(t *testing.T) {
 	g := denseRandomGraph(t, 36, 130, 17)
 	terms := []int{0, 12, 24, 35}
-	opts := func(cw int) []Option {
-		return []Option{WithSamples(2500), WithSeed(5), WithMaxWidth(192),
-			WithWorkers(4), WithConstructionWorkers(cw)}
+	opts := func(w int) []Option {
+		return []Option{WithSamples(2500), WithSeed(5), WithMaxWidth(192), WithWorkers(w)}
 	}
 	base, err := Reliability(g, terms, opts(1)...)
 	if err != nil {
@@ -325,11 +325,11 @@ func TestDifferentialConstructionWorkers(t *testing.T) {
 	if base.Exact {
 		t.Fatal("workload solved exactly; construction sharding not exercised")
 	}
-	for _, cw := range workerCounts() {
-		res, err := Reliability(g, terms, opts(cw)...)
+	for _, w := range append(workerCounts(), 3) {
+		res, err := Reliability(g, terms, opts(w)...)
 		if err != nil {
-			t.Fatalf("cworkers=%d: %v", cw, err)
+			t.Fatalf("workers=%d: %v", w, err)
 		}
-		assertSameResult(t, fmt.Sprintf("cworkers=%d", cw), base, res)
+		assertSameResult(t, fmt.Sprintf("workers=%d", w), base, res)
 	}
 }

@@ -328,12 +328,8 @@ func batchSolveCost(o options, uniqueJobs, distinct int) int64 {
 // factoringCost is the admission cost of the Factoring exact solver, whose
 // work is governed by its recursion budget (one recursive call does O(|E|)
 // reduction work ≈ one draw-equivalent), not by samples or the S2BDD width.
-func factoringCost(o options) int64 {
-	b := o.factorBudget
-	if b <= 0 {
-		b = exact.DefaultFactoringBudget
-	}
-	return int64(b)
+func factoringCost(options) int64 {
+	return exact.DefaultFactoringBudget
 }
 
 // samplingCost is the admission cost of the MC/HT possible-world baseline,

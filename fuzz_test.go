@@ -111,7 +111,7 @@ func FuzzReliabilityMatchesExact(f *testing.F) {
 
 		// Worker counts (sampling and construction) must not change a bit.
 		par, err := Reliability(g, terms, WithSamples(400), WithSeed(1), WithMaxWidth(4),
-			WithWorkers(4), WithConstructionWorkers(2))
+			WithWorkers(4))
 		if err != nil {
 			t.Fatalf("Reliability workers=4: %v", err)
 		}

@@ -21,7 +21,7 @@ func TestWorkBudgetFlushes(t *testing.T) {
 	g := randConnected(r, 300, 900)
 	perm := r.Perm(300)
 	ts, _ := ugraph.NewTerminals(g, perm[:5])
-	res, err := Compute(g, ts, Config{
+	res, err := compute(g, ts, Config{
 		MaxWidth: 10000, Samples: 10, Seed: 1,
 		// Stall rule made inert so only the work budget can flush.
 		StallWindow: 1 << 20, StallThreshold: 1e-300,
@@ -45,7 +45,7 @@ func TestWorkBudgetScalesWithSamples(t *testing.T) {
 	perm := r.Perm(300)
 	ts, _ := ugraph.NewTerminals(g, perm[:5])
 	layers := func(samples int) int {
-		res, err := Compute(g, ts, Config{
+		res, err := compute(g, ts, Config{
 			MaxWidth: 256, Samples: samples, Seed: 1,
 			StallWindow: 1 << 20, StallThreshold: 1e-300,
 			Order: bfsOrder(g, ts),
@@ -77,7 +77,7 @@ func TestPoolingPreservesCorrectness(t *testing.T) {
 	const runs = 250
 	sum := 0.0
 	for i := 0; i < runs; i++ {
-		res, err := Compute(g, ts, Config{
+		res, err := compute(g, ts, Config{
 			MaxWidth: 3, Samples: 80, Seed: uint64(i), Order: ord,
 		})
 		if err != nil {
@@ -98,10 +98,10 @@ func TestPoolingPreservesCorrectness(t *testing.T) {
 // give identical results — pooled storage must never leak state between
 // runs (each run owns its pool) or within one. The flush case deletes nodes
 // and then flushes the live layer, so both kinds of stratum return their
-// snapshots to the pool mid-run; a snapshot put back twice would hand one
-// storage to two live states. One-shot Compute must also match a deferred
-// NewSampler drained by Resume(Remaining()), for both estimators and any
-// worker count.
+// snapshots to the pool; a snapshot put back twice would hand one storage
+// to two live states. A sampler drained by many small Resume calls
+// must also match one whole Resume, for both estimators and any worker
+// count.
 func TestStatesDoNotAliasAfterPooling(t *testing.T) {
 	r := rand.New(rand.NewPCG(29, 31))
 	g := randConnected(r, 40, 60)
@@ -118,7 +118,7 @@ func TestStatesDoNotAliasAfterPooling(t *testing.T) {
 			cfg.Estimator = kind
 			label := kind.String() + "/" + c.name
 			cfg.Workers = 1
-			a, err := Compute(g, ts, cfg)
+			a, err := compute(g, ts, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +129,7 @@ func TestStatesDoNotAliasAfterPooling(t *testing.T) {
 			for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 				cfg.Workers = w
 				for i := 0; i < 2; i++ {
-					b, err := Compute(g, ts, cfg)
+					b, err := compute(g, ts, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -139,14 +139,16 @@ func TestStatesDoNotAliasAfterPooling(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := smp.Resume(context.Background(), smp.Remaining()); err != nil {
-					t.Fatal(err)
+				for smp.Remaining() > 0 {
+					if _, err := smp.Resume(context.Background(), 37); err != nil {
+						t.Fatal(err)
+					}
 				}
 				res, err := smp.Result()
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameResult(t, fmt.Sprintf("%s workers=%d sampler", label, w), res, a)
+				sameResult(t, fmt.Sprintf("%s workers=%d split", label, w), res, a)
 			}
 		}
 	}

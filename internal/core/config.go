@@ -55,18 +55,14 @@ type Config struct {
 	// ExactOnly makes the run fail with ErrNotExact instead of sampling if
 	// any node would be deleted or the stall rule would fire.
 	ExactOnly bool
-	// Workers bounds the goroutines used for the stratified completion
-	// sampling phase; ≤0 selects GOMAXPROCS. The sampling schedule is
-	// chunked deterministically by (Seed, layer, stratum, chunk) — never by
-	// worker — so results are bit-identical for every worker count.
+	// Workers bounds the goroutines used for layer expansion and for the
+	// stratified completion sampling; ≤0 selects GOMAXPROCS. Both phases
+	// are chunked by the workload alone — expansion by layer width, sampling
+	// by (Seed, layer, stratum, chunk) — never by worker, so results are
+	// bit-identical for every worker count.
 	Workers int
-	// ConstructionWorkers splits the worker budget for the construction
-	// (layer-expansion) phase; ≤0 inherits Workers. Layer expansion is
-	// chunked by layer width alone and chunk logs replay in chunk order, so
-	// the value — like Workers — never changes results, only speed.
-	ConstructionWorkers int
-	// Exec optionally lends shared-pool goroutines to the sampling phase
-	// (see sampling.ForEachChunkCtx); nil spawns goroutines per call.
+	// Exec optionally lends shared-pool goroutines to both phases (see
+	// sampling.ForEachChunkCtx); nil spawns goroutines per call.
 	// Results do not depend on it.
 	Exec sampling.Executor
 

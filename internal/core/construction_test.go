@@ -2,7 +2,7 @@ package core
 
 // Cancellation tests for the *construction* phase (PR 4 satellite): since
 // layer expansion went chunk-parallel, ctx is checked per layer and per
-// expansion chunk, so a ComputeContext cancelled mid-layer-expansion must
+// expansion chunk, so a NewSampler cancelled mid-layer-expansion must
 // return promptly, and — construction being deterministic per seed — a
 // retried run must be bit-identical to an uninterrupted one.
 
@@ -43,7 +43,7 @@ func TestConstructionCancelledAtEntry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := ComputeContext(ctx, g, ts, cfg)
+	_, err := solve(ctx, g, ts, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled construction returned %v, want context.Canceled", err)
 	}
@@ -58,7 +58,7 @@ func TestConstructionCancelMidExpansionRetriesBitIdentical(t *testing.T) {
 	// Uninterrupted reference (and the full wall-clock, which the
 	// promptness assertion is calibrated against).
 	refStart := time.Now()
-	ref, err := ComputeContext(context.Background(), g, ts, cfg)
+	ref, err := solve(context.Background(), g, ts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestConstructionCancelMidExpansionRetriesBitIdentical(t *testing.T) {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
 		start := time.Now()
-		_, err := ComputeContext(ctx, g, ts, cfg)
+		_, err := solve(ctx, g, ts, cfg)
 		cancel()
 		if err == nil {
 			continue
@@ -101,7 +101,7 @@ func TestConstructionCancelMidExpansionRetriesBitIdentical(t *testing.T) {
 
 	// A retry after cancellation is bit-identical to the uninterrupted run
 	// (Result is a comparable struct: scalars and xfloat.F only).
-	retry, err := ComputeContext(context.Background(), g, ts, cfg)
+	retry, err := solve(context.Background(), g, ts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

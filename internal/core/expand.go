@@ -3,7 +3,7 @@
 // Layer expansion is sharded the way the exact baseline's is
 // (internal/bdd/parallel.go): a layer's parent nodes are split into
 // fixed-size chunks whose boundaries depend only on the layer width, chunks
-// expand concurrently on up to ConstructionWorkers slots (engine-pool
+// expand concurrently on up to Workers slots (engine-pool
 // goroutines when cfg.Exec is set), and the driver consumes per-chunk
 // outputs in chunk order.
 //
@@ -128,7 +128,7 @@ func (r *run) expandLayer(l int, parents []node) ([]expandResult, error) {
 	out := r.chunkBuf[:nchunks]
 	earlyTerm := !r.cfg.DisableEarlyTermination
 	slot := 0
-	err := sampling.ForEachChunkCtx(r.ctx, r.cfg.Exec, nchunks, r.cworkers, func() func(int) {
+	err := sampling.ForEachChunkCtx(r.ctx, r.cfg.Exec, nchunks, r.workers, func() func(int) {
 		es := r.expandSlotFor(slot)
 		slot++
 		return func(c int) {

@@ -30,7 +30,7 @@ import (
 const stratumChunk = 128
 
 // chunkStream is the per-chunk RNG stream constant (distinct from the
-// driver stream in Compute).
+// driver stream in NewSampler).
 const chunkStream = 0x5851f42d4c957f2d
 
 // numChunks is the single source of the chunk-boundary rule: a stratum's

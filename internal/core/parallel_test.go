@@ -33,7 +33,7 @@ func TestComputeDeterministicAcrossWorkers(t *testing.T) {
 		g, ts, cfg := sampledWorkload(t)
 		cfg.Estimator = kind
 		cfg.Workers = 1
-		base, err := Compute(g, ts, cfg)
+		base, err := compute(g, ts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestComputeDeterministicAcrossWorkers(t *testing.T) {
 		}
 		for _, w := range []int{2, 4, runtime.GOMAXPROCS(0), 13} {
 			cfg.Workers = w
-			res, err := Compute(g, ts, cfg)
+			res, err := compute(g, ts, cfg)
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", kind, w, err)
 			}

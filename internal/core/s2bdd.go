@@ -10,7 +10,6 @@ import (
 
 	"netrel/internal/estimator"
 	"netrel/internal/frontier"
-	"netrel/internal/sampling"
 	"netrel/internal/telemetry"
 	"netrel/internal/ugraph"
 	"netrel/internal/xfloat"
@@ -30,75 +29,6 @@ type snapshot struct {
 	p     xfloat.F
 }
 
-// Compute runs the S2BDD on g with terminal set ts.
-func Compute(g *ugraph.Graph, ts ugraph.Terminals, cfg Config) (Result, error) {
-	return ComputeContext(context.Background(), g, ts, cfg)
-}
-
-// ComputeContext is Compute with cancellation: construction checks ctx at
-// every layer and at every expansion-chunk boundary within a layer, and the
-// stratified sampling phase at every chunk boundary, so a cancelled run
-// returns ctx.Err() promptly and frees its workers. ctx never influences
-// the arithmetic — an uncancelled run is bit-identical to Compute, and a
-// cancelled-then-retried run returns exactly what an uninterrupted run
-// would have.
-func ComputeContext(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, cfg Config) (Result, error) {
-	r, fixed, err := newRun(ctx, g, ts, cfg.withDefaults())
-	if err != nil {
-		return Result{}, err
-	}
-	if fixed != nil {
-		return *fixed, nil
-	}
-	return r.execute()
-}
-
-// newRun validates the inputs and assembles the run state shared by the
-// one-shot path (ComputeContext) and the resumable path (NewSampler). cfg
-// must already have defaults applied. A non-nil fixed result means the query
-// is trivially exact (fewer than two terminals) and no run is needed.
-func newRun(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, cfg Config) (r *run, fixed *Result, err error) {
-	if err := g.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if cfg.Samples < 0 {
-		return nil, nil, fmt.Errorf("core: negative sample count %d", cfg.Samples)
-	}
-	if len(ts) <= 1 {
-		return nil, &Result{
-			Estimate: 1, Lower: 1, Upper: 1,
-			LowerX: xfloat.One, EstimateX: xfloat.One, Exact: true,
-			SamplesRequested: cfg.Samples,
-		}, nil
-	}
-	ord := cfg.Order
-	if ord == nil {
-		ord = make([]int, g.M())
-		for i := range ord {
-			ord[i] = i
-		}
-	}
-	plan, err := frontier.NewPlan(g, ts, ord)
-	if err != nil {
-		return nil, nil, err
-	}
-	cw := cfg.ConstructionWorkers
-	if cw <= 0 {
-		cw = cfg.Workers
-	}
-	return &run{
-		ctx:      ctx,
-		cfg:      cfg,
-		plan:     plan,
-		g:        g,
-		k:        len(ts),
-		tr:       telemetry.FromContext(ctx),
-		rng:      rand.New(rand.NewPCG(cfg.Seed, 0xa0761d6478bd642f)),
-		workers:  sampling.ClampWorkers(cfg.Workers, 0),
-		cworkers: sampling.ClampWorkers(cw, 0),
-	}, nil, nil
-}
-
 // run carries the mutable state of one S2BDD execution.
 type run struct {
 	ctx  context.Context
@@ -109,21 +39,18 @@ type run struct {
 
 	// tr is the request's telemetry trace (nil when untraced — every use
 	// guards on that, so tracing costs the untraced path one pointer
-	// check). sampleNanos accumulates sampleStratum wall-clock on the
-	// driver, so execute can split its total into construct vs. sample.
-	tr          *telemetry.Trace
-	sampleNanos time.Duration
+	// check).
+	tr *telemetry.Trace
 
 	// rng drives only driver-level decisions (the stochastic rounding of
 	// stratum allocations); all completion draws use per-chunk streams
 	// derived from (Seed, layer, stratum, chunk) so the sampling phase can
 	// run on any number of workers without changing the result.
-	rng      *rand.Rand
-	workers  int
-	cworkers int           // construction (layer-expansion) worker budget
-	compls   []*completer  // one per sampling worker slot, created lazily
-	edges    *edgeStream   // the completers' shared edge data (planStream)
-	expands  []*expandSlot // one per construction worker slot, created lazily
+	rng     *rand.Rand
+	workers int
+	compls  []*completer  // one per sampling worker slot, created lazily
+	edges   *edgeStream   // the completers' shared edge data (planStream)
+	expands []*expandSlot // one per construction worker slot, created lazily
 
 	pc xfloat.F // mass proven connected (1-sink)
 	pd xfloat.F // mass proven disconnected (0-sink)
@@ -147,13 +74,11 @@ type run struct {
 	// before ever being read again.
 	chunkBuf []expandResult
 
-	// deferred switches sampleStratum from drawing to recording: each
-	// stratum's schedule (allocation, weight, pick table, frontier copy)
-	// is appended to strata for a Sampler to draw later (see sampler.go).
-	// Construction never reads a draw result, so deferral cannot change
-	// what gets built.
-	deferred bool
-	strata   []*stratumState
+	// strata are the recorded stratum schedules (allocation, weight, pick
+	// table, frontier copy) in formation order, drawn later by the Sampler
+	// (see sampler.go). Construction never reads a draw result, so drawing
+	// after it cannot change what gets built.
+	strata []*stratumState
 
 	res Result
 }
@@ -165,7 +90,8 @@ func (r *run) recycle(states []snapshot) {
 	}
 }
 
-func (r *run) execute() (Result, error) {
+// execute runs construction, recording every stratum it forms.
+func (r *run) execute() error {
 	cfg := &r.cfg
 	m := r.plan.M()
 	r.res.SamplesRequested = cfg.Samples
@@ -211,7 +137,7 @@ func (r *run) execute() (Result, error) {
 		// partial state; retries recompute from scratch and, being
 		// deterministic per seed, return the identical result.
 		if err := r.ctx.Err(); err != nil {
-			return Result{}, err
+			return err
 		}
 		e := r.plan.EdgeAt(l)
 
@@ -222,7 +148,7 @@ func (r *run) execute() (Result, error) {
 		r.distributeFree()
 		chunks, err := r.expandLayer(l, nodes)
 		if err != nil {
-			return Result{}, err
+			return err
 		}
 		clear(index)
 		table := layerTable{
@@ -240,7 +166,7 @@ func (r *run) execute() (Result, error) {
 				resolve[i] = entryUnresolved
 			}
 			if err := r.replayChunk(ch, &table, resolve); err != nil {
-				return Result{}, err
+				return err
 			}
 		}
 		next, deleted, deletedMass := table.next, table.deleted, table.deletedMass
@@ -252,9 +178,9 @@ func (r *run) execute() (Result, error) {
 		r.remaining[e.U]--
 		r.remaining[e.V]--
 
-		// Sample this layer's deleted stratum (nodes live at layer l+1;
-		// sampleStratum recycles its snapshots), then recycle the parents'
-		// state storage, which nothing references past this point.
+		// Record this layer's deleted stratum (nodes live at layer l+1),
+		// then recycle the parents' state storage, which nothing references
+		// past this point.
 		if len(deleted) > 0 {
 			r.sampleStratum(l+1, curF, deleted, deletedMass)
 		}
@@ -277,10 +203,9 @@ func (r *run) execute() (Result, error) {
 		r.res.LayersProcessed = l + 1
 
 		// Flush rules: construction stops — handing the live nodes to a
-		// final sampling stratum — when either (a) the resolved mass has
-		// stopped growing (bounds stalled), or (b) construction effort has
-		// consumed its budget relative to the sampling cost it is meant to
-		// save.
+		// final stratum — when either (a) the resolved mass has stopped
+		// growing (bounds stalled), or (b) construction effort has consumed
+		// its budget relative to the sampling cost it is meant to save.
 		if !cfg.DisableStall && !cfg.ExactOnly && len(nodes) > 0 && cfg.Samples > 0 {
 			work += float64(len(nodes)) * float64(len(curF)+4)
 			prog := r.pc.Add(r.pd).Add(r.sampledMass).Float64()
@@ -304,19 +229,18 @@ func (r *run) execute() (Result, error) {
 		}
 	}
 	if err := r.ctx.Err(); err != nil {
-		return Result{}, err
+		return err
 	}
 	if len(nodes) != 0 && !flushed {
-		return Result{}, fmt.Errorf("core: %d unresolved states after final layer", len(nodes))
+		return fmt.Errorf("core: %d unresolved states after final layer", len(nodes))
 	}
 	r.res.Flushed = flushed
 	if r.tr != nil {
-		// One construct span per subproblem: the run's wall-clock minus the
-		// time its strata spent sampling (sampleStratum runs on the driver,
-		// interleaved with layer expansion, so subtraction is exact).
-		r.tr.Add(telemetry.PhaseConstruct, time.Since(t0)-r.sampleNanos)
+		// One construct span per subproblem. Recording strata is part of
+		// construction; their draws are timed by Sampler.Resume.
+		r.tr.Add(telemetry.PhaseConstruct, time.Since(t0))
 	}
-	return r.finalize()
+	return nil
 }
 
 // sPrime returns the current Theorem 1 sample budget.
@@ -391,28 +315,16 @@ func (r *run) heuristic(f []int32, n *node) float64 {
 	return n.p.Log() + math.Log(best)
 }
 
-// sampleStratum draws completions for one stratum (the deleted nodes of one
-// layer, or the flushed live nodes) and takes ownership of snaps: they go
-// back to the pool exactly once, when the stratum is finished or found to
-// need no draws. Allocation is s′·P_l with stochastic rounding and
-// inverse-allocation weighting, which keeps the combined estimator unbiased
-// even when a stratum's expected allocation is below one sample.
-//
-// A deferred run records the stratum for a Sampler to draw later; a
-// one-shot run draws it straight away through the same chunk schedule (see
-// drawStratum), so peak memory holds one stratum's snapshots at a time.
-// Each chunk's RNG stream is seeded from (Seed, layer, stratum, chunk) and
-// chunk results fold in chunk order, so the estimate does not depend on the
-// worker count (see parallel.go).
+// sampleStratum records one stratum (the deleted nodes of one layer, or the
+// flushed live nodes) for the Sampler to draw, and takes ownership of
+// snaps: they go back to the pool exactly once, when the stratum is
+// finished or found to need no draws. Allocation is s′·P_l with stochastic
+// rounding and inverse-allocation weighting, which keeps the combined
+// estimator unbiased even when a stratum's expected allocation is below one
+// sample. The draws themselves use streams seeded from (Seed, layer,
+// stratum, chunk) and fold in chunk order, so the estimate does not depend
+// on the worker count or on how Resume calls split it (see parallel.go).
 func (r *run) sampleStratum(layer int, front []int32, snaps []snapshot, mass xfloat.F) {
-	if r.tr != nil {
-		start := time.Now()
-		defer func() {
-			d := time.Since(start)
-			r.sampleNanos += d
-			r.tr.Add(telemetry.PhaseSample, d)
-		}()
-	}
 	r.res.Strata++
 	stratum := r.res.Strata // 1-based stratum ordinal, deterministic
 	r.sampledMass = r.sampledMass.Add(mass)
@@ -421,7 +333,8 @@ func (r *run) sampleStratum(layer int, front []int32, snaps []snapshot, mass xfl
 		r.recycle(snaps)
 		return
 	}
-	st.layer, st.ordinal, st.front, st.snaps = layer, stratum, front, snaps
+	// front is a reused buffer, so it is copied.
+	st.layer, st.ordinal, st.front, st.snaps = layer, stratum, append([]int32(nil), front...), snaps
 	// Node choice is proportional to node mass within the stratum. cum is
 	// built once, before any chunk runs, and read concurrently by all chunks.
 	st.cum = make([]float64, len(snaps))
@@ -432,26 +345,7 @@ func (r *run) sampleStratum(layer int, front []int32, snaps []snapshot, mass xfl
 	if r.cfg.Estimator == estimator.HorvitzThompson {
 		st.seen = make(map[uint64]bool, st.draws)
 	}
-
-	if r.deferred {
-		// Record the schedule instead of drawing. Everything above — the
-		// stochastic-rounding draw on r.rng included — is identical to the
-		// one-shot path, so construction proceeds bit-identically; the
-		// Sampler replays the draws later with the same (layer, stratum,
-		// chunk) streams. front is a reused buffer, so it is copied.
-		st.front = append([]int32(nil), front...)
-		r.strata = append(r.strata, st)
-		return
-	}
-	if r.tr != nil {
-		r.tr.Annotate(telemetry.AnnotSamplesDrawn, int64(st.draws))
-	}
-	if err := r.drawStratum(r.ctx, st, st.draws); err != nil {
-		r.recycle(snaps) // cancelled: execute reports r.ctx.Err()
-		return
-	}
-	r.res.SamplesUsed += st.draws
-	r.finishStratum(st)
+	r.strata = append(r.strata, st)
 }
 
 // scheduleStratum allocates a stratum of the given mass its draws and

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -51,12 +52,30 @@ func bfsOrder(g *ugraph.Graph, ts ugraph.Terminals) []int {
 	return order.Compute(g, order.BFS, ts[0])
 }
 
+// solve runs a whole S2BDD query: construction, then one Resume that draws
+// the entire schedule.
+func solve(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, cfg Config) (Result, error) {
+	smp, err := NewSampler(ctx, g, ts, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	if _, err := smp.Resume(ctx, smp.Remaining()); err != nil {
+		return Result{}, err
+	}
+	return smp.Result()
+}
+
+// compute is solve without cancellation.
+func compute(g *ugraph.Graph, ts ugraph.Terminals, cfg Config) (Result, error) {
+	return solve(context.Background(), g, ts, cfg)
+}
+
 func TestExactModeTriangle(t *testing.T) {
 	g, _ := ugraph.FromEdges(3, []ugraph.Edge{
 		{U: 0, V: 1, P: 0.5}, {U: 1, V: 2, P: 0.5}, {U: 0, V: 2, P: 0.5},
 	})
 	ts, _ := ugraph.NewTerminals(g, []int{0, 1})
-	res, err := Compute(g, ts, Config{MaxWidth: 1 << 20, ExactOnly: true})
+	res, err := compute(g, ts, Config{MaxWidth: 1 << 20, ExactOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +103,7 @@ func TestPropertyExactMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Compute(g, ts, Config{
+		res, err := compute(g, ts, Config{
 			MaxWidth: 1 << 20, ExactOnly: true, Order: bfsOrder(g, ts),
 		})
 		if err != nil {
@@ -119,7 +138,7 @@ func TestPropertyBoundsAlwaysValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Compute(g, ts, Config{
+		res, err := compute(g, ts, Config{
 			MaxWidth: 2, Samples: 50, Seed: r.Uint64(), Order: bfsOrder(g, ts),
 		})
 		if err != nil {
@@ -158,7 +177,7 @@ func TestUnbiasedUnderDeletion(t *testing.T) {
 	sum := 0.0
 	ord := bfsOrder(g, ts)
 	for i := 0; i < runs; i++ {
-		res, err := Compute(g, ts, Config{
+		res, err := compute(g, ts, Config{
 			MaxWidth: 2, Samples: 60, Seed: uint64(i), Order: ord,
 		})
 		if err != nil {
@@ -187,7 +206,7 @@ func TestHTEstimatorPath(t *testing.T) {
 	sum := 0.0
 	ord := bfsOrder(g, ts)
 	for i := 0; i < runs; i++ {
-		res, err := Compute(g, ts, Config{
+		res, err := compute(g, ts, Config{
 			MaxWidth: 2, Samples: 80, Seed: uint64(i),
 			Estimator: estimator.HorvitzThompson, Order: ord,
 		})
@@ -206,7 +225,7 @@ func TestExactOnlyErrorsOnOverflow(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 1))
 	g := randConnected(r, 20, 30)
 	ts, _ := ugraph.NewTerminals(g, []int{0, 10, 19})
-	_, err := Compute(g, ts, Config{MaxWidth: 2, ExactOnly: true, Order: bfsOrder(g, ts)})
+	_, err := compute(g, ts, Config{MaxWidth: 2, ExactOnly: true, Order: bfsOrder(g, ts)})
 	if !errors.Is(err, ErrNotExact) {
 		t.Fatalf("want ErrNotExact, got %v", err)
 	}
@@ -218,11 +237,11 @@ func TestDeterministicBySeed(t *testing.T) {
 	ts, _ := ugraph.NewTerminals(g, []int{0, 5, 9})
 	ord := bfsOrder(g, ts)
 	cfg := Config{MaxWidth: 4, Samples: 100, Seed: 42, Order: ord}
-	a, err := Compute(g, ts, cfg)
+	a, err := compute(g, ts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compute(g, ts, cfg)
+	b, err := compute(g, ts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +253,7 @@ func TestDeterministicBySeed(t *testing.T) {
 func TestSingleTerminal(t *testing.T) {
 	g, _ := ugraph.FromEdges(2, []ugraph.Edge{{U: 0, V: 1, P: 0.5}})
 	ts, _ := ugraph.NewTerminals(g, []int{1})
-	res, err := Compute(g, ts, Config{Samples: 10})
+	res, err := compute(g, ts, Config{Samples: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +267,7 @@ func TestDisconnectedTerminals(t *testing.T) {
 		{U: 0, V: 1, P: 0.9}, {U: 2, V: 3, P: 0.9},
 	})
 	ts, _ := ugraph.NewTerminals(g, []int{0, 2})
-	res, err := Compute(g, ts, Config{Samples: 10, MaxWidth: 1 << 20})
+	res, err := compute(g, ts, Config{Samples: 10, MaxWidth: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +285,7 @@ func TestSampleReductionReported(t *testing.T) {
 		}
 	}
 	ts, _ := ugraph.NewTerminals(g, []int{0, 2})
-	res, err := Compute(g, ts, Config{MaxWidth: 2, Samples: 10000, Seed: 3, Order: bfsOrder(g, ts)})
+	res, err := compute(g, ts, Config{MaxWidth: 2, Samples: 10000, Seed: 3, Order: bfsOrder(g, ts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +323,7 @@ func TestAblationsRemainCorrect(t *testing.T) {
 		const runs = 120
 		for i := 0; i < runs; i++ {
 			cfg.Seed = uint64(i)
-			res, err := Compute(g, ts, cfg)
+			res, err := compute(g, ts, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -324,7 +343,7 @@ func TestBoundsOnlyMode(t *testing.T) {
 	r := rand.New(rand.NewPCG(41, 43))
 	g := randConnected(r, 10, 10)
 	ts, _ := ugraph.NewTerminals(g, []int{0, 9})
-	res, err := Compute(g, ts, Config{MaxWidth: 4, Samples: 0, DisableStall: true, Order: bfsOrder(g, ts)})
+	res, err := compute(g, ts, Config{MaxWidth: 4, Samples: 0, DisableStall: true, Order: bfsOrder(g, ts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +358,7 @@ func TestBoundsOnlyMode(t *testing.T) {
 func TestNegativeSamplesRejected(t *testing.T) {
 	g, _ := ugraph.FromEdges(2, []ugraph.Edge{{U: 0, V: 1, P: 0.5}})
 	ts, _ := ugraph.NewTerminals(g, []int{0, 1})
-	if _, err := Compute(g, ts, Config{Samples: -1}); err == nil {
+	if _, err := compute(g, ts, Config{Samples: -1}); err == nil {
 		t.Fatal("negative samples accepted")
 	}
 }
@@ -362,7 +381,7 @@ func TestGrid5x5ExactAgainstFactoring(t *testing.T) {
 		}
 	}
 	ts, _ := ugraph.NewTerminals(g, []int{0, 24})
-	res, err := Compute(g, ts, Config{MaxWidth: 1 << 20, ExactOnly: true, Order: bfsOrder(g, ts)})
+	res, err := compute(g, ts, Config{MaxWidth: 1 << 20, ExactOnly: true, Order: bfsOrder(g, ts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +401,7 @@ func TestStallFlushActivates(t *testing.T) {
 	g := randConnected(r, 200, 400)
 	perm := r.Perm(200)
 	ts, _ := ugraph.NewTerminals(g, perm[:5])
-	res, err := Compute(g, ts, Config{
+	res, err := compute(g, ts, Config{
 		MaxWidth: 50, Samples: 200, Seed: 1,
 		StallWindow: 8, StallThreshold: 0.5, // aggressive: flush quickly
 		Order: bfsOrder(g, ts),
@@ -418,7 +437,7 @@ func BenchmarkS2BDDGrid6x6Exact(b *testing.B) {
 	ord := order.Compute(g, order.BFS, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compute(g, ts, Config{MaxWidth: 1 << 20, ExactOnly: true, Order: ord}); err != nil {
+		if _, err := compute(g, ts, Config{MaxWidth: 1 << 20, ExactOnly: true, Order: ord}); err != nil {
 			b.Fatal(err)
 		}
 	}

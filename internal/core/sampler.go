@@ -1,25 +1,32 @@
-// Resumable S2BDD sampling.
+// Resumable S2BDD sampling: the only way the S2BDD draws.
 //
-// A Sampler runs construction once, up front, with the full sample budget —
-// stratum allocation, stochastic rounding, and the flush rules all see
-// exactly the schedule a one-shot run would — but records each stratum's
-// draws instead of making them. Resume(k) then advances the recorded
-// schedule k draws at a time. Every whole chunk replays the same (Seed,
-// layer, stratum, chunk) stream a one-shot run derives, and a draw at layer
-// l consumes exactly 1 + (M − l) variates (the pick, then one per remaining
-// edge), so a partial chunk re-derives its stream and skips it to the draw
-// where the previous call stopped. Resume(k₁) followed by Resume(k₂)
-// therefore folds bit-identically to a single Resume(k₁+k₂) for any worker
-// count — and exhausting the schedule is bit-identical to ComputeContext.
+// NewSampler runs construction once, up front, with the full sample budget
+// — stratum allocation, stochastic rounding and the flush rules all see the
+// whole schedule — and records each stratum's draws instead of making them.
+// Resume(k) then advances the recorded schedule k draws at a time. Every
+// chunk draws from its own (Seed, layer, stratum, chunk) stream, and a draw
+// at layer l consumes exactly 1 + (M − l) variates (the pick, then one per
+// remaining edge), so a partial chunk re-derives its stream and skips it to
+// the draw where the previous call stopped. Resume(k₁) followed by
+// Resume(k₂) therefore folds bit-identically to a single Resume(k₁+k₂) for
+// any worker count, and a single Resume(Remaining()) is the whole solve.
+//
+// The trade is memory: every recorded stratum keeps its snapshots until
+// its draws are done, so a run holds all of its strata at once rather
+// than one at a time.
 package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"sort"
 	"time"
 
 	"netrel/internal/estimator"
+	"netrel/internal/frontier"
+	"netrel/internal/sampling"
 	"netrel/internal/telemetry"
 	"netrel/internal/ugraph"
 	"netrel/internal/xfloat"
@@ -27,17 +34,18 @@ import (
 
 // stratumState is one stratum's recorded schedule plus its partial fold.
 // Strata are drawn strictly in formation order, and within a stratum in
-// draw order, so the fold order matches the one-shot run's exactly.
+// draw order, so the fold order never depends on how Resume calls split
+// the schedule.
 type stratumState struct {
 	layer   int
-	ordinal int     // 1-based stratum index (the one-shot run's r.res.Strata)
-	front   []int32 // frontier (copied when deferred: execute reuses its buffers)
+	ordinal int     // 1-based stratum index (r.res.Strata when it formed)
+	front   []int32 // frontier (a copy: execute reuses its buffers)
 	snaps   []snapshot
 	mass    xfloat.F
 	weight  float64
 	cum     []float64
 	acc     float64
-	draws   int // scheduled draws (the one-shot allocation)
+	draws   int // scheduled draws (the stratum's allocation)
 	drawn   int // draws completed so far
 
 	conn int                  // Monte Carlo fold: connected count
@@ -62,19 +70,49 @@ type Sampler struct {
 }
 
 // NewSampler validates the query, runs S2BDD construction with the full
-// schedule of cfg deferred, and returns the sampler positioned at draw
+// schedule of cfg recorded, and returns the sampler positioned at draw
 // zero. An exact query (no strata) yields a sampler with Remaining() == 0
-// whose Result is the exact answer.
+// whose Result is the exact answer. Construction checks ctx at every layer
+// and at every expansion-chunk boundary within a layer, so a cancelled call
+// returns ctx.Err() promptly; ctx never influences the arithmetic, so a
+// retry builds exactly what an uninterrupted call would have.
 func NewSampler(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, cfg Config) (*Sampler, error) {
-	r, fixed, err := newRun(ctx, g, ts, cfg.withDefaults())
+	cfg = cfg.withDefaults()
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Samples < 0 {
+		return nil, fmt.Errorf("core: negative sample count %d", cfg.Samples)
+	}
+	if len(ts) <= 1 {
+		return &Sampler{fixed: &Result{
+			Estimate: 1, Lower: 1, Upper: 1,
+			LowerX: xfloat.One, EstimateX: xfloat.One, Exact: true,
+			SamplesRequested: cfg.Samples,
+		}}, nil
+	}
+	ord := cfg.Order
+	if ord == nil {
+		ord = make([]int, g.M())
+		for i := range ord {
+			ord[i] = i
+		}
+	}
+	plan, err := frontier.NewPlan(g, ts, ord)
 	if err != nil {
 		return nil, err
 	}
-	if fixed != nil {
-		return &Sampler{fixed: fixed}, nil
+	r := &run{
+		ctx:     ctx,
+		cfg:     cfg,
+		plan:    plan,
+		g:       g,
+		k:       len(ts),
+		tr:      telemetry.FromContext(ctx),
+		rng:     rand.New(rand.NewPCG(cfg.Seed, 0xa0761d6478bd642f)),
+		workers: sampling.ClampWorkers(cfg.Workers, 0),
 	}
-	r.deferred = true
-	if _, err := r.execute(); err != nil {
+	if err := r.execute(); err != nil {
 		return nil, err
 	}
 	s := &Sampler{r: r}
@@ -86,14 +124,6 @@ func NewSampler(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, cfg C
 
 // Scheduled returns the total draw budget the construction allocated.
 func (s *Sampler) Scheduled() int { return s.total }
-
-// Drawn returns the draws completed so far.
-func (s *Sampler) Drawn() int {
-	if s.fixed != nil {
-		return 0
-	}
-	return s.r.res.SamplesUsed
-}
 
 // Remaining returns the draws still outstanding. A poisoned sampler
 // reports zero so callers stop scheduling it.
@@ -237,10 +267,10 @@ func (r *run) finishStratum(st *stratumState) {
 }
 
 // Result assembles the answer for the draws made so far. With the schedule
-// exhausted it is bit-identical to the one-shot ComputeContext result; an
-// early-stopped sampler instead reports the anytime estimate (partial
-// strata contribute their partial hit rate, untouched strata their
-// midpoint) with the variance at the achieved draw count.
+// exhausted it is the full solve, bit-identical however Resume calls split
+// it; an early-stopped sampler instead reports the anytime estimate
+// (partial strata contribute their partial hit rate, untouched strata
+// their midpoint) with the variance at the achieved draw count.
 func (s *Sampler) Result() (Result, error) {
 	if s.err != nil {
 		return Result{}, s.err
@@ -343,10 +373,4 @@ func (s *Sampler) Anytime() (lo, hi, est float64, drawn int) {
 	s.hi = math.Min(s.hi, math.Max(chi, s.lo))
 	s.lo = math.Max(s.lo, math.Min(clo, s.hi))
 	return s.lo, s.hi, est, drawn
-}
-
-// Width returns the current anytime interval width.
-func (s *Sampler) Width() float64 {
-	lo, hi, _, _ := s.Anytime()
-	return hi - lo
 }

@@ -30,15 +30,15 @@ func sameResult(t *testing.T, label string, got, want Result) {
 
 // TestSamplerResumeBitIdentical sweeps resume split points — chunk-aligned,
 // mid-chunk, single-draw — across worker counts and both estimators,
-// asserting that every split sequence reproduces the one-shot Compute
-// result bit for bit.
+// asserting that every split sequence reproduces one whole Resume on one
+// worker bit for bit.
 func TestSamplerResumeBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	for _, kind := range []estimator.Kind{estimator.MonteCarlo, estimator.HorvitzThompson} {
 		g, ts, cfg := sampledWorkload(t)
 		cfg.Estimator = kind
 		cfg.Workers = 1
-		base, err := Compute(g, ts, cfg)
+		base, err := compute(g, ts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestSamplerResumeBitIdentical(t *testing.T) {
 					t.Fatalf("%v workers=%d split=%d: %v", kind, w, split, err)
 				}
 				if smp.Scheduled() != base.SamplesUsed {
-					t.Fatalf("%v workers=%d: scheduled %d != one-shot draws %d",
+					t.Fatalf("%v workers=%d: scheduled %d != whole-Resume draws %d",
 						kind, w, smp.Scheduled(), base.SamplesUsed)
 				}
 				for smp.Remaining() > 0 {
@@ -118,7 +118,7 @@ func TestSamplerAnytimeMonotone(t *testing.T) {
 func TestSamplerPartialResult(t *testing.T) {
 	ctx := context.Background()
 	g, ts, cfg := sampledWorkload(t)
-	base, err := Compute(g, ts, cfg)
+	base, err := compute(g, ts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,14 +96,14 @@ const (
 	AnnotSubproblems
 	AnnotSubproblemsDeduped
 	// AnnotSamplesDrawn counts completion draws actually made for the
-	// request — equal to the static schedule when the request exhausts it,
+	// request — equal to the full schedule when the request exhausts it,
 	// smaller when WithTargetWidth stops subproblems early.
 	AnnotSamplesDrawn
 	// AnnotEarlyStops counts subproblems whose sampling stopped on the
 	// target bound width with schedule budget still unspent.
 	AnnotEarlyStops
-	// AnnotRounds counts the adaptive sampling rounds the request ran
-	// (0 for the static single-shot path).
+	// AnnotRounds counts the sampling rounds the request ran; it is only
+	// recorded when some solved subproblem had draws scheduled.
 	AnnotRounds
 	// NumAnnotations bounds the Annotation enum; it is not an annotation.
 	NumAnnotations

@@ -61,8 +61,6 @@ type options struct {
 	est            Estimator
 	seed           uint64
 	workers        int
-	cworkers       int
-	pworkers       int
 	ordering       Ordering
 	noExtension    bool
 	noEarlyTerm    bool
@@ -72,18 +70,10 @@ type options struct {
 	stallWindow    int
 	stallThreshold float64
 	bddBudget      int
-	factorBudget   int
 	trace          bool
 	rounds         int
 	targetWidth    float64
 	progress       func(Progress)
-}
-
-// adaptive reports whether any anytime knob moves the solve onto the
-// round-based adaptive path. The default (one round, no target width, no
-// progress sink) keeps the static single-shot path, byte for byte.
-func (o *options) adaptive() bool {
-	return o.rounds > 1 || o.targetWidth > 0 || o.progress != nil
 }
 
 func defaultOptions() options {
@@ -139,8 +129,8 @@ func WithSeed(seed uint64) Option {
 	}
 }
 
-// WithWorkers sets the parallelism degree for every entry point — the
-// decomposed pipeline jobs, the S2BDD layer expansion and
+// WithWorkers sets the parallelism degree for every entry point — batch
+// planning, the decomposed pipeline jobs, the S2BDD layer expansion and
 // stratified-sampling phases of Reliability and Exact, the layer expansion
 // of BDDExact, and the Monte Carlo baseline (default GOMAXPROCS; values
 // ≤ 0 also select GOMAXPROCS).
@@ -157,45 +147,13 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithConstructionWorkers splits the WithWorkers budget for the S2BDD
-// construction phase alone: it bounds the goroutines expanding each BDD
-// layer, leaving sampling and job parallelism governed by WithWorkers.
-// Values ≤ 0 (the default) inherit WithWorkers. Like WithWorkers, the
-// value never changes results — construction is chunked by layer width and
-// per-chunk logs replay in a fixed order — so it exists for benchmarking
-// the construction speedup and for capping construction's extra threads on
-// loaded machines.
-func WithConstructionWorkers(n int) Option {
-	return func(o *options) error {
-		o.cworkers = n
-		return nil
-	}
-}
-
-// WithPlanWorkers splits the WithWorkers budget for batch planning alone:
-// it bounds how many distinct terminal-set plans BatchReliability runs
-// concurrently on the engine pool, leaving solve-phase parallelism governed
-// by WithWorkers (and construction by WithConstructionWorkers). Values ≤ 0
-// (the default) inherit WithWorkers. Like the other worker knobs it never
-// changes results — each distinct terminal set is planned exactly once,
-// plan contents depend only on the terminal set, and plans fold in
-// deterministic query order — so it exists for benchmarking the planning
-// speedup and for capping plan-phase threads on loaded machines. Ignored
-// outside BatchReliability (a single query has exactly one plan).
-func WithPlanWorkers(n int) Option {
-	return func(o *options) error {
-		o.pworkers = n
-		return nil
-	}
-}
-
 // WithTrace attaches a per-request phase trace to the computation:
 // Result.Phases reports wall-clock spans for each pipeline phase
 // (admission wait, conditioning, index build, planning, S2BDD
 // construction, stratified sampling, combining) plus cache-hit and batch
 // dedup annotations. Tracing is observation-only — it never touches a
 // random stream or a chunk schedule, so results are bit-identical with it
-// on or off, and like the worker knobs it is excluded from the result
+// on or off, and like WithWorkers it is excluded from the result
 // cache fingerprint. Overhead is a handful of clock reads per request.
 //
 // Callers that already carry a telemetry trace in ctx (netreld does, for
@@ -275,15 +233,14 @@ func WithBDDNodeBudget(nodes int) Option {
 }
 
 // WithSampleRounds splits the sampling budget into n adaptive rounds
-// (default 1). With one round the solver draws every subproblem's full
-// static schedule in one shot — the historical behavior, bit for bit. With
-// n > 1, each round spends a slice of the remaining budget where bound-gap
-// × query-fan-in is largest (see batch.Allocate), re-reading the anytime
-// intervals between rounds; round boundaries are also where WithTargetWidth
-// is checked and WithProgress fires. Because resumed schedules fold
-// bit-identically to one-shot schedules, the round count alone never
-// changes a result — only WithTargetWidth can, by stopping early. Ignored
-// by the exact solvers.
+// (default 1). With one round the solver constructs every subproblem, then
+// draws each one's full schedule in a single round. With n > 1, each round
+// spends a slice of the remaining budget where bound-gap × query-fan-in is
+// largest (see batch.Allocate), re-reading the anytime intervals between
+// rounds; round boundaries are also where WithTargetWidth is checked and
+// WithProgress fires. Because a schedule folds bit-identically however the
+// rounds split it, the round count alone never changes a result — only
+// WithTargetWidth can, by stopping early. Ignored by the exact solvers.
 func WithSampleRounds(n int) Option {
 	return func(o *options) error {
 		if n < 1 {
@@ -297,12 +254,11 @@ func WithSampleRounds(n int) Option {
 // WithTargetWidth stops a subproblem's sampling as soon as its anytime
 // confidence interval is no wider than eps (checked at round boundaries;
 // pair it with WithSampleRounds to control the check frequency). The
-// default eps = 0 never triggers, keeping results bit-identical to the
-// static schedule. Early-stopped results report the anytime estimate and
-// the samples actually drawn, and are not admitted to the session result
-// cache (only schedule-exhausted results are, since those are the ones
-// bit-identical to what any other query would compute). Ignored by the
-// exact solvers.
+// default eps = 0 never triggers, so every schedule is drawn in full.
+// Early-stopped results report the anytime estimate and the samples
+// actually drawn, and are not admitted to the session result cache (only
+// schedule-exhausted results are, since those are the ones bit-identical
+// to what any other query would compute). Ignored by the exact solvers.
 func WithTargetWidth(eps float64) Option {
 	return func(o *options) error {
 		if eps < 0 || math.IsNaN(eps) {
@@ -318,20 +274,11 @@ func WithTargetWidth(eps float64) Option {
 // tightening [Lower, Upper] bounds, and a final sweep with Done set. fn
 // must not block for long (it stalls the solve) and must not call back into
 // the session. Observation-only: like WithTrace it never changes results,
-// and it is excluded from the cache fingerprint.
+// and it is excluded from the cache fingerprint. Ignored by the exact
+// solvers.
 func WithProgress(fn func(Progress)) Option {
 	return func(o *options) error {
 		o.progress = fn
-		return nil
-	}
-}
-
-// WithFactoringBudget caps the recursion count of the Factoring exact solver,
-// after which it fails with a too-large error. Values ≤ 0 (the default)
-// select the package default budget. Only Factoring reads it.
-func WithFactoringBudget(calls int) Option {
-	return func(o *options) error {
-		o.factorBudget = calls
 		return nil
 	}
 }
@@ -347,16 +294,15 @@ func buildOptions(opts []Option) (options, error) {
 }
 
 // fingerprint condenses every option that can change a subproblem's solved
-// result into one cache-key component. The worker counts (WithWorkers,
-// WithConstructionWorkers and WithPlanWorkers) are deliberately excluded —
-// the parallel schedules are worker-count independent, so results are too —
-// as are WithTrace (observation-only: a traced query must hit the same
-// cache entries an untraced one fills) and the BDD baseline's node budget,
-// which the pipeline never reads. The anytime knobs (WithSampleRounds,
-// WithTargetWidth, WithProgress) are excluded too: only schedule-exhausted
-// solves are admitted to the cache, and those are bit-identical to the
-// static schedule regardless of how rounds split it — so an adaptive query
-// may both read and warm the same entries a static one does.
+// result into one cache-key component. WithWorkers is deliberately
+// excluded — the parallel schedules are worker-count independent, so
+// results are too — as are WithTrace (observation-only: a traced query must
+// hit the same cache entries an untraced one fills) and the BDD baseline's
+// node budget, which the pipeline never reads. The anytime knobs
+// (WithSampleRounds, WithTargetWidth, WithProgress) are excluded too: only
+// schedule-exhausted solves are admitted to the cache, and those are
+// bit-identical however rounds split the schedule — so a multi-round query
+// may both read and warm the same entries a one-round one does.
 // exactOnly distinguishes Exact from Reliability runs over the same option
 // set.
 func (o *options) fingerprint(exactOnly bool) uint64 {

@@ -48,8 +48,10 @@ type PhaseBreakdown struct {
 	Subproblems, SubproblemsDeduped int64
 	// SamplesDrawn counts completion draws actually made; EarlyStops the
 	// subproblems halted by WithTargetWidth before exhausting their
-	// schedule; Rounds the adaptive sampling rounds run (zero for
-	// one-shot solves).
+	// schedule; Rounds the sampling rounds run — 1 for a default sampled
+	// solve, up to WithSampleRounds otherwise, and 0 when no solved
+	// subproblem had draws scheduled (exact, cached or disconnected
+	// answers).
 	SamplesDrawn, EarlyStops, Rounds int64
 }
 

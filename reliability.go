@@ -211,48 +211,29 @@ func MonteCarlo(g *Graph, terminals []int, opts ...Option) (*Result, error) {
 // MonteCarloContext is MonteCarlo with cancellation (see
 // ReliabilityContext).
 func MonteCarloContext(ctx context.Context, g *Graph, terminals []int, opts ...Option) (*Result, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	ts, err := ugraph.NewTerminals(g.internal(), terminals)
-	if err != nil {
-		return nil, err
-	}
-	ctx, tr := ensureTrace(ctx, o)
-	eng := DefaultEngine()
-	release, err := eng.admit(ctx, samplingCost(o))
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	start := time.Now()
-	done := tr.Span(telemetry.PhaseSample)
-	res, err := sampling.RunContext(ctx, g.internal(), ts, sampling.Options{
-		Samples:   o.samples,
-		Estimator: o.estimatorKind(),
-		Seed:      o.seed,
-		Workers:   o.workers,
-		Exec:      eng.exec(),
-	})
-	done()
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{
-		Reliability:      res.Estimate,
-		Log10:            log10OrInf(res.Estimate),
-		Lower:            0,
-		Upper:            1,
-		Variance:         res.Variance,
-		SamplesRequested: res.Samples,
-		SamplesReduced:   res.Samples,
-		SamplesUsed:      res.Samples,
-		Subproblems:      1,
-		Duration:         time.Since(start),
-	}
-	attachPhases(out, tr, o)
-	return out, nil
+	return runBaseline(ctx, g, terminals, opts, samplingCost, telemetry.PhaseSample,
+		func(ctx context.Context, o options, ts ugraph.Terminals, exec sampling.Executor) (*Result, error) {
+			res, err := sampling.RunContext(ctx, g.internal(), ts, sampling.Options{
+				Samples:   o.samples,
+				Estimator: o.estimatorKind(),
+				Seed:      o.seed,
+				Workers:   o.workers,
+				Exec:      exec,
+			})
+			if err != nil {
+				return nil, err
+			}
+			return &Result{
+				Reliability:      res.Estimate,
+				Log10:            log10OrInf(res.Estimate),
+				Lower:            0,
+				Upper:            1,
+				Variance:         res.Variance,
+				SamplesRequested: res.Samples,
+				SamplesReduced:   res.Samples,
+				SamplesUsed:      res.Samples,
+			}, nil
+		})
 }
 
 // BDDExact computes R[G,T] exactly with the classic full-materialization
@@ -264,54 +245,27 @@ func BDDExact(g *Graph, terminals []int, opts ...Option) (*Result, error) {
 
 // BDDExactContext is BDDExact with cancellation (see ReliabilityContext).
 func BDDExactContext(ctx context.Context, g *Graph, terminals []int, opts ...Option) (*Result, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	ts, err := ugraph.NewTerminals(g.internal(), terminals)
-	if err != nil {
-		return nil, err
-	}
-	ctx, tr := ensureTrace(ctx, o)
-	eng := DefaultEngine()
-	release, err := eng.admit(ctx, bddCost(o))
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	start := time.Now()
-	done := tr.Span(telemetry.PhaseConstruct)
-	ord := order.Compute(g.internal(), o.ordering.strategy(), ts[0])
-	res, err := bdd.ComputeContext(ctx, g.internal(), ts, bdd.Options{
-		Order:      ord,
-		NodeBudget: o.bddBudget,
-		Workers:    o.workers,
-		Exec:       eng.exec(),
-	})
-	done()
-	if err != nil {
-		return nil, err
-	}
-	v := res.Reliability.Float64()
-	out := &Result{
-		Reliability: v,
-		Log10:       log10X(res.Reliability),
-		Lower:       v,
-		Upper:       v,
-		Exact:       true,
-		Subproblems: 1,
-		Duration:    time.Since(start),
-	}
-	attachPhases(out, tr, o)
-	return out, nil
+	return runBaseline(ctx, g, terminals, opts, bddCost, telemetry.PhaseConstruct,
+		func(ctx context.Context, o options, ts ugraph.Terminals, exec sampling.Executor) (*Result, error) {
+			res, err := bdd.ComputeContext(ctx, g.internal(), ts, bdd.Options{
+				Order:      order.Compute(g.internal(), o.ordering.strategy(), ts[0]),
+				NodeBudget: o.bddBudget,
+				Workers:    o.workers,
+				Exec:       exec,
+			})
+			if err != nil {
+				return nil, err
+			}
+			return exactResult(res.Reliability), nil
+		})
 }
 
 // Factoring computes R[G,T] exactly by the factoring theorem with
-// series-parallel reductions. Practical only for small, sparse graphs; used
-// mainly as an independent cross-check. WithFactoringBudget caps the
-// recursion; other options are accepted for interface uniformity with the
-// rest of the solvers (the differential harness sweeps them all through one
-// signature) but don't affect the deterministic computation.
+// series-parallel reductions, within a fixed budget of recursive calls.
+// Practical only for small, sparse graphs; used mainly as an independent
+// cross-check. Options are accepted for interface uniformity
+// with the rest of the solvers (the differential harness sweeps them all
+// through one signature) but don't affect the deterministic computation.
 func Factoring(g *Graph, terminals []int, opts ...Option) (*Result, error) {
 	return FactoringContext(context.Background(), g, terminals, opts...)
 }
@@ -321,6 +275,24 @@ func Factoring(g *Graph, terminals []int, opts ...Option) (*Result, error) {
 // when ctx is cancelled, and the call occupies an engine admission slot
 // billed at its recursion budget while it runs.
 func FactoringContext(ctx context.Context, g *Graph, terminals []int, opts ...Option) (*Result, error) {
+	return runBaseline(ctx, g, terminals, opts, factoringCost, telemetry.PhaseConstruct,
+		func(ctx context.Context, _ options, ts ugraph.Terminals, _ sampling.Executor) (*Result, error) {
+			r, err := exact.FactoringContext(ctx, g.internal(), ts, exact.DefaultFactoringBudget)
+			if err != nil {
+				return nil, err
+			}
+			return exactResult(r), nil
+		})
+}
+
+// runBaseline runs one of the paper's baseline solvers on one terminal set:
+// it builds the options, resolves the terminals, admits the call on
+// DefaultEngine at cost(o), and times solve as one span of phase. solve
+// returns the answer fields; runBaseline adds Subproblems, Duration and,
+// under WithTrace, Phases.
+func runBaseline(ctx context.Context, g *Graph, terminals []int, opts []Option,
+	cost func(options) int64, phase telemetry.Phase,
+	solve func(ctx context.Context, o options, ts ugraph.Terminals, exec sampling.Executor) (*Result, error)) (*Result, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
 		return nil, err
@@ -331,30 +303,28 @@ func FactoringContext(ctx context.Context, g *Graph, terminals []int, opts ...Op
 	}
 	ctx, tr := ensureTrace(ctx, o)
 	eng := DefaultEngine()
-	release, err := eng.admit(ctx, factoringCost(o))
+	release, err := eng.admit(ctx, cost(o))
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 	start := time.Now()
-	done := tr.Span(telemetry.PhaseConstruct)
-	r, err := exact.FactoringContext(ctx, g.internal(), ts, o.factorBudget)
+	done := tr.Span(phase)
+	out, err := solve(ctx, o, ts, eng.exec())
 	done()
 	if err != nil {
 		return nil, err
 	}
-	v := r.Float64()
-	out := &Result{
-		Reliability: v,
-		Log10:       log10X(r),
-		Lower:       v,
-		Upper:       v,
-		Exact:       true,
-		Subproblems: 1,
-		Duration:    time.Since(start),
-	}
+	out.Subproblems = 1
+	out.Duration = time.Since(start)
 	attachPhases(out, tr, o)
 	return out, nil
+}
+
+// exactResult is the Result of an exact baseline solve.
+func exactResult(r xfloat.F) *Result {
+	v := r.Float64()
+	return &Result{Reliability: v, Log10: log10X(r), Lower: v, Upper: v, Exact: true}
 }
 
 // jobSeed derives a subproblem's RNG seed from its canonical signature.
@@ -376,7 +346,7 @@ func jobSeed(seed uint64, sig preprocess.Signature) uint64 {
 // jobConfig derives the S2BDD configuration of one decomposed subproblem.
 // The seed derives from the job's signature and the S2BDD is worker-count
 // independent, so a job's result depends neither on how the pipeline
-// schedules it nor on whether it is solved one-shot or resumed in rounds.
+// schedules it nor on how rounds split its sampling.
 func jobConfig(exec sampling.Executor, j batch.Job, o options, exactOnly bool, workers int) core.Config {
 	return core.Config{
 		MaxWidth:                o.maxWidth,
@@ -386,7 +356,6 @@ func jobConfig(exec sampling.Executor, j batch.Job, o options, exactOnly bool, w
 		Order:                   order.Compute(j.G, o.ordering.strategy(), j.Ts[0]),
 		ExactOnly:               exactOnly,
 		Workers:                 workers,
-		ConstructionWorkers:     o.cworkers,
 		Exec:                    exec,
 		DisableEarlyTermination: o.noEarlyTerm,
 		DisableHeuristic:        o.noHeuristic,
@@ -409,22 +378,22 @@ func jobConfig(exec sampling.Executor, j batch.Job, o options, exactOnly bool, w
 // once the small 2ECCs finish the dominant subproblem — typically holding
 // most of the edges — keeps all cores instead of a split share.
 //
-// By default each job is solved one-shot. The anytime knobs
-// (WithSampleRounds > 1, WithTargetWidth, WithProgress) instead construct a
-// resumable core.Sampler per job and spend the combined budget in rounds:
-// each round allocates its slice of the remaining schedule where
-// bound-gap × fan-in is largest (fanin counts the plans referencing each
-// job), checks WithTargetWidth against the refreshed anytime intervals, and
-// hands report, if non-nil, the per-job interval snapshot (it runs on the
-// calling goroutine, so WithProgress sinks need no locking). A resumed
-// schedule folds bit-identically to a one-shot one, so the rounds alone
-// never change a result. Exact solves never sample, so they stay one-shot.
+// Every job is a resumable core.Sampler: a first pass constructs each
+// missed job and records its strata, then the combined budget is spent in
+// rounds (one by default, which draws every schedule whole). Each round
+// allocates its slice of the remaining schedule where bound-gap × fan-in is
+// largest (fanin counts the plans referencing each job), checks
+// WithTargetWidth against the refreshed anytime intervals, and hands
+// report, if non-nil, the per-job interval snapshot (it runs on the
+// calling goroutine, so WithProgress sinks need no locking). A schedule
+// folds bit-identically however rounds split it, so the rounds alone never
+// change a result. Exact solves record no strata, so they have nothing to
+// draw and leave the loop in its first round.
 //
 // Nothing is cached unless every job succeeded, so a cancelled request
 // leaves no partial state behind; a retry re-solves deterministically.
-// Only exhausted schedules are cached — bit-identical to the one-shot
-// solve, so the cache never observes how rounds split them; early-stopped
-// results stay request-local.
+// Only exhausted schedules are cached — the cache never observes how rounds
+// split them; early-stopped results stay request-local.
 func solveJobs(ctx context.Context, exec sampling.Executor, jobs []batch.Job, fanin []int, o options, exactOnly bool, cache *batch.Cache, report func(round int, final bool, bounds []jobBounds)) ([]core.Result, error) {
 	results := make([]core.Result, len(jobs))
 	bounds := make([]jobBounds, len(jobs))
@@ -442,7 +411,6 @@ func solveJobs(ctx context.Context, exec sampling.Executor, jobs []batch.Job, fa
 	tr.Annotate(telemetry.AnnotCacheHits, int64(len(jobs)-len(miss)))
 	tr.Annotate(telemetry.AnnotCacheMisses, int64(len(miss)))
 
-	adaptive := o.adaptive() && !exactOnly
 	samplers := make([]*core.Sampler, len(jobs))
 	total := sampling.ClampWorkers(o.workers, 0)
 	errs := make([]error, len(jobs))
@@ -459,12 +427,7 @@ func solveJobs(ctx context.Context, exec sampling.Executor, jobs []batch.Job, fa
 			}
 			i := miss[k]
 			j := jobs[i]
-			cfg := jobConfig(exec, j, o, exactOnly, total)
-			if adaptive {
-				samplers[i], errs[i] = core.NewSampler(ctx, j.G, j.Ts, cfg)
-			} else {
-				results[i], errs[i] = core.ComputeContext(ctx, j.G, j.Ts, cfg)
-			}
+			samplers[i], errs[i] = core.NewSampler(ctx, j.G, j.Ts, jobConfig(exec, j, o, exactOnly, total))
 			if errs[i] != nil {
 				failed.Store(true)
 			}
@@ -477,100 +440,104 @@ func solveJobs(ctx context.Context, exec sampling.Executor, jobs []batch.Job, fa
 			return nil, err
 		}
 	}
+	refresh := func() {
+		for _, i := range miss {
+			lo, hi, est, drawn := samplers[i].Anytime()
+			bounds[i] = jobBounds{lo: lo, hi: hi, est: est, drawn: drawn}
+		}
+	}
+	refresh()
+
+	sampled := false
+	for _, i := range miss {
+		sampled = sampled || samplers[i].Scheduled() > 0
+	}
 	round := 0
-	if adaptive {
-		refresh := func() {
-			for _, i := range miss {
-				lo, hi, est, drawn := samplers[i].Anytime()
-				bounds[i] = jobBounds{lo: lo, hi: hi, est: est, drawn: drawn}
+	rounds := max(o.rounds, 1)
+	eps := o.targetWidth
+	for round < rounds {
+		round++
+		// Active subproblems: schedule outstanding and interval still wider
+		// than the target.
+		active := make([]int, 0, len(miss))
+		remaining := 0
+		for _, i := range miss {
+			smp := samplers[i]
+			if smp.Remaining() == 0 || (eps > 0 && bounds[i].hi-bounds[i].lo <= eps) {
+				continue
+			}
+			active = append(active, i)
+			remaining += smp.Remaining()
+		}
+		if len(active) == 0 {
+			break
+		}
+		// The final round drains every active schedule; earlier rounds
+		// split an even slice of the remaining budget by bound-gap ×
+		// fan-in.
+		share := make([]int, len(active))
+		if round == rounds {
+			for k, i := range active {
+				share[k] = samplers[i].Remaining()
+			}
+		} else {
+			pool := (remaining + rounds - round) / (rounds - round + 1)
+			weights := make([]float64, len(active))
+			caps := make([]int, len(active))
+			for k, i := range active {
+				weights[k] = (bounds[i].hi - bounds[i].lo) * float64(max(fanin[i], 1))
+				caps[k] = samplers[i].Remaining()
+			}
+			share = batch.Allocate(pool, weights, caps)
+		}
+		if err := sampling.ForEachChunkCtx(ctx, exec, len(active), min(total, len(active)), func() func(int) {
+			return func(k int) {
+				if failed.Load() || share[k] == 0 {
+					return
+				}
+				i := active[k]
+				if _, err := samplers[i].Resume(ctx, share[k]); err != nil {
+					errs[i] = err
+					failed.Store(true)
+				}
+			}
+		}); err != nil {
+			return nil, err
+		}
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
 			}
 		}
 		refresh()
-
-		rounds := max(o.rounds, 1)
-		eps := o.targetWidth
-		for round < rounds {
-			round++
-			// Active subproblems: schedule outstanding and interval still
-			// wider than the target.
-			active := make([]int, 0, len(miss))
-			remaining := 0
-			for _, i := range miss {
-				smp := samplers[i]
-				if smp.Remaining() == 0 || (eps > 0 && bounds[i].hi-bounds[i].lo <= eps) {
-					continue
-				}
-				active = append(active, i)
-				remaining += smp.Remaining()
-			}
-			if len(active) == 0 {
-				break
-			}
-			// The final round drains every active schedule; earlier rounds
-			// split an even slice of the remaining budget by bound-gap ×
-			// fan-in.
-			share := make([]int, len(active))
-			if round == rounds {
-				for k, i := range active {
-					share[k] = samplers[i].Remaining()
-				}
-			} else {
-				pool := (remaining + rounds - round) / (rounds - round + 1)
-				weights := make([]float64, len(active))
-				caps := make([]int, len(active))
-				for k, i := range active {
-					weights[k] = (bounds[i].hi - bounds[i].lo) * float64(max(fanin[i], 1))
-					caps[k] = samplers[i].Remaining()
-				}
-				share = batch.Allocate(pool, weights, caps)
-			}
-			if err := sampling.ForEachChunkCtx(ctx, exec, len(active), min(total, len(active)), func() func(int) {
-				return func(k int) {
-					if failed.Load() || share[k] == 0 {
-						return
-					}
-					i := active[k]
-					if _, err := samplers[i].Resume(ctx, share[k]); err != nil {
-						errs[i] = err
-						failed.Store(true)
-					}
-				}
-			}); err != nil {
-				return nil, err
-			}
-			for _, err := range errs {
-				if err != nil {
-					return nil, err
-				}
-			}
-			refresh()
-			if report != nil {
-				report(round, false, bounds)
-			}
+		if report != nil {
+			report(round, false, bounds)
 		}
+	}
 
-		earlyStops := 0
-		for _, i := range miss {
-			smp := samplers[i]
-			if smp.Remaining() > 0 {
-				earlyStops++
-			}
-			var err error
-			if results[i], err = smp.Result(); err != nil {
-				return nil, err
-			}
-			bounds[i].est = results[i].Estimate
-			bounds[i].drawn = results[i].SamplesUsed
+	earlyStops := 0
+	for _, i := range miss {
+		smp := samplers[i]
+		if smp.Remaining() > 0 {
+			earlyStops++
 		}
-		tr.Annotate(telemetry.AnnotEarlyStops, int64(earlyStops))
+		var err error
+		if results[i], err = smp.Result(); err != nil {
+			return nil, err
+		}
+		bounds[i].est = results[i].Estimate
+		bounds[i].drawn = results[i].SamplesUsed
+	}
+	tr.Annotate(telemetry.AnnotEarlyStops, int64(earlyStops))
+	if sampled {
 		tr.Annotate(telemetry.AnnotRounds, int64(round))
 	}
 	for _, i := range miss {
-		if samplers[i] == nil || samplers[i].Remaining() == 0 {
+		if samplers[i].Remaining() == 0 {
 			cache.Put(batch.Key{Sig: jobs[i].Sig, Fingerprint: fp}, jobs[i].Cover, results[i])
 		}
 	}
-	if adaptive && report != nil {
+	if report != nil {
 		report(round, true, bounds)
 	}
 	return results, nil

@@ -129,6 +129,48 @@ func TestTracePhaseSpans(t *testing.T) {
 	}
 }
 
+// TestTraceRoundsContract pins when a trace reports sampling rounds: a
+// default sampled solve draws its whole schedule in exactly one round, and
+// a solve that samples nothing — Exact, or a Reliability query the S2BDD
+// resolves exactly — reports no rounds at all.
+func TestTraceRoundsContract(t *testing.T) {
+	g := denseRandomGraph(t, 40, 140, 11)
+	res, err := Reliability(g, []int{0, 13, 26, 39},
+		WithSamples(4000), WithSeed(9), WithMaxWidth(24), WithTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Exact || res.SamplesUsed == 0 {
+		t.Fatalf("workload not sampled: exact=%v used=%d", res.Exact, res.SamplesUsed)
+	}
+	if b := res.Phases; b.Rounds != 1 || b.SamplesDrawn != int64(res.SamplesUsed) {
+		t.Fatalf("sampled solve traced rounds=%d drawn=%d, want 1 round drawing all %d",
+			b.Rounds, b.SamplesDrawn, res.SamplesUsed)
+	}
+
+	ring := NewGraph(6)
+	for v := 0; v < 6; v++ {
+		if err := ring.AddEdge(v, (v+1)%6, 0.8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, solve := range map[string]func(*Graph, []int, ...Option) (*Result, error){
+		"exact": Exact, "reliability": Reliability,
+	} {
+		res, err := solve(ring, []int{0, 3}, WithSeed(9), WithTrace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Exact || res.Subproblems == 0 {
+			t.Fatalf("%s: ring query not solved exactly by the S2BDD: exact=%v subproblems=%d",
+				name, res.Exact, res.Subproblems)
+		}
+		if b := res.Phases; b.Rounds != 0 || b.SamplesDrawn != 0 {
+			t.Fatalf("%s: exact solve traced rounds=%d drawn=%d, want none", name, b.Rounds, b.SamplesDrawn)
+		}
+	}
+}
+
 // TestTraceBatchAnnotations pins the dedup and cache effectiveness counters
 // a traced batch carries.
 func TestTraceBatchAnnotations(t *testing.T) {
