@@ -14,13 +14,14 @@ import (
 // terminal-carrying components and still-unseen terminals coalesce.
 //
 // The coin of the edge at position l+i always reads variate i of the
-// draw's stream. A Monte Carlo draw is a search: it grows the
-// terminal-carrying components along the edges whose coins come up heads
-// and stops as soon as the terminals join or one of those components can
-// grow no further, so it flips only the coins the search reaches. Yet
-// every draw, MC or HT, advances the stream by exactly one variate per
-// remaining edge, so a stream's position after d draws at layer l is a
-// function of d and l alone (see pcg.jump).
+// draw's stream, computed on its own from the draw's start state through
+// the run's table of step maps. A Monte Carlo draw is a search: it grows
+// the terminal-carrying components along the edges whose coins come up
+// heads and stops as soon as the terminals join or one of those components
+// can grow no further, so it computes only the variates of the coins the
+// search reaches. Yet every draw, MC or HT, leaves the stream one variate
+// per remaining edge further on, so a stream's position after d draws at
+// layer l is a function of d and l alone (see pcg.jump).
 //
 // A completer holds no random state of its own: each draw takes the stream
 // as a parameter so one completer per worker can serve many deterministic
@@ -48,17 +49,14 @@ type completer struct {
 	// The MC search. queue holds the elements it has reached, in order;
 	// pend[r] counts the reached elements under root r not yet expanded.
 	// head[c] is the first frontier slot of component c and nextSlot[s]
-	// the slot after s in the same component, -1 ending either. vs holds
-	// the draw's variates, vs[i] for the edge at position layer+i.
+	// the slot after s in the same component, -1 ending either.
 	queue    []int32
 	pend     []int32
 	head     []int32
 	nextSlot []int32
-	vs       []uint64
 
 	fr    []int32 // owned copy of the current layer's frontier
 	layer int
-	skip  lcgMap // the stream advance of one draw's M − layer variates
 
 	flips int // coins evaluated over all draws, for BenchmarkCompletion
 
@@ -75,6 +73,10 @@ type edgeStream struct {
 	// Self-loops join nothing and are left out.
 	adjAt []int32
 	adj   []arc
+	// steps[j] is the j-step map of the stream, j = 0..M: the coin at
+	// position l+k of a draw at layer l whose stream starts at state s
+	// reads steps[k+1].apply(s).out().
+	steps []lcgMap
 }
 
 // arc is one end of an edge: its plan position and its other endpoint.
@@ -88,6 +90,7 @@ func planStream(plan *frontier.Plan) *edgeStream {
 		coins: ugraph.Coins(g, ord),
 		probs: make([]float64, len(ord)),
 		adjAt: make([]int32, n+1),
+		steps: stepMaps(len(ord)),
 	}
 	for pos, ei := range ord {
 		es.probs[pos] = g.Edge(ei).P
@@ -128,7 +131,6 @@ func newCompleter(plan *frontier.Plan, edges *edgeStream) *completer {
 		pend:     make([]int32, size),
 		head:     make([]int32, plan.MaxFrontier()),
 		nextSlot: make([]int32, plan.MaxFrontier()),
-		vs:       make([]uint64, plan.M()),
 		layer:    -1,
 	}
 }
@@ -142,7 +144,6 @@ func (c *completer) setLayer(l int, f []int32) {
 	}
 	c.fr = append(c.fr[:0], f...)
 	c.layer = l
-	c.skip = lcgSteps(uint64(c.plan.M() - l))
 }
 
 // begin resets the arena to st's partition and marks and queues its
@@ -195,12 +196,12 @@ func (c *completer) link(ru, rv int) int {
 // terminal-carrying root is left (connected) or once a root has no
 // element left to expand (that component is closed: disconnected).
 //
-// Variates are generated on demand up to the highest position a coin
-// needs; the stream is then set, in one jump, to where it would be after
-// all M − layer of them.
+// A flipped coin computes its own variate from the draw's start state, and
+// the stream is set, by one table lookup, to where it would be after all
+// M − layer of them.
 func (c *completer) drawMC(st *frontier.State, rng *pcg) bool {
-	at := *rng // the stream after vs[:filled]
-	*rng = c.skip.apply(at)
+	at, steps := *rng, c.edges.steps
+	*rng = steps[c.plan.M()-c.layer].apply(at)
 	c.begin(st)
 	if c.live <= 1 {
 		return true
@@ -218,7 +219,7 @@ func (c *completer) drawMC(st *frontier.State, rng *pcg) bool {
 	}
 	l, n := c.layer, c.n
 	coins, adjAt, adj := c.edges.coins, c.edges.adjAt, c.edges.adj
-	filled, flipped := 0, 0
+	flipped := 0
 	for h := 0; h < len(c.queue); h++ {
 		x := int(c.queue[h])
 		rx := c.uf.Find(x)
@@ -239,13 +240,8 @@ func (c *completer) drawMC(st *frontier.State, rng *pcg) bool {
 				if rw == rx {
 					continue
 				}
-				k := int(a.pos) - l
-				if k >= filled {
-					at.fill(c.vs[filled : k+1])
-					filled = k + 1
-				}
 				flipped++
-				if !coins[a.pos].Heads(c.vs[k]) {
+				if !coins[a.pos].Heads(steps[int(a.pos)-l+1].apply(at).out()) {
 					continue
 				}
 				p := c.pend[rx]
@@ -284,15 +280,16 @@ func (c *completer) drawHT(st *frontier.State, rng *pcg) (connected bool, pr xfl
 		fnvPrime  = 0x100000001b3
 	)
 	fp = uint64(fnvOffset)
+	at := *rng
 	coins := c.edges.coins[c.layer:]
 	probs := c.edges.probs[c.layer:][:len(coins)]
-	vs := c.vs[:len(coins)]
-	rng.fill(vs)
+	steps := c.edges.steps[:len(coins)+1]
+	*rng = steps[len(coins)].apply(at)
 	c.flips += len(coins)
 	for i := range coins {
 		e := &coins[i]
 		fp *= fnvPrime
-		if e.Heads(vs[i]) {
+		if e.Heads(steps[i+1].apply(at).out()) {
 			fp ^= 1
 			pr = pr.MulFloat64(probs[i])
 			if c.live <= 1 {

@@ -308,10 +308,10 @@ func TestSkipPCGMatchesSteps(t *testing.T) {
 }
 
 // TestPCGStreamMatchesRand checks the value-type stream against rand.PCG
-// output for output and state for state: next, fill at lengths that cover
-// an empty fill, a lone variate, one lane pair, an odd tail and a whole
-// Hit-d-sized draw, and jump over the lengths TestSkipPCGMatchesSteps
-// uses.
+// output for output and state for state: next; the step table planStream
+// builds for plans of 1, 2, 3, 7 and a Hit-d-sized 12,416 edges, and
+// stepMaps(0) (a plan has at least one edge), at every j from 0 to M; and
+// jump over the lengths TestSkipPCGMatchesSteps uses.
 func TestPCGStreamMatchesRand(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 8))
 	for trial := 0; trial < 10; trial++ {
@@ -322,16 +322,42 @@ func TestPCGStreamMatchesRand(t *testing.T) {
 				t.Fatalf("next %d: %x, rand.PCG %x (or states differ)", i, g, w)
 			}
 		}
-		for _, n := range []int{0, 1, 2, 3, 7, 12416} {
-			buf := make([]uint64, n)
-			got.fill(buf)
-			for i, g := range buf {
-				if w := ref.Uint64(); g != w {
-					t.Fatalf("fill(%d)[%d]: %x, rand.PCG %x", n, i, g, w)
+	}
+	for _, m := range []int{0, 1, 2, 3, 7, 12416} {
+		steps := stepMaps(0)
+		if m > 0 {
+			// m parallel edges between the two terminals, in natural order.
+			g := ugraph.New(2)
+			ord := make([]int, m)
+			for i := range ord {
+				if _, err := g.AddEdge(0, 1, 0.5); err != nil {
+					t.Fatal(err)
 				}
+				ord[i] = i
 			}
-			if pcgState(t, got) != pcgState(t, ref) {
-				t.Fatalf("fill(%d) leaves the stream elsewhere than %d steps", n, n)
+			ts, _ := ugraph.NewTerminals(g, []int{0, 1})
+			plan, err := frontier.NewPlan(g, ts, ord)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps = planStream(plan).steps
+		}
+		if len(steps) != m+1 {
+			t.Fatalf("M = %d: %d step maps, want %d", m, len(steps), m+1)
+		}
+		for trial := 0; trial < 3; trial++ {
+			s := pcg{r.Uint64(), r.Uint64()}
+			ref := rand.NewPCG(s.hi, s.lo)
+			for j, step := range steps {
+				got := step.apply(s)
+				if j > 0 {
+					if g, w := got.out(), ref.Uint64(); g != w {
+						t.Fatalf("M = %d: steps[%d] yields %x, rand.PCG %x", m, j, g, w)
+					}
+				}
+				if pcgState(t, &got) != pcgState(t, ref) {
+					t.Fatalf("M = %d: steps[%d] maps the stream elsewhere than %d steps", m, j, j)
+				}
 			}
 		}
 	}
@@ -576,7 +602,10 @@ func FuzzCompleterMatchesReference(f *testing.F) {
 	})
 }
 
-var benchHits int
+var (
+	benchHits   int
+	benchStream *edgeStream
+)
 
 // BenchmarkCompletion times the completion-draw kernel on a synthetic dense
 // graph shaped like the scaled Hit-d protein network (900 vertices, about
@@ -584,7 +613,8 @@ var benchHits int
 // draws dominate: each draw completes a random node state at an early
 // layer, so nearly every edge remains to be drawn. coins/draw counts the
 // coins a draw evaluates: all remaining ones for HT, the ones its search
-// reaches for MC.
+// reaches for MC. table times the per-run set-up the draws read,
+// planStream, step-map table included.
 func BenchmarkCompletion(b *testing.B) {
 	r := rand.New(rand.NewPCG(1, 2))
 	g := randConnected(r, 900, 11200)
@@ -632,4 +662,10 @@ func BenchmarkCompletion(b *testing.B) {
 			benchHits = hits
 		})
 	}
+	b.Run("table", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchStream = planStream(plan)
+		}
+	})
 }

@@ -9,12 +9,13 @@
 // arithmetic, making results bit-identical for every worker count.
 //
 // A draw reads the coin of remaining edge i from variate i of its chunk's
-// stream. A Monte Carlo draw is a search that flips only the coins it
-// reaches, yet every draw at layer l still consumes exactly 1 + (M − l)
-// variates: the pick, then one per remaining edge, the unread ones skipped
-// by a jump of the 128-bit LCG state. A part-drawn chunk is therefore
-// resumed by re-deriving its stream and jumping it over the draws already
-// made.
+// stream, computed directly from the stream state after the draw's pick
+// through the run's table of LCG step maps. A Monte Carlo draw is a search that computes only
+// the variates of the coins it reaches, yet every draw at layer l still
+// consumes exactly 1 + (M − l) variates: the pick, then one per remaining
+// edge, the draw ending with its stream set to the state after the last.
+// A part-drawn chunk is therefore resumed by re-deriving its stream and
+// jumping it over the draws already made.
 package core
 
 import (
@@ -40,9 +41,9 @@ func numChunks(draws int) int {
 }
 
 // completerSlot returns the worker-slot completer, creating it (and, for
-// the first, the run's shared edge stream) on first use. Only the driver
-// goroutine grows the slice (worker closures are built before the pool
-// starts), so no locking is needed.
+// the first, the run's shared edge stream and step table) on first use.
+// Only the driver goroutine grows the slice (worker closures are built
+// before the pool starts), so no locking is needed.
 func (r *run) completerSlot(slot int) *completer {
 	if r.edges == nil {
 		r.edges = planStream(r.plan)

@@ -6,10 +6,11 @@
 // Resume(k) then advances the recorded schedule k draws at a time. Every
 // chunk draws from its own (Seed, layer, stratum, chunk) stream, and a draw
 // at layer l consumes exactly 1 + (M − l) variates (the pick, then one per
-// remaining edge), so a partial chunk re-derives its stream and skips it to
-// the draw where the previous call stopped. Resume(k₁) followed by
-// Resume(k₂) therefore folds bit-identically to a single Resume(k₁+k₂) for
-// any worker count, and a single Resume(Remaining()) is the whole solve.
+// remaining edge, whether its coin was flipped or not), so a partial chunk
+// re-derives its stream and jumps it to the draw where the previous call
+// stopped. Resume(k₁) followed by Resume(k₂) therefore folds bit-identically
+// to a single Resume(k₁+k₂) for any worker count, and a single
+// Resume(Remaining()) is the whole solve.
 //
 // The trade is memory: every recorded stratum keeps its snapshots until
 // its draws are done, so a run holds all of its strata at once rather

@@ -1,7 +1,11 @@
 // Package estimator implements the paper's estimator mathematics: the
-// Monte Carlo and Horvitz–Thompson estimators, their variances (Equations
-// 2, 3, 8, 9), and the Theorem 1 sample-count reduction s → s′ driven by
-// the reliability bounds pc ≤ R ≤ 1−pd.
+// Monte Carlo and Horvitz–Thompson estimators, the Monte Carlo variances
+// of Equations 2 and 3, and the Theorem 1 sample-count reduction s → s′
+// driven by the reliability bounds pc ≤ R ≤ 1−pd.
+//
+// The Horvitz–Thompson variances of Equations 8 and 9 are not implemented:
+// a Horvitz–Thompson answer reports the Monte Carlo variance, Equation 3
+// for an S2BDD solve and Equation 2 for the plain sampling baseline.
 package estimator
 
 import (
