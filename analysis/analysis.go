@@ -12,15 +12,15 @@
 package analysis
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"runtime"
 	"sort"
-	"sync"
 
 	"netrel"
+	"netrel/internal/sampling"
 )
 
 // ErrBadThreshold reports a threshold outside (0,1).
@@ -54,9 +54,6 @@ func (o Options) withDefaults() Options {
 	if o.RefineBand <= 0 {
 		o.RefineBand = 3
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	return o
 }
 
@@ -73,37 +70,35 @@ type VertexReliability struct {
 // reachFrequencies samples possible worlds and counts, for every vertex,
 // how often it is connected to source (single-source). Worlds are shared
 // across all vertices — the standard trick that makes whole-graph
-// reliability search tractable.
+// reliability search tractable. Like every sampler in the module, the
+// budget is cut into fixed chunks of sampling.ChunkSize worlds, each drawn
+// from its own sampling.SeedStream(Seed, chunk), so the counts are the
+// same for any Workers value.
 func reachFrequencies(g *netrel.Graph, source int, opt Options) []int {
 	n := g.N()
 	edges := g.Edges()
-	counts := make([]int, n)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	per := opt.Samples / opt.Workers
-	extra := opt.Samples % opt.Workers
-	for w := 0; w < opt.Workers; w++ {
-		runs := per
-		if w < extra {
-			runs++
-		}
-		if runs == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w, runs int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(opt.Seed^uint64(w)*0x9e3779b97f4a7c15, 0x2545f4914f6cdd1d))
-			local := make([]int, n)
-			parent := make([]int32, n)
-			stack := make([]int32, 0, 64)
-			adj := buildAdjacency(g)
-			exists := make([]bool, len(edges))
+	adj := make([][]int32, n)
+	for i, e := range edges {
+		adj[e.U] = append(adj[e.U], int32(i))
+		adj[e.V] = append(adj[e.V], int32(i))
+	}
+	chunks := (opt.Samples + sampling.ChunkSize - 1) / sampling.ChunkSize
+	var slots [][]int
+	// A Background context is never cancelled, so there is no error.
+	_ = sampling.ForEachChunkCtx(context.Background(), nil, chunks, opt.Workers, func() func(int) {
+		local := make([]int, n)
+		slots = append(slots, local)
+		parent := make([]int32, n)
+		stack := make([]int32, 0, 64)
+		exists := make([]bool, len(edges))
+		return func(c int) {
+			rng := rand.New(rand.NewPCG(sampling.SeedStream(opt.Seed, uint64(c)), 0x2545f4914f6cdd1d))
+			runs := min(sampling.ChunkSize, opt.Samples-c*sampling.ChunkSize)
 			for r := 0; r < runs; r++ {
 				for i, e := range edges {
 					exists[i] = rng.Float64() < e.P
 				}
-				// BFS from source over existent edges.
+				// DFS from source over existent edges.
 				for i := range parent {
 					parent[i] = -1
 				}
@@ -130,24 +125,15 @@ func reachFrequencies(g *netrel.Graph, source int, opt Options) []int {
 					}
 				}
 			}
-			mu.Lock()
-			for i, c := range local {
-				counts[i] += c
-			}
-			mu.Unlock()
-		}(w, runs)
+		}
+	})
+	counts := make([]int, n)
+	for _, local := range slots {
+		for v, c := range local {
+			counts[v] += c
+		}
 	}
-	wg.Wait()
 	return counts
-}
-
-func buildAdjacency(g *netrel.Graph) [][]int32 {
-	adj := make([][]int32, g.N())
-	for i, e := range g.Edges() {
-		adj[e.U] = append(adj[e.U], int32(i))
-		adj[e.V] = append(adj[e.V], int32(i))
-	}
-	return adj
 }
 
 // Search returns every vertex whose reliability of being connected to the

@@ -2,9 +2,11 @@ package analysis
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"netrel"
+	"netrel/datasets"
 )
 
 // chain builds 0-1-2-...-n-1 with probability p per edge.
@@ -230,6 +232,42 @@ func TestSearchDeterministicPerSeed(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("nondeterministic results")
+		}
+	}
+}
+
+// TestWorkerCountInvariance holds the analyses to the module's
+// determinism contract: a fixed seed gives the same answer for any
+// Workers value.
+func TestWorkerCountInvariance(t *testing.T) {
+	g := datasets.Karate(1)
+	run := func(workers int) (search, top []VertexReliability, cl *Clustering) {
+		opt := Options{Samples: 3000, Seed: 1, Workers: workers}
+		search, err := Search(g, 0, 0.5, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top, err = TopK(g, 0, 5, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err = Cluster(g, 3, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return search, top, cl
+	}
+	search1, top1, cl1 := run(1)
+	for _, w := range []int{2, 5} {
+		search, top, cl := run(w)
+		if !reflect.DeepEqual(search, search1) {
+			t.Errorf("Search with %d workers = %v, with 1 = %v", w, search, search1)
+		}
+		if !reflect.DeepEqual(top, top1) {
+			t.Errorf("TopK with %d workers = %v, with 1 = %v", w, top, top1)
+		}
+		if !reflect.DeepEqual(cl, cl1) {
+			t.Errorf("Cluster with %d workers = %+v, with 1 = %+v", w, cl, cl1)
 		}
 	}
 }

@@ -54,9 +54,10 @@ type mutateRequest deltaJSON
 
 // handleMutateGraph applies a persistent delta to a registered graph in
 // place: same name, same session, same registration generation — only the
-// graph version advances. The 2ECC index is maintained incrementally and
-// the result cache keeps every entry whose component the delta did not
-// touch, so post-mutation queries re-solve only the covered subproblems.
+// graph version advances. The 2ECC index is kept (probability-only
+// deltas) or rebuilt (topology deltas), and the result cache keeps every
+// entry whose component the delta did not touch, so post-mutation queries
+// re-solve only the covered subproblems.
 func (s *server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 	var req mutateRequest
 	if !s.decodeBody(w, r, &req) {

@@ -37,9 +37,9 @@
 //
 // Dynamic graphs: PATCH /v1/graphs/{name}/edges applies a delta
 // (probability updates, removals, additions) to a registered graph in
-// place — the graph version advances, the 2ECC index is maintained
-// incrementally, and the result cache keeps every entry whose component
-// the delta did not touch. POST /v1/whatif answers one query as if a
+// place — the graph version advances, the 2ECC index is kept or rebuilt,
+// and the result cache keeps every entry whose component the delta did
+// not touch. POST /v1/whatif answers one query as if a
 // delta had been applied, without applying it: bit-identical to mutating
 // for real and querying cold, but subproblems outside the delta's
 // components are answered from the graph's shared result cache (the

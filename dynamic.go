@@ -2,10 +2,9 @@
 // queries.
 //
 // Mutate applies a GraphDelta to the session's graph as a new immutable
-// snapshot: the 2ECC index is maintained incrementally (probability-only
-// deltas keep it verbatim; topology deltas rebuild only the touched
-// components) and the result cache is invalidated by cover — an entry
-// survives exactly when the component it was cut from is untouched.
+// snapshot: probability-only deltas keep the 2ECC index verbatim, topology
+// deltas rebuild it, and the result cache is invalidated by cover — an
+// entry survives exactly when the component it was cut from is untouched.
 // Cover invalidation is memory hygiene, not correctness: cache keys are
 // content signatures, so a stale entry can never be wrongly hit; what
 // invalidation buys is that untouched subproblems keep their entries and
@@ -13,8 +12,8 @@
 //
 // WhatIf answers "what would this query return if the graph had this
 // delta" without changing the session: it builds an ephemeral graph state
-// (sharing the base index for probability-only deltas, incrementally
-// maintaining a private one for topology deltas) and runs the ordinary
+// (sharing the base index for probability-only deltas, building a private
+// one for topology deltas) and runs the ordinary
 // pipeline on it against the shared cache. Because unchanged subproblems
 // keep their signatures — and signatures derive the RNG seeds — a what-if
 // result is bit-identical to evicting, re-registering the mutated graph,
@@ -37,7 +36,8 @@ type MutationStats struct {
 	// TopologyChanged mirrors the delta's TopologyChanged.
 	TopologyChanged bool
 	// IndexUpdated reports that the 2ECC index was materialized at
-	// mutation time and was maintained incrementally (when false the
+	// mutation time and was carried across the delta: kept for a
+	// probability-only delta, rebuilt for a topology delta (when false the
 	// index was unbuilt, and the next query builds it from scratch).
 	IndexUpdated bool
 	// InvalidatedEntries and KeptEntries count result-cache entries
@@ -51,7 +51,7 @@ func (s *Session) Mutate(delta GraphDelta) (*MutationStats, error) {
 }
 
 // MutateContext validates delta and installs the mutated graph as the
-// session's new snapshot, maintaining the 2ECC index incrementally and
+// session's new snapshot, carrying the 2ECC index across the delta and
 // invalidating only the cache entries whose 2ECC the delta touched.
 // Concurrent queries are never disturbed: in-flight queries finish on the
 // snapshot they loaded, queries starting after the swap see the new
@@ -64,7 +64,7 @@ func (s *Session) MutateContext(ctx context.Context, delta GraphDelta) (*Mutatio
 	defer s.mutMu.Unlock()
 	st := s.state.Load()
 	d := delta.internal()
-	ng, oldToNew, err := ugraph.ApplyDelta(st.g.internal(), d)
+	ng, _, err := ugraph.ApplyDelta(st.g.internal(), d)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +72,7 @@ func (s *Session) MutateContext(ctx context.Context, delta GraphDelta) (*Mutatio
 	var upd *preprocess.IndexUpdate
 	if idx := st.idx.Load(); idx != nil {
 		done := tr.Span(telemetry.PhaseReindex)
-		upd = idx.Update(st.g.internal(), ng, d, oldToNew)
+		upd = idx.Update(st.g.internal(), ng, d)
 		done()
 	}
 	oldGen := st.covGen
@@ -146,8 +146,8 @@ func (s *Session) WhatIf(delta GraphDelta, spec QuerySpec, opts ...Option) (*Res
 // for any worker count — but the session is untouched and subproblems the
 // delta does not cover are answered from the shared result cache. A
 // probability-only delta shares the session's 2ECC index outright; a
-// topology delta maintains a private incremental copy (PhaseReindex in
-// traces). Costs admission like a single query.
+// topology delta builds a private one (PhaseReindex in traces). Costs
+// admission like a single query.
 func (s *Session) WhatIfContext(ctx context.Context, delta GraphDelta, spec QuerySpec, opts ...Option) (*Result, error) {
 	st, err := s.whatIfState(ctx, delta)
 	if err != nil {
@@ -179,13 +179,12 @@ func (s *Session) WhatIfBatchContext(ctx context.Context, delta GraphDelta, quer
 // the state shares the base index (when built — else it is built lazily
 // on the identical topology) and stays durable: its solved subproblems
 // are tagged with the same covers the base graph's are, and survive in
-// the shared cache. Topology deltas get a privately maintained index and
-// an untagged (non-durable) state — their results are cached for repeat
-// what-ifs but reclaimed at the next mutation.
+// the shared cache. Topology deltas get a private index of the mutated
+// graph and an untagged (non-durable) state — their results are cached
+// for repeat what-ifs but reclaimed at the next mutation.
 func (s *Session) whatIfState(ctx context.Context, delta GraphDelta) (*graphState, error) {
 	base := s.state.Load()
-	d := delta.internal()
-	ng, oldToNew, err := ugraph.ApplyDelta(base.g.internal(), d)
+	ng, _, err := ugraph.ApplyDelta(base.g.internal(), delta.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -198,16 +197,8 @@ func (s *Session) whatIfState(ctx context.Context, delta GraphDelta) (*graphStat
 		}
 		return ws, nil
 	}
-	tr := telemetry.FromContext(ctx)
-	doneIdx := tr.Span(telemetry.PhaseIndex)
-	baseIdx, err := s.stateIndexContext(ctx, base)
-	doneIdx()
-	if err != nil {
-		return nil, err
-	}
-	done := tr.Span(telemetry.PhaseReindex)
-	upd := baseIdx.Update(base.g.internal(), ng, d, oldToNew)
+	done := telemetry.FromContext(ctx).Span(telemetry.PhaseReindex)
+	ws.idx.Store(preprocess.BuildIndex(ng))
 	done()
-	ws.idx.Store(upd.Index)
 	return ws, nil
 }

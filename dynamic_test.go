@@ -235,6 +235,21 @@ func TestMutateKeepsUntouchedCovers(t *testing.T) {
 	if sess.CacheInvalidations() != 2 {
 		t.Fatalf("session counted %d invalidations, want 2", sess.CacheInvalidations())
 	}
+
+	// A mixed delta: a probability change inside triangle A plus a removal
+	// inside triangle B changes both components' content, so neither entry
+	// may survive.
+	sess = NewSession(coverGraph(t))
+	if _, err := sess.Reliability([]int{0, 5}, opts...); err != nil {
+		t.Fatal(err)
+	}
+	stats, err = sess.Mutate(GraphDelta{SetProb: []EdgeProbUpdate{{Edge: 0, P: 0.5}}, Remove: []int{3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.InvalidatedEntries != 2 || stats.KeptEntries != 0 {
+		t.Fatalf("mixed delta invalidated %d kept %d, want 2 and 0", stats.InvalidatedEntries, stats.KeptEntries)
+	}
 }
 
 // TestWhatIfUsesCache asserts the serving win: a what-if on a warm session

@@ -1,263 +1,81 @@
-// Incremental maintenance of the 2ECC index under small edge deltas.
+// The 2ECC index across a graph delta.
 //
-// The dynamic rules are the classic ones. Removing a bridge changes no
-// component (the bridge was in none) and can never re-bridge or un-bridge
-// another edge. Removing a non-bridge edge can only split its own
-// component or promote edges inside it to bridges, so the affected
-// components are rebuilt in isolation with BuildIndex on their induced
-// subgraph. Adding an edge inside one component changes nothing
-// structurally; adding an edge between two components connected in the
-// bridge forest un-bridges exactly the forest path and merges the
-// components along it; adding an edge between disconnected components is
-// itself a new bridge.
-//
-// Bit-identity is the contract: Update must return an index with exactly
-// the labels BuildIndex(newG) would assign, because subproblems are
-// emitted in ascending component id and results fold in job order — a
-// different labeling would change float rounding. BuildIndex labels
-// components by first-vertex scan order, so Update finishes with the same
-// canonical renumbering pass over its (temporarily sparse) labels.
+// The index is a pure function of topology, so a probability-only delta
+// keeps it verbatim and any other delta rebuilds it with BuildIndex: a
+// rebuild is Θ(n + m), which is what any maintenance that still has to
+// relabel components canonically costs anyway, and it is bit-identical to
+// a cold build by construction. What Update adds is the cover map that
+// lets cached subproblem results outlive the delta.
 package preprocess
 
 import (
 	"netrel/internal/ugraph"
 )
 
-// IndexUpdate is the outcome of one incremental index maintenance step.
+// IndexUpdate is the index after one delta and the map of old components
+// onto it.
 type IndexUpdate struct {
-	// Index is the maintained index: the receiver itself for
-	// probability-only deltas (the 2ECC structure depends only on
-	// topology), a fresh index otherwise.
+	// Index is the receiver itself for probability-only deltas (the 2ECC
+	// structure depends only on topology), BuildIndex of the new graph
+	// otherwise.
 	Index *Index
-	// TopologyChanged mirrors the delta's TopologyChanged.
-	TopologyChanged bool
-	// Touched marks old component ids whose edge content changed — any
-	// cached subproblem result covering a touched component is stale
-	// garbage (its signature can no longer be produced by a query).
-	Touched []bool
-	// CompMap maps each old component id to its id in Index, -1 exactly
-	// for touched components. Untouched components keep their vertex sets,
-	// so surviving cache covers are retargeted through this map.
+	// CompMap maps each old component id to its id in Index, or -1 when
+	// the component's edge content changed: an edit landed inside it, or
+	// its vertex set is no longer a component. A cached subproblem result
+	// covering a -1 component is stale garbage (its signature can no
+	// longer be produced by a query); the others are retargeted through
+	// this map.
 	CompMap []int32
 }
 
-// Update maintains the index across a validated delta: oldG is the graph
-// the receiver indexes, newG and oldToNew are ApplyDelta's output for d.
-// The receiver is never modified. The returned index is bit-identical to
-// BuildIndex(newG) — same bridges, same component labels.
-func (idx *Index) Update(oldG, newG *ugraph.Graph, d ugraph.Delta, oldToNew []int) *IndexUpdate {
-	nOld := idx.NumComps
-	up := &IndexUpdate{
-		Touched: make([]bool, nOld),
-		CompMap: make([]int32, nOld),
+// Update carries the index across a validated delta: oldG is the graph the
+// receiver indexes, newG is ApplyDelta's output for d. The receiver is
+// never modified.
+//
+// An edit lands inside old component c when both endpoints of the edited
+// edge lie in c: a probability update or removal of a non-bridge edge (a
+// bridge's endpoints always lie in two components), or an addition
+// within c. A component no edit lands inside keeps all of its edges, so
+// its vertices stay 2-edge-connected and land in one new component; it
+// keeps its edge content exactly when that component is no larger.
+func (idx *Index) Update(oldG, newG *ugraph.Graph, d ugraph.Delta) *IndexUpdate {
+	up := &IndexUpdate{Index: idx, CompMap: make([]int32, idx.NumComps)}
+	for c := range up.CompMap {
+		up.CompMap[c] = int32(c)
 	}
-	markTouched := func(c int32) {
-		if int(c) < nOld {
-			up.Touched[c] = true
+	edit := func(e ugraph.Edge) {
+		if c := idx.Comp[e.U]; c == idx.Comp[e.V] {
+			up.CompMap[c] = -1
 		}
 	}
-
+	for _, u := range d.SetProb {
+		edit(oldG.Edge(u.Edge))
+	}
+	for _, i := range d.Remove {
+		edit(oldG.Edge(i))
+	}
+	for _, e := range d.Add {
+		edit(e)
+	}
 	if !d.TopologyChanged() {
-		// Probability-only: the index is a pure function of topology and
-		// survives verbatim. A non-bridge update changes its component's
-		// subproblem signature; a bridge update only changes PB, which
-		// every plan recomputes from the live graph.
-		up.Index = idx
-		for _, u := range d.SetProb {
-			if !idx.IsBridge[u.Edge] {
-				markTouched(idx.Comp[oldG.Edge(u.Edge).U])
-			}
-		}
-		for c := 0; c < nOld; c++ {
-			if up.Touched[c] {
-				up.CompMap[c] = -1
-			} else {
-				up.CompMap[c] = int32(c)
-			}
-		}
 		return up
 	}
-	up.TopologyChanged = true
 
-	n := newG.N()
-	mNew := newG.M()
-	// Working state: bridge flags over newG's edges seeded from the old
-	// index, and per-vertex component labels seeded from the old ones.
-	// Fresh (post-delta) components get ids from freshNext upwards so they
-	// never collide with surviving old labels.
-	isBridge := make([]bool, mNew)
-	for i, j := range oldToNew {
-		if j >= 0 {
-			isBridge[j] = idx.IsBridge[i]
+	up.Index = BuildIndex(newG)
+	size := make([]int32, idx.NumComps)
+	newSize := make([]int32, up.Index.NumComps)
+	for v, c := range idx.Comp {
+		nc := up.Index.Comp[v]
+		size[c]++
+		newSize[nc]++
+		if up.CompMap[c] >= 0 {
+			up.CompMap[c] = nc
 		}
 	}
-	comp := append([]int32(nil), idx.Comp...)
-	freshNext := int32(nOld)
-
-	// Removals. A removed bridge leaves every component intact. Removed
-	// non-bridge edges dirty their components; the dirty region is rebuilt
-	// in one shot on its induced subgraph (surviving intra-component
-	// non-bridge edges only), which finds both splits and newly promoted
-	// bridges, then receives fresh component ids.
-	dirty := make(map[int32]bool)
-	for _, i := range d.Remove {
-		if !idx.IsBridge[i] {
-			c := idx.Comp[oldG.Edge(i).U]
-			dirty[c] = true
-			markTouched(c)
-		}
-	}
-	if len(dirty) > 0 {
-		local := make(map[int]int32)
-		var verts []int
-		for v := 0; v < n; v++ {
-			if dirty[comp[v]] {
-				local[v] = int32(len(verts))
-				verts = append(verts, v)
-			}
-		}
-		sub := ugraph.New(len(verts))
-		var subEdges []int // new-graph edge index per sub edge
-		for i, e := range oldG.Edges() {
-			j := oldToNew[i]
-			if j < 0 || idx.IsBridge[i] || !dirty[idx.Comp[e.U]] {
-				continue
-			}
-			if _, err := sub.AddEdge(int(local[e.U]), int(local[e.V]), e.P); err != nil {
-				panic("preprocess: dirty-region subgraph edge rejected: " + err.Error())
-			}
-			subEdges = append(subEdges, j)
-		}
-		si := BuildIndex(sub)
-		for li, j := range subEdges {
-			if si.IsBridge[li] {
-				isBridge[j] = true
-			}
-		}
-		base := freshNext
-		for lv, v := range verts {
-			comp[v] = base + si.Comp[lv]
-		}
-		freshNext += int32(si.NumComps)
-	}
-
-	// Additions, sequentially — each sees the components and bridges left
-	// by the previous one. Per addition: same component ⇒ a parallel path
-	// already exists, nothing structural changes; components joined by a
-	// bridge-forest path ⇒ the new cycle un-bridges the whole path and
-	// merges its components; disconnected components ⇒ the new edge is
-	// itself a bridge.
-	firstAdd := mNew - len(d.Add)
-	for a := range d.Add {
-		j := firstAdd + a
-		e := newG.Edge(j)
-		cu, cv := comp[e.U], comp[e.V]
-		if cu == cv {
-			markTouched(cu)
-			continue
-		}
-		path, comps := bridgeForestPath(newG, isBridge, comp, cu, cv)
-		if path == nil {
-			isBridge[j] = true
-			continue
-		}
-		for _, b := range path {
-			isBridge[b] = false
-		}
-		merged := freshNext
-		freshNext++
-		for v := 0; v < n; v++ {
-			if comps[comp[v]] {
-				comp[v] = merged
-			}
-		}
-		for c := range comps {
-			markTouched(c)
-		}
-	}
-
-	// Canonical renumbering: BuildIndex labels components in first-vertex
-	// scan order; reproducing that here makes the maintained index
-	// bit-identical to a cold rebuild.
-	out := &Index{
-		IsBridge: isBridge,
-		Comp:     make([]int32, n),
-	}
-	for j, b := range isBridge {
-		if b {
-			out.Bridges = append(out.Bridges, j)
-		}
-	}
-	renum := make(map[int32]int32, freshNext)
-	for v := 0; v < n; v++ {
-		id, ok := renum[comp[v]]
-		if !ok {
-			id = int32(len(renum))
-			renum[comp[v]] = id
-		}
-		out.Comp[v] = id
-	}
-	out.NumComps = len(renum)
-	up.Index = out
-	for c := 0; c < nOld; c++ {
-		if up.Touched[c] {
+	for c, nc := range up.CompMap {
+		if nc >= 0 && newSize[nc] != size[c] {
 			up.CompMap[c] = -1
-		} else {
-			up.CompMap[c] = renum[int32(c)]
 		}
 	}
 	return up
-}
-
-// bridgeForestPath finds the path between components cu and cv in the
-// bridge forest (nodes: current component ids; edges: current bridges).
-// It returns the path's bridge edge indices and the set of component ids
-// on the path (cu and cv included), or (nil, nil) when cu and cv lie in
-// different connected components of the graph.
-func bridgeForestPath(g *ugraph.Graph, isBridge []bool, comp []int32, cu, cv int32) ([]int, map[int32]bool) {
-	type arc struct {
-		to   int32
-		edge int
-	}
-	adj := make(map[int32][]arc)
-	for j, e := range g.Edges() {
-		if !isBridge[j] {
-			continue
-		}
-		a, b := comp[e.U], comp[e.V]
-		adj[a] = append(adj[a], arc{to: b, edge: j})
-		adj[b] = append(adj[b], arc{to: a, edge: j})
-	}
-	type step struct {
-		from int32
-		edge int
-	}
-	prev := map[int32]step{cu: {from: cu, edge: -1}}
-	queue := []int32{cu}
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
-		if c == cv {
-			break
-		}
-		for _, a := range adj[c] {
-			if _, seen := prev[a.to]; seen {
-				continue
-			}
-			prev[a.to] = step{from: c, edge: a.edge}
-			queue = append(queue, a.to)
-		}
-	}
-	if _, ok := prev[cv]; !ok {
-		return nil, nil
-	}
-	var path []int
-	comps := map[int32]bool{cv: true}
-	for c := cv; c != cu; {
-		s := prev[c]
-		path = append(path, s.edge)
-		c = s.from
-		comps[c] = true
-	}
-	return path, comps
 }

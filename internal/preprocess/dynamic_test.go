@@ -68,8 +68,9 @@ func randDelta(rng *rand.Rand, g *ugraph.Graph) ugraph.Delta {
 // TestUpdateMatchesRebuild is the bit-identity backbone: across many random
 // graphs and deltas — probability-only, removals (including multi-removal
 // splits), additions (including cross-tree merges and parallel re-adds of
-// bridges), and mixes — the incrementally maintained index must equal a
-// cold BuildIndex of the mutated graph exactly, labels included.
+// bridges), and mixes — the updated index must equal a cold BuildIndex of
+// the mutated graph exactly, labels included, and its cover map must be
+// exact both ways.
 func TestUpdateMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 500; iter++ {
@@ -80,7 +81,7 @@ func TestUpdateMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		up := idx.Update(g, ng, d, oldToNew)
+		up := idx.Update(g, ng, d)
 		want := BuildIndex(ng)
 		got := up.Index
 		if got.NumComps != want.NumComps {
@@ -104,28 +105,79 @@ func TestUpdateMatchesRebuild(t *testing.T) {
 				t.Fatalf("iter %d: Bridges[%d]=%d, want %d", iter, i, got.Bridges[i], want.Bridges[i])
 			}
 		}
-		if d.TopologyChanged() != up.TopologyChanged {
-			t.Fatalf("iter %d: TopologyChanged=%v", iter, up.TopologyChanged)
-		}
 		if !d.TopologyChanged() && got != idx {
 			t.Fatalf("iter %d: probability-only delta replaced the index", iter)
 		}
-		// CompMap invariants: -1 exactly for touched components; untouched
-		// components map onto a component with the same vertex set.
-		if len(up.CompMap) != idx.NumComps || len(up.Touched) != idx.NumComps {
-			t.Fatalf("iter %d: CompMap/Touched sized %d/%d, want %d", iter, len(up.CompMap), len(up.Touched), idx.NumComps)
+		if len(up.CompMap) != idx.NumComps {
+			t.Fatalf("iter %d: CompMap sized %d, want %d", iter, len(up.CompMap), idx.NumComps)
 		}
-		for c := 0; c < idx.NumComps; c++ {
-			if (up.CompMap[c] < 0) != up.Touched[c] {
-				t.Fatalf("iter %d: comp %d CompMap=%d Touched=%v", iter, c, up.CompMap[c], up.Touched[c])
+		checkCompMap(t, iter, g, ng, d, oldToNew, idx, want, up.CompMap)
+	}
+}
+
+// checkCompMap holds a cover map to its contract against the old index idx
+// and a cold build of the new graph. Sound: a kept component maps onto a
+// new component with exactly its vertex set, all of its old non-bridge
+// edges survive with their probabilities, and no added edge lands inside
+// it. Precise: a dropped component had an edit land inside it (a
+// non-bridge probability update or removal, or an addition with both
+// endpoints in it) or lost its vertex set as a component.
+func checkCompMap(t *testing.T, iter int, g, ng *ugraph.Graph, d ugraph.Delta, oldToNew []int, idx, want *Index, compMap []int32) {
+	t.Helper()
+	edited := make([]bool, idx.NumComps)
+	for _, u := range d.SetProb {
+		if !idx.IsBridge[u.Edge] {
+			edited[idx.Comp[g.Edge(u.Edge).U]] = true
+		}
+	}
+	for _, i := range d.Remove {
+		if !idx.IsBridge[i] {
+			edited[idx.Comp[g.Edge(i).U]] = true
+		}
+	}
+	for _, e := range d.Add {
+		if idx.Comp[e.U] == idx.Comp[e.V] {
+			edited[idx.Comp[e.U]] = true
+		}
+	}
+	for c := 0; c < idx.NumComps; c++ {
+		// sameSet: c's vertex set is exactly new component nc's.
+		sameSet := func(nc int32) bool {
+			for v := range idx.Comp {
+				if (idx.Comp[v] == int32(c)) != (want.Comp[v] == nc) {
+					return false
+				}
 			}
-			if up.Touched[c] {
+			return true
+		}
+		nc := compMap[c]
+		if nc < 0 {
+			first := int32(-1)
+			for v := range idx.Comp {
+				if idx.Comp[v] == int32(c) {
+					first = want.Comp[v]
+					break
+				}
+			}
+			if !edited[c] && sameSet(first) {
+				t.Fatalf("iter %d: comp %d dropped though no edit landed inside it and its vertex set survived (delta %+v)", iter, c, d)
+			}
+			continue
+		}
+		if !sameSet(nc) {
+			t.Fatalf("iter %d: kept comp %d→%d changed its vertex set (delta %+v)", iter, c, nc, d)
+		}
+		for i, e := range g.Edges() {
+			if idx.IsBridge[i] || idx.Comp[e.U] != int32(c) {
 				continue
 			}
-			for v := range idx.Comp {
-				if (idx.Comp[v] == int32(c)) != (got.Comp[v] == up.CompMap[c]) {
-					t.Fatalf("iter %d: untouched comp %d→%d lost vertex %d", iter, c, up.CompMap[c], v)
-				}
+			if j := oldToNew[i]; j < 0 || ng.Edge(j).P != e.P {
+				t.Fatalf("iter %d: kept comp %d lost or changed edge %d (delta %+v)", iter, c, i, d)
+			}
+		}
+		for _, e := range d.Add {
+			if idx.Comp[e.U] == int32(c) && idx.Comp[e.V] == int32(c) {
+				t.Fatalf("iter %d: kept comp %d gained an edge %+v (delta %+v)", iter, c, e, d)
 			}
 		}
 	}
@@ -147,38 +199,49 @@ func TestUpdateBridgeRules(t *testing.T) {
 
 	apply := func(d ugraph.Delta) *IndexUpdate {
 		t.Helper()
-		ng, oldToNew, err := ugraph.ApplyDelta(g, d)
+		ng, _, err := ugraph.ApplyDelta(g, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return idx.Update(g, ng, d, oldToNew)
+		return idx.Update(g, ng, d)
 	}
 
 	// Bridge probability change touches nothing.
 	up := apply(ugraph.Delta{SetProb: []ugraph.ProbUpdate{{Edge: 6, P: 0.9}}})
-	if up.Touched[0] || up.Touched[1] || up.Index != idx {
-		t.Fatalf("bridge prob change touched comps: %+v", up.Touched)
+	if up.CompMap[0] < 0 || up.CompMap[1] < 0 || up.Index != idx {
+		t.Fatalf("bridge prob change touched comps: CompMap=%v", up.CompMap)
 	}
 	// Non-bridge probability change touches exactly its component.
 	up = apply(ugraph.Delta{SetProb: []ugraph.ProbUpdate{{Edge: 0, P: 0.9}}})
 	c0 := idx.Comp[0]
-	if !up.Touched[c0] || up.Touched[1-c0] {
-		t.Fatalf("non-bridge prob change touched %+v, want only comp %d", up.Touched, c0)
+	if up.CompMap[c0] >= 0 || up.CompMap[1-c0] < 0 {
+		t.Fatalf("non-bridge prob change touched CompMap=%v, want only comp %d", up.CompMap, c0)
 	}
 	// Parallel re-add over the bridge merges both components.
 	up = apply(ugraph.Delta{Add: []ugraph.Edge{{U: 2, V: 3, P: 0.5}}})
-	if !up.Touched[0] || !up.Touched[1] || up.Index.NumComps != 1 {
-		t.Fatalf("bridge re-add: touched=%+v comps=%d", up.Touched, up.Index.NumComps)
+	if up.CompMap[0] >= 0 || up.CompMap[1] >= 0 || up.Index.NumComps != 1 {
+		t.Fatalf("bridge re-add: CompMap=%v comps=%d", up.CompMap, up.Index.NumComps)
 	}
 	// Removing the bridge touches nothing and keeps both components.
 	up = apply(ugraph.Delta{Remove: []int{6}})
-	if up.Touched[0] || up.Touched[1] || up.Index.NumComps != 2 {
-		t.Fatalf("bridge removal: touched=%+v comps=%d", up.Touched, up.Index.NumComps)
+	if up.CompMap[0] < 0 || up.CompMap[1] < 0 || up.Index.NumComps != 2 {
+		t.Fatalf("bridge removal: CompMap=%v comps=%d", up.CompMap, up.Index.NumComps)
 	}
 	// Removing a triangle edge splits nothing but promotes the survivors
 	// to bridges and touches that component only.
 	up = apply(ugraph.Delta{Remove: []int{0}})
-	if !up.Touched[c0] || up.Touched[1-c0] {
-		t.Fatalf("triangle-edge removal touched %+v", up.Touched)
+	if up.CompMap[c0] >= 0 || up.CompMap[1-c0] < 0 {
+		t.Fatalf("triangle-edge removal touched CompMap=%v", up.CompMap)
+	}
+	// Mixed deltas: a probability edit inside a component counts even
+	// when the delta also changes topology elsewhere.
+	up = apply(ugraph.Delta{SetProb: []ugraph.ProbUpdate{{Edge: 0, P: 0.9}}, Remove: []int{3}})
+	if up.CompMap[0] >= 0 || up.CompMap[1] >= 0 {
+		t.Fatalf("mixed prob+removal delta kept CompMap=%v, want both dropped", up.CompMap)
+	}
+	up = apply(ugraph.Delta{SetProb: []ugraph.ProbUpdate{{Edge: 0, P: 0.9}}, Remove: []int{6}})
+	c1 := 1 - c0
+	if up.CompMap[c0] >= 0 || up.CompMap[c1] != up.Index.Comp[3] {
+		t.Fatalf("mixed prob+bridge-removal delta: CompMap=%v, want comp %d dropped and comp %d kept", up.CompMap, c0, c1)
 	}
 }

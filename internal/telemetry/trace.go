@@ -55,8 +55,9 @@ const (
 	// PhaseInvalidate is cover-based result-cache invalidation during a
 	// graph mutation.
 	PhaseInvalidate
-	// PhaseReindex is incremental 2ECC index maintenance across a graph
-	// mutation or an ephemeral what-if delta.
+	// PhaseReindex is carrying the 2ECC index across a graph mutation or
+	// an ephemeral what-if delta: the cover map, plus a rebuild when the
+	// delta changes topology.
 	PhaseReindex
 	// NumPhases bounds the Phase enum; it is not a phase.
 	NumPhases

@@ -28,7 +28,7 @@ func (d Delta) Empty() bool {
 
 // TopologyChanged reports whether the delta changes the edge set (as
 // opposed to probabilities only). Probability-only deltas preserve the
-// 2ECC index verbatim; topology deltas require incremental maintenance.
+// 2ECC index verbatim; topology deltas rebuild it.
 func (d Delta) TopologyChanged() bool {
 	return len(d.Remove) > 0 || len(d.Add) > 0
 }

@@ -168,8 +168,8 @@ func (r *Registry) Session(name string) (*Session, error) {
 
 // Mutate applies delta to the named graph in place — same name, same
 // session, same registration — via Session.Mutate: the graph version
-// advances, the 2ECC index is maintained incrementally, and only the
-// cache entries the delta's components cover are invalidated. See
+// advances, the 2ECC index is kept or rebuilt, and only the cache
+// entries the delta's components cover are invalidated. See
 // MutateContext.
 func (r *Registry) Mutate(name string, delta GraphDelta) (*MutationStats, error) {
 	return r.MutateContext(context.Background(), name, delta)
