@@ -32,6 +32,37 @@ func TestMonteCarloWorkersOption(t *testing.T) {
 	}
 }
 
+// TestMonteCarloPublicFields pins the baseline's answer shape: trivial
+// bounds [0, 1], every sample count equal to s, and never exact — with one
+// terminal too — and R = 0 without error when a terminal has no edge.
+func TestMonteCarloPublicFields(t *testing.T) {
+	g := NewGraph(4)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
+		if err := g.AddEdge(e[0], e[1], 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const s = 3000
+	for _, est := range []Estimator{EstimatorMonteCarlo, EstimatorHorvitzThompson} {
+		for _, c := range []struct {
+			ts   []int
+			want float64 // −1: any estimate
+		}{{[]int{0, 1}, -1}, {[]int{2}, 1}, {[]int{0, 3}, 0}} {
+			res, err := MonteCarlo(g, c.ts, WithSamples(s), WithSeed(4), WithEstimator(est))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Lower != 0 || res.Upper != 1 || res.Exact ||
+				res.SamplesRequested != s || res.SamplesReduced != s || res.SamplesUsed != s {
+				t.Fatalf("%v %v: %+v", est, c.ts, res)
+			}
+			if c.want >= 0 && res.Reliability != c.want {
+				t.Fatalf("%v %v: R = %v, want %v", est, c.ts, res.Reliability, c.want)
+			}
+		}
+	}
+}
+
 func TestBDDExactBudgetError(t *testing.T) {
 	// A moderately dense random-ish graph with a tiny budget must DNF.
 	g := NewGraph(40)

@@ -351,3 +351,27 @@ func BenchmarkParallelSampling(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMonteCarlo times the plain sampling baseline, MC and HT, on the
+// Hit-d protein network with 10 terminals and s = 10⁴ on one worker: a
+// graph where possible-world draws do all the work. Allocations include
+// the per-query edge stream, whose step table costs 32 B per edge.
+func BenchmarkMonteCarlo(b *testing.B) {
+	g := dataset(b, "Hit-d")
+	ts := terminals(b, g, 10, 7)
+	for _, c := range []struct {
+		name string
+		est  netrel.Estimator
+	}{{"MC", netrel.EstimatorMonteCarlo}, {"HT", netrel.EstimatorHorvitzThompson}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := netrel.MonteCarlo(g, ts,
+					netrel.WithSamples(10_000), netrel.WithWorkers(1),
+					netrel.WithEstimator(c.est), netrel.WithSeed(uint64(i))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -31,7 +31,6 @@ import (
 type completer struct {
 	_ [64]byte
 
-	plan  *frontier.Plan
 	n     int         // vertex count; element n+c stands for node component c
 	edges *edgeStream // the run's edges, shared read-only
 
@@ -55,18 +54,20 @@ type completer struct {
 	head     []int32
 	nextSlot []int32
 
-	fr    []int32 // owned copy of the current layer's frontier
-	layer int
+	fr     []int32 // owned copy of the current layer's frontier
+	unseen []int32 // the terminals no edge before the current layer touches
+	layer  int
 
 	flips int // coins evaluated over all draws, for BenchmarkCompletion
 
 	_ [64]byte
 }
 
-// edgeStream is a run's edge data in plan order, built once and shared
-// read-only by all of its completers.
+// edgeStream is a run's edge data in processing order, built once and
+// shared read-only by all of its completers. M, the number of positions,
+// is len(coins).
 type edgeStream struct {
-	coins []ugraph.Coin // the edges in plan order
+	coins []ugraph.Coin // the edges in processing order
 	probs []float64     // their probabilities, for the HT product
 	// adj[adjAt[v]:adjAt[v+1]] lists vertex v's edges, highest position
 	// first, so the edges left at layer l are a prefix of the list.
@@ -79,12 +80,12 @@ type edgeStream struct {
 	steps []lcgMap
 }
 
-// arc is one end of an edge: its plan position and its other endpoint.
+// arc is one end of an edge: its position and its other endpoint.
 type arc struct{ pos, to int32 }
 
-// planStream builds a run's edgeStream.
-func planStream(plan *frontier.Plan) *edgeStream {
-	g, ord := plan.Graph(), plan.Order()
+// planStream builds the edgeStream of g's edges in the order ord (a
+// permutation of edge indices).
+func planStream(g *ugraph.Graph, ord []int) *edgeStream {
 	n := g.N()
 	es := &edgeStream{
 		coins: ugraph.Coins(g, ord),
@@ -118,31 +119,33 @@ func planStream(plan *frontier.Plan) *edgeStream {
 	return es
 }
 
-func newCompleter(plan *frontier.Plan, edges *edgeStream) *completer {
-	n := plan.Graph().N()
-	size := n + plan.MaxFrontier() + 2
+// newCompleter returns a completer over n vertices for frontiers of up to
+// maxFrontier slots, drawing the edges of the stream edges.
+func newCompleter(n, maxFrontier int, edges *edgeStream) *completer {
+	size := n + maxFrontier + 2
 	return &completer{
-		plan:     plan,
 		n:        n,
 		edges:    edges,
 		uf:       unionfind.NewArena(size),
 		mark:     make([]uint64, size),
 		queue:    make([]int32, 0, size),
 		pend:     make([]int32, size),
-		head:     make([]int32, plan.MaxFrontier()),
-		nextSlot: make([]int32, plan.MaxFrontier()),
+		head:     make([]int32, maxFrontier),
+		nextSlot: make([]int32, maxFrontier),
 		layer:    -1,
 	}
 }
 
 // setLayer switches the completer to node layer l with frontier f (in
-// canonical slot order). The frontier is copied because the driver reuses
-// its buffer across layers.
-func (c *completer) setLayer(l int, f []int32) {
+// canonical slot order) and the terminals unseen before l. The frontier is
+// copied because the driver reuses its buffer across layers; unseen is
+// only read.
+func (c *completer) setLayer(l int, f, unseen []int32) {
 	if c.layer == l {
 		return
 	}
 	c.fr = append(c.fr[:0], f...)
+	c.unseen = unseen
 	c.layer = l
 }
 
@@ -162,7 +165,7 @@ func (c *completer) begin(st *frontier.State) {
 			c.queue = append(c.queue, int32(c.n+comp))
 		}
 	}
-	for _, t := range c.plan.UnseenTerms(c.layer) {
+	for _, t := range c.unseen {
 		c.mark[t] = c.epoch
 		c.queue = append(c.queue, t)
 	}
@@ -201,7 +204,7 @@ func (c *completer) link(ru, rv int) int {
 // M − layer of them.
 func (c *completer) drawMC(st *frontier.State, rng *pcg) bool {
 	at, steps := *rng, c.edges.steps
-	*rng = steps[c.plan.M()-c.layer].apply(at)
+	*rng = steps[len(c.edges.coins)-c.layer].apply(at)
 	c.begin(st)
 	if c.live <= 1 {
 		return true

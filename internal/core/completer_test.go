@@ -31,7 +31,12 @@ func pathPlan(t *testing.T) *frontier.Plan {
 }
 
 func testCompleter(p *frontier.Plan) *completer {
-	return newCompleter(p, planStream(p))
+	return newCompleter(p.Graph().N(), p.MaxFrontier(), planStream(p.Graph(), p.Order()))
+}
+
+// setPlanLayer switches c to layer l of plan.
+func setPlanLayer(c *completer, plan *frontier.Plan, l int) {
+	c.setLayer(l, plan.FrontierAt(l), plan.UnseenTerms(l))
 }
 
 func TestCompleterFromRoot(t *testing.T) {
@@ -39,7 +44,7 @@ func TestCompleterFromRoot(t *testing.T) {
 	// whole graph: the path connects 0 and 3 with probability 0.125.
 	p := pathPlan(t)
 	c := testCompleter(p)
-	c.setLayer(0, nil)
+	setPlanLayer(c, p, 0)
 	root := p.Root()
 	rng := pcg{1, 99}
 	hits := 0
@@ -67,7 +72,7 @@ func TestCompleterMidLayerConditional(t *testing.T) {
 		t.Fatalf("unexpected outcome %v", out)
 	}
 	c := testCompleter(p)
-	c.setLayer(1, p.FrontierAt(1))
+	setPlanLayer(c, p, 1)
 	rng := pcg{1, 99}
 	hits := 0
 	const n = 100000
@@ -88,7 +93,7 @@ func TestCompleterProbabilityProduct(t *testing.T) {
 	// values {0.125}.
 	p := pathPlan(t)
 	c := testCompleter(p)
-	c.setLayer(0, nil)
+	setPlanLayer(c, p, 0)
 	root := p.Root()
 	rng := pcg{3, 99}
 	for i := 0; i < 50; i++ {
@@ -99,19 +104,43 @@ func TestCompleterProbabilityProduct(t *testing.T) {
 	}
 }
 
+// TestCompleterFingerprintsDistinguishWorlds draws HT completions of the
+// root of a triangle with distinct edge probabilities: every drawn world's
+// probability must be one EnumerateWorlds gives, one fingerprint must
+// always carry the same connectivity and probability, and 200 draws must
+// meet all 8 worlds.
 func TestCompleterFingerprintsDistinguishWorlds(t *testing.T) {
-	p := pathPlan(t)
+	g, err := ugraph.FromEdges(3, []ugraph.Edge{
+		{U: 0, V: 1, P: 0.5}, {U: 1, V: 2, P: 0.3}, {U: 0, V: 2, P: 0.8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := ugraph.NewTerminals(g, []int{0, 1, 2})
+	p, err := frontier.NewPlan(g, ts, naturalOrder(g.M()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := map[xfloat.F]bool{}
+	ugraph.EnumerateWorlds(g, func(_ []bool, pr xfloat.F) { valid[pr] = true })
 	c := testCompleter(p)
-	c.setLayer(0, nil)
+	setPlanLayer(c, p, 0)
 	root := p.Root()
 	rng := pcg{4, 99}
-	byFP := map[uint64]bool{}
+	type world struct {
+		ok bool
+		pr xfloat.F
+	}
+	byFP := map[uint64]world{}
 	for i := 0; i < 200; i++ {
-		ok, _, fp := c.drawHT(&root, &rng)
-		if prev, seen := byFP[fp]; seen && prev != ok {
-			t.Fatal("same fingerprint with different connectivity")
+		ok, pr, fp := c.drawHT(&root, &rng)
+		if !valid[pr] {
+			t.Fatalf("drawn world probability %v is no enumerated world's", pr)
 		}
-		byFP[fp] = ok
+		if prev, seen := byFP[fp]; seen && prev != (world{ok, pr}) {
+			t.Fatal("same fingerprint with different connectivity or probability")
+		}
+		byFP[fp] = world{ok, pr}
 	}
 	if len(byFP) != 8 {
 		t.Fatalf("expected 8 distinct completions of a 3-edge graph, got %d", len(byFP))
@@ -309,8 +338,8 @@ func TestSkipPCGMatchesSteps(t *testing.T) {
 
 // TestPCGStreamMatchesRand checks the value-type stream against rand.PCG
 // output for output and state for state: next; the step table planStream
-// builds for plans of 1, 2, 3, 7 and a Hit-d-sized 12,416 edges, and
-// stepMaps(0) (a plan has at least one edge), at every j from 0 to M; and
+// builds for graphs of 1, 2, 3, 7 and a Hit-d-sized 12,416 edges, and
+// stepMaps(0) (an edgeless graph's), at every j from 0 to M; and
 // jump over the lengths TestSkipPCGMatchesSteps uses.
 func TestPCGStreamMatchesRand(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 8))
@@ -328,19 +357,12 @@ func TestPCGStreamMatchesRand(t *testing.T) {
 		if m > 0 {
 			// m parallel edges between the two terminals, in natural order.
 			g := ugraph.New(2)
-			ord := make([]int, m)
-			for i := range ord {
+			for i := 0; i < m; i++ {
 				if _, err := g.AddEdge(0, 1, 0.5); err != nil {
 					t.Fatal(err)
 				}
-				ord[i] = i
 			}
-			ts, _ := ugraph.NewTerminals(g, []int{0, 1})
-			plan, err := frontier.NewPlan(g, ts, ord)
-			if err != nil {
-				t.Fatal(err)
-			}
-			steps = planStream(plan).steps
+			steps = planStream(g, naturalOrder(m)).steps
 		}
 		if len(steps) != m+1 {
 			t.Fatalf("M = %d: %d step maps, want %d", m, len(steps), m+1)
@@ -415,8 +437,8 @@ func TestCompleterDrawsMatchReference(t *testing.T) {
 			l := r.IntN(g.M() + 1)
 			front := plan.FrontierAt(l)
 			st := randState(r, len(front), 0.4)
-			mc.setLayer(l, front)
-			ht.setLayer(l, front)
+			setPlanLayer(mc, plan, l)
+			setPlanLayer(ht, plan, l)
 			seed := r.Uint64()
 			ref, got := rand.NewPCG(seed, 1), &pcg{seed, 1}
 			wantOK, wantPr, wantFP := refComplete(plan, l, &st, rand.New(ref))
@@ -438,9 +460,8 @@ func TestCompleterDrawsMatchReference(t *testing.T) {
 // probability and fingerprint, and the stream position afterwards.
 func matchReference(t *testing.T, plan *frontier.Plan, mc, ht *completer, l int, st *frontier.State, seed uint64) {
 	t.Helper()
-	front := plan.FrontierAt(l)
-	mc.setLayer(l, front)
-	ht.setLayer(l, front)
+	setPlanLayer(mc, plan, l)
+	setPlanLayer(ht, plan, l)
 	ref, got := rand.NewPCG(seed, 1), &pcg{seed, 1}
 	wantOK, _, _ := refComplete(plan, l, st, rand.New(ref))
 	if ok := mc.drawMC(st, got); ok != wantOK || pcgState(t, got) != pcgState(t, ref) {
@@ -639,7 +660,7 @@ func BenchmarkCompletion(b *testing.B) {
 	for _, est := range []string{"MC", "HT"} {
 		b.Run(est, func(b *testing.B) {
 			c := testCompleter(plan)
-			c.setLayer(l, front)
+			setPlanLayer(c, plan, l)
 			rng := pcg{3, 4}
 			hits := 0
 			b.ResetTimer()
@@ -665,7 +686,7 @@ func BenchmarkCompletion(b *testing.B) {
 	b.Run("table", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			benchStream = planStream(plan)
+			benchStream = planStream(g, plan.Order())
 		}
 	})
 }

@@ -9,6 +9,8 @@
 // dynamic-programming sampling of the deleted nodes' completions
 // (Section 4.3.3). The bounds pc ≤ R ≤ 1−pd shrink the sample budget from
 // s to s′ per Theorem 1 (Monte Carlo) and Theorem 2 (Horvitz–Thompson).
+// Built with no layers (NewRootSampler), the same sampler draws the plain
+// possible-world MC and HT baselines of Section 3.2.2.
 package core
 
 import (

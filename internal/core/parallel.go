@@ -46,10 +46,10 @@ func numChunks(draws int) int {
 // before the pool starts), so no locking is needed.
 func (r *run) completerSlot(slot int) *completer {
 	if r.edges == nil {
-		r.edges = planStream(r.plan)
+		r.edges = planStream(r.g, r.ord)
 	}
 	for len(r.compls) <= slot {
-		r.compls = append(r.compls, newCompleter(r.plan, r.edges))
+		r.compls = append(r.compls, newCompleter(r.g.N(), r.maxFront, r.edges))
 	}
 	return r.compls[slot]
 }
@@ -61,20 +61,20 @@ func (r *run) chunkRNG(layer, stratum, chunk int) pcg {
 }
 
 // forChunkRange runs do(completer, chunk) for every chunk in the global
-// window [c0, c1) of a stratum at layer with frontier front, across up to
-// r.workers slots — executed by the shared pool when cfg.Exec is set,
-// otherwise by per-call goroutines. Each slot owns one completer (union-find
-// arena + frontier copy), switched to the stratum's layer before its first
-// chunk. Chunk indices, and therefore RNG streams, are global: executing a
-// stratum's chunks across several windows folds exactly like executing
-// them in one, and the execution venue never changes the fold.
+// window [c0, c1) of stratum st, across up to r.workers slots — executed
+// by the shared pool when cfg.Exec is set, otherwise by per-call
+// goroutines. Each slot owns one completer (union-find arena + frontier
+// copy), switched to the stratum's layer before its first chunk. Chunk
+// indices, and therefore RNG streams, are global: executing a stratum's
+// chunks across several windows folds exactly like executing them in one,
+// and the execution venue never changes the fold.
 // Cancellation stops the window at a chunk boundary.
-func (r *run) forChunkRange(ctx context.Context, layer int, front []int32, c0, c1 int, do func(c *completer, chunk int)) error {
+func (r *run) forChunkRange(ctx context.Context, st *stratumState, c0, c1 int, do func(c *completer, chunk int)) error {
 	slot := 0
 	return sampling.ForEachChunkRangeCtx(ctx, r.cfg.Exec, c0, c1-c0, r.workers, func() func(int) {
 		comp := r.completerSlot(slot)
 		slot++
-		comp.setLayer(layer, front)
+		comp.setLayer(st.layer, st.front, st.unseen)
 		return func(chunk int) { do(comp, chunk) }
 	})
 }

@@ -33,9 +33,14 @@ type snapshot struct {
 type run struct {
 	ctx  context.Context
 	cfg  Config
-	plan *frontier.Plan
+	plan *frontier.Plan // nil for a root sampler, which builds no diagram
 	g    *ugraph.Graph
 	k    int
+
+	// ord is the edge processing order and maxFront the widest frontier
+	// of any layer; the completers read them instead of the plan.
+	ord      []int
+	maxFront int
 
 	// tr is the request's telemetry trace (nil when untraced — every use
 	// guards on that, so tracing costs the untraced path one pointer
@@ -335,6 +340,7 @@ func (r *run) sampleStratum(layer int, front []int32, snaps []snapshot, mass xfl
 	}
 	// front is a reused buffer, so it is copied.
 	st.layer, st.ordinal, st.front, st.snaps = layer, stratum, append([]int32(nil), front...), snaps
+	st.unseen = r.plan.UnseenTerms(layer)
 	// Node choice is proportional to node mass within the stratum. cum is
 	// built once, before any chunk runs, and read concurrently by all chunks.
 	st.cum = make([]float64, len(snaps))

@@ -1,4 +1,6 @@
-// Resumable S2BDD sampling: the only way the S2BDD draws.
+// Resumable S2BDD sampling: the only way the S2BDD and the plain MC/HT
+// baselines draw. The S2BDD draws through NewSampler, the baselines
+// through NewRootSampler, an S2BDD that builds no layers.
 //
 // NewSampler runs construction once, up front, with the full sample budget
 // — stratum allocation, stochastic rounding and the flush rules all see the
@@ -41,6 +43,7 @@ type stratumState struct {
 	layer   int
 	ordinal int     // 1-based stratum index (r.res.Strata when it formed)
 	front   []int32 // frontier (a copy: execute reuses its buffers)
+	unseen  []int32 // the terminals no edge before layer touches
 	snaps   []snapshot
 	mass    xfloat.F
 	weight  float64
@@ -86,32 +89,27 @@ func NewSampler(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, cfg C
 		return nil, fmt.Errorf("core: negative sample count %d", cfg.Samples)
 	}
 	if len(ts) <= 1 {
-		return &Sampler{fixed: &Result{
-			Estimate: 1, Lower: 1, Upper: 1,
-			LowerX: xfloat.One, EstimateX: xfloat.One, Exact: true,
-			SamplesRequested: cfg.Samples,
-		}}, nil
+		return singleTerminal(cfg.Samples), nil
 	}
 	ord := cfg.Order
 	if ord == nil {
-		ord = make([]int, g.M())
-		for i := range ord {
-			ord[i] = i
-		}
+		ord = naturalOrder(g.M())
 	}
 	plan, err := frontier.NewPlan(g, ts, ord)
 	if err != nil {
 		return nil, err
 	}
 	r := &run{
-		ctx:     ctx,
-		cfg:     cfg,
-		plan:    plan,
-		g:       g,
-		k:       len(ts),
-		tr:      telemetry.FromContext(ctx),
-		rng:     rand.New(rand.NewPCG(cfg.Seed, 0xa0761d6478bd642f)),
-		workers: sampling.ClampWorkers(cfg.Workers, 0),
+		ctx:      ctx,
+		cfg:      cfg,
+		plan:     plan,
+		g:        g,
+		k:        len(ts),
+		ord:      ord,
+		maxFront: plan.MaxFrontier(),
+		tr:       telemetry.FromContext(ctx),
+		rng:      rand.New(rand.NewPCG(cfg.Seed, 0xa0761d6478bd642f)),
+		workers:  sampling.ClampWorkers(cfg.Workers, 0),
 	}
 	if err := r.execute(); err != nil {
 		return nil, err
@@ -121,6 +119,83 @@ func NewSampler(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, cfg C
 		s.total += st.draws
 	}
 	return s, nil
+}
+
+// NewRootSampler returns the sampler of the paper's plain possible-world
+// baseline: one stratum, the root state at layer 0, holding mass 1 and
+// all cfg.Samples draws. Each draw is then a whole-graph completion, MC or
+// HT, on the same chunk streams as an S2BDD stratum, so the answer is the
+// same for any worker count, and its variance, Eq. 3 at pc = pd = 0, is
+// Eq. 2 bit for bit. It builds no diagram and no frontier plan, so it also
+// takes terminals with no edge and graphs whose frontiers would outgrow
+// frontier.MaxFrontierWidth. Of cfg it reads only Samples, which must be
+// positive, Estimator, Seed, Workers and Exec.
+func NewRootSampler(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, cfg Config) (*Sampler, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Samples <= 0 {
+		return nil, fmt.Errorf("core: root sampler needs a positive sample count, got %d", cfg.Samples)
+	}
+	if len(ts) <= 1 {
+		return singleTerminal(cfg.Samples), nil
+	}
+	r := &run{
+		cfg: Config{
+			Samples:   cfg.Samples,
+			Estimator: cfg.Estimator,
+			Seed:      cfg.Seed,
+			Workers:   cfg.Workers,
+			Exec:      cfg.Exec,
+		},
+		g:           g,
+		k:           len(ts),
+		ord:         naturalOrder(g.M()),
+		workers:     sampling.ClampWorkers(cfg.Workers, 0),
+		sampledMass: xfloat.One,
+	}
+	r.res.SamplesRequested = cfg.Samples
+	r.res.Strata = 1
+	st := &stratumState{
+		ordinal: 1,
+		unseen:  make([]int32, len(ts)),
+		snaps:   []snapshot{{p: xfloat.One}},
+		mass:    xfloat.One,
+		weight:  1,
+		cum:     []float64{1},
+		acc:     1,
+		draws:   cfg.Samples,
+	}
+	for i, t := range ts {
+		st.unseen[i] = int32(t)
+	}
+	if cfg.Estimator == estimator.HorvitzThompson {
+		st.seen = make(map[uint64]bool, st.draws)
+	}
+	r.strata = []*stratumState{st}
+	return &Sampler{r: r, total: st.draws}, nil
+}
+
+// singleTerminal is the sampler of a query with fewer than two terminals:
+// trivially connected, exact, with nothing to draw.
+func singleTerminal(samples int) *Sampler {
+	return &Sampler{fixed: &Result{
+		Estimate: 1, Lower: 1, Upper: 1,
+		LowerX: xfloat.One, EstimateX: xfloat.One, Exact: true,
+		SamplesRequested: samples,
+	}}
+}
+
+// naturalOrder returns the edge order 0, 1, …, m−1.
+func naturalOrder(m int) []int {
+	ord := make([]int, m)
+	for i := range ord {
+		ord[i] = i
+	}
+	return ord
 }
 
 // Scheduled returns the total draw budget the construction allocated.
@@ -200,7 +275,7 @@ func (r *run) drawStratum(ctx context.Context, st *stratumState, take int) error
 	c0, c1 := lo/stratumChunk, numChunks(hi)
 	hits := make([]int, c1-c0)
 	drawn := make([][]htDraw, c1-c0)
-	err := r.forChunkRange(ctx, st.layer, st.front, c0, c1, func(comp *completer, chunk int) {
+	err := r.forChunkRange(ctx, st, c0, c1, func(comp *completer, chunk int) {
 		from := max(lo, chunk*stratumChunk)
 		to := min(hi, (chunk+1)*stratumChunk)
 		hits[chunk-c0], drawn[chunk-c0] = r.drawSegment(st, comp, chunk, from-chunk*stratumChunk, to-from)
@@ -234,7 +309,7 @@ func (r *run) drawStratum(ctx context.Context, st *stratumState, take int) error
 // connected count, Horvitz–Thompson the connected draws in draw order.
 func (r *run) drawSegment(st *stratumState, comp *completer, chunk, off, n int) (hits int, out []htDraw) {
 	rng := r.chunkRNG(st.layer, st.ordinal, chunk)
-	rng.jump(uint64(off) * uint64(1+r.plan.M()-st.layer))
+	rng.jump(uint64(off) * uint64(1+len(comp.edges.coins)-st.layer))
 	for i := 0; i < n; i++ {
 		idx := st.pick(&rng)
 		sp := &st.snaps[idx]

@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 
 	"netrel/internal/estimator"
+	"netrel/internal/frontier"
+	"netrel/internal/sampling"
+	"netrel/internal/ugraph"
 )
 
 // sameResult asserts bit-identity of every estimate-bearing field.
@@ -167,5 +171,118 @@ func TestSamplerCancelPoisons(t *testing.T) {
 	}
 	if smp.Remaining() != 0 {
 		t.Fatalf("poisoned sampler still schedules %d draws", smp.Remaining())
+	}
+}
+
+// refRootFold is the plain possible-world baseline folded by hand from
+// refComplete: s draws from the root at layer 0, on the chunk streams of
+// the root stratum (layer 0, ordinal 1), each draw one pick variate and
+// then one Float64 coin per edge. MC counts the connected draws; HT sums
+// Pr[w]/π over the distinct connected worlds in (chunk, draw) order.
+func refRootFold(plan *frontier.Plan, seed uint64, s int) (hits int, ht estimator.HTEstimate) {
+	seen := map[uint64]bool{}
+	root := plan.Root()
+	for c := 0; c < numChunks(s); c++ {
+		rng := rand.New(rand.NewPCG(sampling.SeedStream(seed, 0, 1, uint64(c)), chunkStream))
+		for d := c * stratumChunk; d < min(s, (c+1)*stratumChunk); d++ {
+			rng.Uint64() // the pick among the stratum's one snapshot
+			ok, pr, fp := refComplete(plan, 0, &root, rng)
+			if !ok {
+				continue
+			}
+			hits++
+			if !seen[fp] {
+				seen[fp] = true
+				ht.Add(pr, true, s)
+			}
+		}
+	}
+	return hits, ht
+}
+
+// TestRootSamplerMatchesReferenceFold checks the baseline sampler, MC and
+// HT, resumed whole or in uneven parts on 1 or 3 workers, against
+// refRootFold bit for bit: the estimate is the fold's, the variance is
+// Eq. 2 of it, and the bounds are the trivial [0, 1].
+func TestRootSamplerMatchesReferenceFold(t *testing.T) {
+	ctx := context.Background()
+	r := rand.New(rand.NewPCG(41, 42))
+	for trial := 0; trial < 8; trial++ {
+		n := 3 + r.IntN(12)
+		g := randConnected(r, n, r.IntN(2*n))
+		ts, err := ugraph.NewTerminals(g, r.Perm(n)[:2+r.IntN(min(n-1, 4))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := frontier.NewPlan(g, ts, naturalOrder(g.M()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const s = 700
+		seed := r.Uint64()
+		hits, ht := refRootFold(plan, seed, s)
+		for _, kind := range []estimator.Kind{estimator.MonteCarlo, estimator.HorvitzThompson} {
+			want := float64(hits) / s
+			if kind == estimator.HorvitzThompson {
+				want = ht.Estimate()
+			}
+			for _, workers := range []int{1, 3} {
+				for _, first := range []int{s, 1, 200} {
+					smp, err := NewRootSampler(ctx, g, ts, Config{Samples: s, Estimator: kind, Seed: seed, Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, k := range []int{first, s} {
+						if _, err := smp.Resume(ctx, k); err != nil {
+							t.Fatal(err)
+						}
+					}
+					res, err := smp.Result()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Estimate != want || res.Variance != estimator.MCVariance(want, s) {
+						t.Fatalf("trial %d %v workers %d first %d: estimate %v var %v, reference %v var %v",
+							trial, kind, workers, first, res.Estimate, res.Variance, want, estimator.MCVariance(want, s))
+					}
+					if res.Lower != 0 || res.Upper != 1 || res.Exact || res.SamplesUsed != s ||
+						res.SamplesRequested != s || res.SamplesReduced != s || res.Strata != 1 {
+						t.Fatalf("trial %d %v: bounds [%v, %v], exact %v, samples %d/%d/%d, strata %d", trial, kind,
+							res.Lower, res.Upper, res.Exact, res.SamplesRequested, res.SamplesReduced, res.SamplesUsed, res.Strata)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRootSamplerIsolatedTerminal: a terminal with no incident edge, which
+// frontier.NewPlan rejects, never joins the others, so the baseline
+// answers R = 0 without error.
+func TestRootSamplerIsolatedTerminal(t *testing.T) {
+	ctx := context.Background()
+	g, err := ugraph.FromEdges(4, []ugraph.Edge{{U: 0, V: 1, P: 0.9}, {U: 1, V: 2, P: 0.9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := ugraph.NewTerminals(g, []int{0, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []estimator.Kind{estimator.MonteCarlo, estimator.HorvitzThompson} {
+		s, err := NewRootSampler(ctx, g, ts, Config{Samples: 300, Estimator: kind, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Resume(ctx, s.Remaining()); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Estimate != 0 || res.Variance != 0 || res.SamplesUsed != 300 {
+			t.Fatalf("%v: estimate %v, variance %v, %d draws", kind, res.Estimate, res.Variance, res.SamplesUsed)
+		}
 	}
 }

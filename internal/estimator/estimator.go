@@ -4,8 +4,10 @@
 // driven by the reliability bounds pc ≤ R ≤ 1−pd.
 //
 // The Horvitz–Thompson variances of Equations 8 and 9 are not implemented:
-// a Horvitz–Thompson answer reports the Monte Carlo variance, Equation 3
-// for an S2BDD solve and Equation 2 for the plain sampling baseline.
+// a Horvitz–Thompson answer reports the Monte Carlo variance of Equation 3.
+// The plain sampling baseline is an S2BDD sampler whose only stratum is
+// the root, so its answer, MC or HT, reports Equation 3 at pc = pd = 0,
+// which is Equation 2 (MCVariance) bit for bit.
 package estimator
 
 import (
@@ -148,25 +150,6 @@ func InclusionProb(pr xfloat.F, s int) xfloat.F {
 	}
 	p := pr.Float64()
 	return xfloat.FromFloat64(-math.Expm1(float64(s) * math.Log1p(-p)))
-}
-
-// MCEstimate aggregates a plain Monte Carlo run.
-type MCEstimate struct {
-	Samples   int
-	Connected int
-}
-
-// Estimate returns the sample-mean reliability.
-func (e MCEstimate) Estimate() float64 {
-	if e.Samples == 0 {
-		return 0
-	}
-	return float64(e.Connected) / float64(e.Samples)
-}
-
-// Variance returns the Equation 2 variance of the estimate.
-func (e MCEstimate) Variance() float64 {
-	return MCVariance(e.Estimate(), e.Samples)
 }
 
 // HTEstimate aggregates a Horvitz–Thompson run: the running sum of

@@ -172,17 +172,20 @@ func TestInclusionProbEdgeCases(t *testing.T) {
 	}
 }
 
-func TestMCEstimate(t *testing.T) {
-	e := MCEstimate{Samples: 1000, Connected: 400}
-	if got := e.Estimate(); math.Abs(got-0.4) > 1e-15 {
-		t.Fatalf("estimate = %v", got)
+// TestStratifiedVarianceAtRootIsMCVariance pins Eq. 3 at pc = pd = 0 to
+// Eq. 2 bit for bit: the plain sampling baseline is an S2BDD sampler with
+// only the root stratum, and it reports Eq. 3.
+func TestStratifiedVarianceAtRootIsMCVariance(t *testing.T) {
+	rs := []float64{0, 1, 0.5, 1e-300, 1 - 1e-16, math.Nextafter(1, 0), math.SmallestNonzeroFloat64}
+	for i := 1; i < 1000; i++ {
+		rs = append(rs, float64(i)/1000, float64(i)/7919)
 	}
-	if got := e.Variance(); math.Abs(got-0.4*0.6/1000) > 1e-15 {
-		t.Fatalf("variance = %v", got)
-	}
-	empty := MCEstimate{}
-	if empty.Estimate() != 0 || empty.Variance() != 0 {
-		t.Fatal("empty estimate must be 0")
+	for _, r := range rs {
+		for _, s := range []int{-1, 0, 1, 2, 3, 100, 511, 512, 10_000, 1 << 40} {
+			if got, want := StratifiedMCVariance(r, 0, 0, s), MCVariance(r, s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("r=%v s=%d: Eq. 3 at pc = pd = 0 gives %v, Eq. 2 %v", r, s, got, want)
+			}
+		}
 	}
 }
 

@@ -1,64 +1,23 @@
-// Package sampling implements the paper's comparison baseline samplers:
-// plain Monte Carlo and Horvitz–Thompson estimation over possible worlds
-// (Section 3.2.2). Sampling is embarrassingly parallel; the sample budget is
-// divided into fixed-size chunks, each with its own deterministically-derived
-// RNG stream, and chunk results are folded in chunk order — so a fixed seed
-// yields bit-identical results for every worker count.
-//
-// The package also hosts the worker-count and seed-derivation helpers shared
-// by the other parallel subsystems (the S2BDD stratum sampler in
-// internal/core and the BDD layer expander in internal/bdd), so clamping
-// rules live in exactly one place.
+// Package sampling holds the parallel helpers every chunked subsystem
+// shares: the worker-count clamp, the seed derivation of per-chunk
+// streams, and the chunk scheduler with its pool interface (pool.go).
+// Chunk boundaries depend only on the workload, each chunk derives its own
+// stream from SeedStream, and chunk results fold in chunk order, so a fixed
+// seed yields bit-identical results for every worker count. The S2BDD
+// stratum sampler in internal/core, which also draws the paper's plain
+// Monte Carlo and Horvitz–Thompson baselines (Section 3.2.2) as its root
+// stratum, the BDD layer expander in internal/bdd and analysis all build
+// on them, so the clamping and seeding rules live in exactly one place.
+// The package keeps its name, which the benchmark module imports.
 package sampling
 
-import (
-	"context"
-	"errors"
-	"runtime"
+import "runtime"
 
-	"netrel/internal/estimator"
-	"netrel/internal/ugraph"
-	"netrel/internal/xfloat"
-)
-
-// ChunkSize is the number of possible worlds per deterministic work unit.
-// Chunk boundaries depend only on the sample budget — never on the worker
-// count — which is what makes results worker-count independent.
+// ChunkSize is the number of possible worlds per deterministic work unit
+// of analysis's shared world sampling. Chunk boundaries depend only on the
+// sample budget — never on the worker count — which is what makes results
+// worker-count independent.
 const ChunkSize = 512
-
-// Options configures a sampling run.
-type Options struct {
-	// Samples is the number of possible worlds to draw. Required.
-	Samples int
-	// Estimator selects Monte Carlo (default) or Horvitz–Thompson.
-	Estimator estimator.Kind
-	// Seed makes the run reproducible. Zero is a valid seed.
-	Seed uint64
-	// Workers is the parallelism degree; ≤0 selects GOMAXPROCS. The result
-	// is bit-identical for every worker count.
-	Workers int
-	// Exec optionally lends pool goroutines to the chunk schedule (see
-	// ForEachChunkCtx); nil spawns goroutines per call. Results do not
-	// depend on it.
-	Exec Executor
-}
-
-// Result reports the estimate and its statistics.
-type Result struct {
-	// Estimate is the approximate network reliability R̂.
-	Estimate float64
-	// Samples is the number of worlds drawn.
-	Samples int
-	// Connected is the number of worlds in which terminals were connected.
-	Connected int
-	// Variance is the estimator's variance approximation (Equation 2 for
-	// MC; the HT run reports the MC-form approximation too, which the
-	// paper uses for comparison).
-	Variance float64
-}
-
-// ErrNoSamples reports a non-positive sample count.
-var ErrNoSamples = errors.New("sampling: sample count must be positive")
 
 // ClampWorkers normalizes a requested worker count: non-positive values
 // select GOMAXPROCS, and the count never exceeds total (when total > 0), so
@@ -97,157 +56,4 @@ func SeedStream(seed uint64, coords ...uint64) uint64 {
 		h = mix64(h ^ mix64(c+0x2545f4914f6cdd1d))
 	}
 	return h
-}
-
-// Run estimates R[G,T] by sampling.
-func Run(g *ugraph.Graph, ts ugraph.Terminals, opts Options) (Result, error) {
-	return RunContext(context.Background(), g, ts, opts)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled the chunk
-// schedule stops at the next chunk boundary and the error is ctx.Err().
-// The estimate itself is unaffected by ctx — an uncancelled run returns
-// exactly what Run returns.
-func RunContext(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, opts Options) (Result, error) {
-	if opts.Samples <= 0 {
-		return Result{}, ErrNoSamples
-	}
-	if err := g.Validate(); err != nil {
-		return Result{}, err
-	}
-	if len(ts) <= 1 {
-		return Result{Estimate: 1, Samples: opts.Samples, Connected: opts.Samples}, nil
-	}
-	workers := ClampWorkers(opts.Workers, opts.Samples)
-
-	switch opts.Estimator {
-	case estimator.MonteCarlo:
-		return runMC(ctx, g, ts, opts, workers)
-	case estimator.HorvitzThompson:
-		return runHT(ctx, g, ts, opts, workers)
-	default:
-		return Result{}, errors.New("sampling: unknown estimator")
-	}
-}
-
-// split divides total into `parts` contiguous chunks differing by ≤1. parts
-// is clamped to [1, total] so no chunk is ever empty (total must be
-// positive); callers therefore never spawn a zero-work unit.
-func split(total, parts int) []int {
-	if parts > total {
-		parts = total
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	out := make([]int, parts)
-	base, rem := total/parts, total%parts
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
-	}
-	return out
-}
-
-// chunkCounts partitions a sample budget into deterministic work units of at
-// most ChunkSize draws each.
-func chunkCounts(samples int) []int {
-	return split(samples, (samples+ChunkSize-1)/ChunkSize)
-}
-
-func runMC(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, opts Options, workers int) (Result, error) {
-	counts := chunkCounts(opts.Samples)
-	hits := make([]int, len(counts))
-	err := ForEachChunkCtx(ctx, opts.Exec, len(counts), workers, func() func(int) {
-		s := ugraph.NewWorldSampler(g, ts, 0)
-		return func(c int) {
-			s.Reseed(SeedStream(opts.Seed, uint64(c)))
-			h := 0
-			for i := 0; i < counts[c]; i++ {
-				if s.SampleConnected() {
-					h++
-				}
-			}
-			hits[c] = h
-		}
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	total := 0
-	for _, h := range hits {
-		total += h
-	}
-	est := estimator.MCEstimate{Samples: opts.Samples, Connected: total}
-	return Result{
-		Estimate:  est.Estimate(),
-		Samples:   opts.Samples,
-		Connected: total,
-		Variance:  est.Variance(),
-	}, nil
-}
-
-// htWorld is one connected sampled world: its mask fingerprint and existence
-// probability, in draw order within a chunk.
-type htWorld struct {
-	fp uint64
-	pr xfloat.F
-}
-
-func runHT(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, opts Options, workers int) (Result, error) {
-	// The HT sum ranges over distinct sampled worlds (it models sampling
-	// without replacement); worlds are deduplicated by fingerprint. On the
-	// paper's large graphs duplicates essentially never occur, but on
-	// small graphs skipping deduplication overestimates wildly. Chunks
-	// record connected worlds in draw order; the dedup and the xfloat sum
-	// fold in (chunk, draw) order so the estimate is bit-identical for any
-	// worker count.
-	counts := chunkCounts(opts.Samples)
-	worlds := make([][]htWorld, len(counts))
-	hits := make([]int, len(counts))
-	err := ForEachChunkCtx(ctx, opts.Exec, len(counts), workers, func() func(int) {
-		s := ugraph.NewWorldSampler(g, ts, 0)
-		return func(c int) {
-			s.Reseed(SeedStream(opts.Seed, uint64(c)))
-			var ws []htWorld
-			h := 0
-			for i := 0; i < counts[c]; i++ {
-				connected, pr, fp := s.SampleConnectedWithProb()
-				if connected {
-					h++
-					ws = append(ws, htWorld{fp: fp, pr: pr})
-				}
-			}
-			worlds[c] = ws
-			hits[c] = h
-		}
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	seen := make(map[uint64]bool)
-	hitTotal := 0
-	sum := xfloat.Zero
-	for c := range worlds {
-		hitTotal += hits[c]
-		for _, w := range worlds[c] {
-			if seen[w.fp] {
-				continue
-			}
-			seen[w.fp] = true
-			pi := estimator.InclusionProb(w.pr, opts.Samples)
-			if !pi.IsZero() {
-				sum = sum.Add(w.pr.Div(pi))
-			}
-		}
-	}
-	est := sum.Clamp01().Float64()
-	return Result{
-		Estimate:  est,
-		Samples:   opts.Samples,
-		Connected: hitTotal,
-		Variance:  estimator.MCVariance(est, opts.Samples),
-	}, nil
 }

@@ -1,13 +1,19 @@
-package sampling
+// The paper's plain MC and HT baselines are core's root sampler, run on
+// this package's chunk schedule and seed streams. The baseline tests below
+// drive it the way netrel.MonteCarlo does.
+package sampling_test
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"runtime"
 	"testing"
 
+	"netrel/internal/core"
 	"netrel/internal/estimator"
 	"netrel/internal/exact"
+	"netrel/internal/sampling"
 	"netrel/internal/ugraph"
 )
 
@@ -26,17 +32,40 @@ func triangle(t *testing.T) (*ugraph.Graph, ugraph.Terminals) {
 	return g, ts
 }
 
-func TestMCConvergesToExact(t *testing.T) {
-	g, ts := triangle(t)
-	res, err := Run(g, ts, Options{Samples: 400000, Seed: 1})
+// baseline draws every scheduled sample of a root sampler and returns its
+// answer.
+func baseline(g *ugraph.Graph, ts ugraph.Terminals, cfg core.Config) (core.Result, error) {
+	ctx := context.Background()
+	s, err := core.NewRootSampler(ctx, g, ts, cfg)
+	if err != nil {
+		return core.Result{}, err
+	}
+	if _, err := s.Resume(ctx, s.Remaining()); err != nil {
+		return core.Result{}, err
+	}
+	return s.Result()
+}
+
+func mustBaseline(t *testing.T, g *ugraph.Graph, ts ugraph.Terminals, cfg core.Config) core.Result {
+	t.Helper()
+	res, err := baseline(g, ts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestMCConvergesToExact(t *testing.T) {
+	// Triangle with p = 0.5 everywhere, terminals {0,1}: connected unless
+	// the direct edge is absent and at least one of the other two is.
+	// R = 0.5 + 0.5·0.25 = 0.625.
+	g, ts := triangle(t)
+	res := mustBaseline(t, g, ts, core.Config{Samples: 400000, Seed: 1})
 	if math.Abs(res.Estimate-0.625) > 0.005 {
 		t.Fatalf("MC estimate %v, want 0.625±0.005", res.Estimate)
 	}
-	if res.Samples != 400000 {
-		t.Fatalf("samples = %d", res.Samples)
+	if res.SamplesUsed != 400000 || res.Exact || res.Lower != 0 || res.Upper != 1 {
+		t.Fatalf("used %d, exact %v, bounds [%v, %v]", res.SamplesUsed, res.Exact, res.Lower, res.Upper)
 	}
 	if res.Variance <= 0 || res.Variance > 1 {
 		t.Fatalf("variance = %v", res.Variance)
@@ -45,10 +74,7 @@ func TestMCConvergesToExact(t *testing.T) {
 
 func TestHTConvergesToExact(t *testing.T) {
 	g, ts := triangle(t)
-	res, err := Run(g, ts, Options{Samples: 400000, Seed: 2, Estimator: estimator.HorvitzThompson})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustBaseline(t, g, ts, core.Config{Samples: 400000, Seed: 2, Estimator: estimator.HorvitzThompson})
 	// HT with replacement on a graph with few worlds has higher bias at
 	// finite s; the paper observes it is slightly worse than MC here.
 	if math.Abs(res.Estimate-0.625) > 0.05 {
@@ -58,39 +84,28 @@ func TestHTConvergesToExact(t *testing.T) {
 
 func TestDeterministicAcrossRunsSameWorkers(t *testing.T) {
 	g, ts := triangle(t)
-	a, err := Run(g, ts, Options{Samples: 10000, Seed: 7, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(g, ts, Options{Samples: 10000, Seed: 7, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Estimate != b.Estimate || a.Connected != b.Connected {
-		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
+	for _, kind := range []estimator.Kind{estimator.MonteCarlo, estimator.HorvitzThompson} {
+		cfg := core.Config{Samples: 10000, Seed: 7, Workers: 4, Estimator: kind}
+		a, b := mustBaseline(t, g, ts, cfg), mustBaseline(t, g, ts, cfg)
+		if a.Estimate != b.Estimate || a.Variance != b.Variance {
+			t.Fatalf("%v nondeterministic: %+v vs %+v", kind, a, b)
+		}
 	}
 }
 
 func TestSeedChangesStream(t *testing.T) {
 	g, ts := triangle(t)
-	a, _ := Run(g, ts, Options{Samples: 10000, Seed: 1, Workers: 1})
-	b, _ := Run(g, ts, Options{Samples: 10000, Seed: 2, Workers: 1})
-	if a.Connected == b.Connected {
-		t.Log("same connected count across seeds (possible but unlikely); checking estimates")
-		if a.Estimate == b.Estimate {
-			t.Skip("streams coincide on counts; acceptable")
-		}
+	a := mustBaseline(t, g, ts, core.Config{Samples: 10000, Seed: 1, Workers: 1})
+	b := mustBaseline(t, g, ts, core.Config{Samples: 10000, Seed: 2, Workers: 1})
+	if a.Estimate == b.Estimate {
+		t.Fatalf("seeds 1 and 2 give the same estimate %v", a.Estimate)
 	}
 }
 
 func TestParallelMatchesAccuracy(t *testing.T) {
-	// Different worker counts draw different streams but both must converge.
 	g, ts := triangle(t)
 	for _, w := range []int{1, 2, 8} {
-		res, err := Run(g, ts, Options{Samples: 200000, Seed: 5, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustBaseline(t, g, ts, core.Config{Samples: 200000, Seed: 5, Workers: w})
 		if math.Abs(res.Estimate-0.625) > 0.01 {
 			t.Fatalf("workers=%d: estimate %v", w, res.Estimate)
 		}
@@ -99,18 +114,24 @@ func TestParallelMatchesAccuracy(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	g, ts := triangle(t)
-	if _, err := Run(g, ts, Options{Samples: 0}); err == nil {
-		t.Error("zero samples accepted")
-	}
-	if _, err := Run(g, ts, Options{Samples: -5}); err == nil {
-		t.Error("negative samples accepted")
+	for _, s := range []int{0, -5} {
+		if _, err := core.NewRootSampler(context.Background(), g, ts, core.Config{Samples: s}); err == nil {
+			t.Errorf("%d samples accepted", s)
+		}
 	}
 }
 
 func TestSingleTerminalShortCircuit(t *testing.T) {
 	g, _ := triangle(t)
 	ts, _ := ugraph.NewTerminals(g, []int{2})
-	res, err := Run(g, ts, Options{Samples: 10})
+	s, err := core.NewRootSampler(context.Background(), g, ts, core.Config{Samples: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Remaining() != 0 {
+		t.Fatalf("k=1 schedules %d draws", s.Remaining())
+	}
+	res, err := s.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +142,9 @@ func TestSingleTerminalShortCircuit(t *testing.T) {
 
 func TestMoreWorkersThanSamples(t *testing.T) {
 	g, ts := triangle(t)
-	res, err := Run(g, ts, Options{Samples: 3, Workers: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Samples != 3 {
-		t.Fatalf("samples = %d", res.Samples)
+	res := mustBaseline(t, g, ts, core.Config{Samples: 3, Workers: 16})
+	if res.SamplesUsed != 3 {
+		t.Fatalf("samples = %d", res.SamplesUsed)
 	}
 }
 
@@ -135,18 +153,11 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	// (seed, samples): every worker count must produce identical bits.
 	g, ts := triangle(t)
 	for _, kind := range []estimator.Kind{estimator.MonteCarlo, estimator.HorvitzThompson} {
-		base, err := Run(g, ts, Options{Samples: 5000, Seed: 21, Workers: 1, Estimator: kind})
-		if err != nil {
-			t.Fatal(err)
-		}
+		base := mustBaseline(t, g, ts, core.Config{Samples: 5000, Seed: 21, Workers: 1, Estimator: kind})
 		for _, w := range []int{2, 3, 8, 64} {
-			res, err := Run(g, ts, Options{Samples: 5000, Seed: 21, Workers: w, Estimator: kind})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Estimate != base.Estimate || res.Connected != base.Connected {
-				t.Fatalf("%v workers=%d: %v/%d != base %v/%d",
-					kind, w, res.Estimate, res.Connected, base.Estimate, base.Connected)
+			res := mustBaseline(t, g, ts, core.Config{Samples: 5000, Seed: 21, Workers: w, Estimator: kind})
+			if res.Estimate != base.Estimate || res.Variance != base.Variance {
+				t.Fatalf("%v workers=%d: %v != base %v", kind, w, res.Estimate, base.Estimate)
 			}
 		}
 	}
@@ -162,7 +173,7 @@ func TestClampWorkers(t *testing.T) {
 		{1, 1, 1},
 	}
 	for _, c := range cases {
-		got := ClampWorkers(c.workers, c.total)
+		got := sampling.ClampWorkers(c.workers, c.total)
 		if c.want == -1 {
 			if got < 1 || got > max(runtime.GOMAXPROCS(0), c.total) {
 				t.Fatalf("ClampWorkers(%d,%d) = %d", c.workers, c.total, got)
@@ -175,34 +186,13 @@ func TestClampWorkers(t *testing.T) {
 	}
 }
 
-func TestSplitNeverProducesEmptyParts(t *testing.T) {
-	for _, c := range []struct{ total, parts int }{
-		{10, 3}, {3, 10}, {5, 0}, {7, -2}, {1, 1}, {512, 512},
-	} {
-		out := split(c.total, c.parts)
-		sum := 0
-		for _, n := range out {
-			if n <= 0 {
-				t.Fatalf("split(%d,%d) produced empty part: %v", c.total, c.parts, out)
-			}
-			sum += n
-		}
-		if sum != c.total {
-			t.Fatalf("split(%d,%d) sums to %d: %v", c.total, c.parts, sum, out)
-		}
-		if len(out) > c.total || len(out) < 1 {
-			t.Fatalf("split(%d,%d) has %d parts", c.total, c.parts, len(out))
-		}
-	}
-}
-
 func TestSeedStreamIsCoordinateSensitive(t *testing.T) {
-	a := SeedStream(1, 2, 3)
-	if a != SeedStream(1, 2, 3) {
+	a := sampling.SeedStream(1, 2, 3)
+	if a != sampling.SeedStream(1, 2, 3) {
 		t.Fatal("SeedStream not a pure function")
 	}
 	for _, b := range []uint64{
-		SeedStream(2, 2, 3), SeedStream(1, 3, 3), SeedStream(1, 2, 4), SeedStream(1, 2),
+		sampling.SeedStream(2, 2, 3), sampling.SeedStream(1, 3, 3), sampling.SeedStream(1, 2, 4), sampling.SeedStream(1, 2),
 	} {
 		if a == b {
 			t.Fatal("SeedStream collision across distinct coordinates")
@@ -237,27 +227,11 @@ func TestMCUnbiasedOnRandomGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 		const s = 100000
-		res, err := Run(g, ts, Options{Samples: s, Seed: uint64(trial)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustBaseline(t, g, ts, core.Config{Samples: s, Seed: uint64(trial)})
 		w := want.Float64()
 		sigma := math.Sqrt(w*(1-w)/s) + 1e-9
 		if math.Abs(res.Estimate-w) > 5*sigma {
 			t.Fatalf("trial %d: estimate %v vs exact %v (>5σ=%v)", trial, res.Estimate, w, 5*sigma)
-		}
-	}
-}
-
-func BenchmarkMCTriangle(b *testing.B) {
-	g, _ := ugraph.FromEdges(3, []ugraph.Edge{
-		{U: 0, V: 1, P: 0.5}, {U: 1, V: 2, P: 0.5}, {U: 0, V: 2, P: 0.5},
-	})
-	ts, _ := ugraph.NewTerminals(g, []int{0, 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, ts, Options{Samples: 1000, Workers: 1}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -24,14 +24,10 @@ func Threshold(p float64) uint64 {
 func (c *Coin) Heads(x uint64) bool { return x<<11>>11 < c.Thr }
 
 // Coins returns g's edges as coins in the order ord (a permutation of edge
-// indices; nil means index order).
+// indices).
 func Coins(g *Graph, ord []int) []Coin {
-	cs := make([]Coin, g.M())
-	for i := range cs {
-		ei := i
-		if ord != nil {
-			ei = ord[i]
-		}
+	cs := make([]Coin, len(ord))
+	for i, ei := range ord {
 		e := g.edges[ei]
 		cs[i] = Coin{U: int32(e.U), V: int32(e.V), Thr: Threshold(e.P)}
 	}

@@ -177,17 +177,36 @@ func TestNewTerminalsValidation(t *testing.T) {
 	}
 }
 
+// drawWorld fills exists with one possible world: coin i (edge i) flips on
+// one PCG variate, in index order.
+func drawWorld(cs []Coin, rng *rand.PCG, exists []bool) {
+	for i := range cs {
+		exists[i] = cs[i].Heads(rng.Uint64())
+	}
+}
+
+func indexOrder(g *Graph) []int {
+	ord := make([]int, g.M())
+	for i := range ord {
+		ord[i] = i
+	}
+	return ord
+}
+
 func TestWorldSamplerMatchesExactOnTriangle(t *testing.T) {
 	// Triangle with p=0.5 everywhere, terminals {0,1}: connected unless the
 	// direct edge is absent and at least one of the other two is absent.
 	// R = P(e01) + (1-P(e01))·P(e12)·P(e02) = 0.5 + 0.5·0.25 = 0.625.
 	g := triangle(t)
 	ts, _ := NewTerminals(g, []int{0, 1})
-	s := NewWorldSampler(g, ts, 42)
+	cs := Coins(g, indexOrder(g))
+	rng := rand.NewPCG(42, 0x9e3779b97f4a7c15)
+	exists := make([]bool, g.M())
 	const n = 200000
 	hits := 0
 	for i := 0; i < n; i++ {
-		if s.SampleConnected() {
+		drawWorld(cs, rng, exists)
+		if TerminalsConnected(g, ts, exists) {
 			hits++
 		}
 	}
@@ -198,27 +217,37 @@ func TestWorldSamplerMatchesExactOnTriangle(t *testing.T) {
 }
 
 func TestSampleConnectedWithProbIsConsistent(t *testing.T) {
-	g := triangle(t)
+	g := mustGraph(t, 3, []Edge{{0, 1, 0.3}, {1, 2, 0.6}, {0, 2, 0.9}})
 	ts, _ := NewTerminals(g, []int{0, 1, 2})
-	s := NewWorldSampler(g, ts, 7)
-	// Every sampled world probability must be one of the 8 enumerated ones.
-	valid := map[string]bool{}
-	EnumerateWorlds(g, func(_ []bool, pr xfloat.F) {
-		valid[pr.String()] = true
-	})
-	fps := map[uint64]string{}
-	for i := 0; i < 100; i++ {
-		_, pr, fp := s.SampleConnectedWithProb()
-		if !valid[pr.String()] {
-			t.Fatalf("sampled world probability %v not among enumerated", pr)
-		}
-		// A fingerprint must always map to the same world probability.
-		if prev, ok := fps[fp]; ok && prev != pr.String() {
-			t.Fatalf("fingerprint collision with different probabilities")
-		}
-		fps[fp] = pr.String()
+	// Every drawn world must be one of the 8 enumerated ones, with the same
+	// probability and connectivity.
+	type world struct {
+		pr        string
+		connected bool
 	}
-	if len(fps) < 2 {
+	valid := map[[3]bool]world{}
+	EnumerateWorlds(g, func(exists []bool, pr xfloat.F) {
+		valid[[3]bool(exists)] = world{pr.String(), TerminalsConnected(g, ts, exists)}
+	})
+	cs := Coins(g, indexOrder(g))
+	rng := rand.NewPCG(7, 0x9e3779b97f4a7c15)
+	exists := make([]bool, g.M())
+	seen := map[[3]bool]bool{}
+	for i := 0; i < 100; i++ {
+		drawWorld(cs, rng, exists)
+		want, ok := valid[[3]bool(exists)]
+		if !ok {
+			t.Fatalf("drawn world %v not among enumerated", exists)
+		}
+		if pr := g.WorldProb(exists).String(); pr != want.pr {
+			t.Fatalf("world %v: probability %v, enumerated %v", exists, pr, want.pr)
+		}
+		if TerminalsConnected(g, ts, exists) != want.connected {
+			t.Fatalf("world %v: connectivity disagrees with enumeration", exists)
+		}
+		seen[[3]bool(exists)] = true
+	}
+	if len(seen) < 2 {
 		t.Fatal("expected multiple distinct worlds in 100 draws")
 	}
 }
@@ -226,10 +255,14 @@ func TestSampleConnectedWithProbIsConsistent(t *testing.T) {
 func TestSamplerDeterministicBySeed(t *testing.T) {
 	g := triangle(t)
 	ts, _ := NewTerminals(g, []int{0, 2})
-	a := NewWorldSampler(g, ts, 99)
-	b := NewWorldSampler(g, ts, 99)
+	cs := Coins(g, indexOrder(g))
+	a := rand.NewPCG(99, 0x9e3779b97f4a7c15)
+	b := rand.NewPCG(99, 0x9e3779b97f4a7c15)
+	wa, wb := make([]bool, g.M()), make([]bool, g.M())
 	for i := 0; i < 1000; i++ {
-		if a.SampleConnected() != b.SampleConnected() {
+		drawWorld(cs, a, wa)
+		drawWorld(cs, b, wb)
+		if TerminalsConnected(g, ts, wa) != TerminalsConnected(g, ts, wb) {
 			t.Fatal("same seed diverged")
 		}
 	}

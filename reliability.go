@@ -203,7 +203,12 @@ func ExactContext(ctx context.Context, g *Graph, terminals []int, opts ...Option
 
 // MonteCarlo estimates R[G,T] by plain possible-world sampling — the
 // baseline the paper compares against. The estimator option selects Monte
-// Carlo or Horvitz–Thompson weighting.
+// Carlo or Horvitz–Thompson weighting. It draws like an S2BDD that builds
+// no layers: every sample completes the root state over the whole graph,
+// flipping only the coins the completion reaches, so the baseline and the
+// S2BDD differ in method, not in draw kernel. The answer reports the
+// trivial bounds [0, 1] and, for either estimator, the Equation 2
+// variance.
 func MonteCarlo(g *Graph, terminals []int, opts ...Option) (*Result, error) {
 	return MonteCarloContext(context.Background(), g, terminals, opts...)
 }
@@ -211,9 +216,9 @@ func MonteCarlo(g *Graph, terminals []int, opts ...Option) (*Result, error) {
 // MonteCarloContext is MonteCarlo with cancellation (see
 // ReliabilityContext).
 func MonteCarloContext(ctx context.Context, g *Graph, terminals []int, opts ...Option) (*Result, error) {
-	return runBaseline(ctx, g, terminals, opts, samplingCost, telemetry.PhaseSample,
+	return runBaseline(ctx, g, terminals, opts, samplingCost,
 		func(ctx context.Context, o options, ts ugraph.Terminals, exec sampling.Executor) (*Result, error) {
-			res, err := sampling.RunContext(ctx, g.internal(), ts, sampling.Options{
+			s, err := core.NewRootSampler(ctx, g.internal(), ts, core.Config{
 				Samples:   o.samples,
 				Estimator: o.estimatorKind(),
 				Seed:      o.seed,
@@ -223,15 +228,23 @@ func MonteCarloContext(ctx context.Context, g *Graph, terminals []int, opts ...O
 			if err != nil {
 				return nil, err
 			}
+			// Resume times the draws as the sample phase.
+			if _, err := s.Resume(ctx, s.Remaining()); err != nil {
+				return nil, err
+			}
+			res, err := s.Result()
+			if err != nil {
+				return nil, err
+			}
 			return &Result{
 				Reliability:      res.Estimate,
 				Log10:            log10OrInf(res.Estimate),
 				Lower:            0,
 				Upper:            1,
 				Variance:         res.Variance,
-				SamplesRequested: res.Samples,
-				SamplesReduced:   res.Samples,
-				SamplesUsed:      res.Samples,
+				SamplesRequested: o.samples,
+				SamplesReduced:   o.samples,
+				SamplesUsed:      o.samples,
 			}, nil
 		})
 }
@@ -245,8 +258,9 @@ func BDDExact(g *Graph, terminals []int, opts ...Option) (*Result, error) {
 
 // BDDExactContext is BDDExact with cancellation (see ReliabilityContext).
 func BDDExactContext(ctx context.Context, g *Graph, terminals []int, opts ...Option) (*Result, error) {
-	return runBaseline(ctx, g, terminals, opts, bddCost, telemetry.PhaseConstruct,
+	return runBaseline(ctx, g, terminals, opts, bddCost,
 		func(ctx context.Context, o options, ts ugraph.Terminals, exec sampling.Executor) (*Result, error) {
+			defer telemetry.FromContext(ctx).Span(telemetry.PhaseConstruct)()
 			res, err := bdd.ComputeContext(ctx, g.internal(), ts, bdd.Options{
 				Order:      order.Compute(g.internal(), o.ordering.strategy(), ts[0]),
 				NodeBudget: o.bddBudget,
@@ -275,8 +289,9 @@ func Factoring(g *Graph, terminals []int, opts ...Option) (*Result, error) {
 // when ctx is cancelled, and the call occupies an engine admission slot
 // billed at its recursion budget while it runs.
 func FactoringContext(ctx context.Context, g *Graph, terminals []int, opts ...Option) (*Result, error) {
-	return runBaseline(ctx, g, terminals, opts, factoringCost, telemetry.PhaseConstruct,
+	return runBaseline(ctx, g, terminals, opts, factoringCost,
 		func(ctx context.Context, _ options, ts ugraph.Terminals, _ sampling.Executor) (*Result, error) {
+			defer telemetry.FromContext(ctx).Span(telemetry.PhaseConstruct)()
 			r, err := exact.FactoringContext(ctx, g.internal(), ts, exact.DefaultFactoringBudget)
 			if err != nil {
 				return nil, err
@@ -286,12 +301,12 @@ func FactoringContext(ctx context.Context, g *Graph, terminals []int, opts ...Op
 }
 
 // runBaseline runs one of the paper's baseline solvers on one terminal set:
-// it builds the options, resolves the terminals, admits the call on
-// DefaultEngine at cost(o), and times solve as one span of phase. solve
-// returns the answer fields; runBaseline adds Subproblems, Duration and,
-// under WithTrace, Phases.
+// it builds the options, resolves the terminals and admits the call on
+// DefaultEngine at cost(o). solve returns the answer fields and records
+// its own spans in ctx's trace; runBaseline adds Subproblems, Duration
+// and, under WithTrace, Phases.
 func runBaseline(ctx context.Context, g *Graph, terminals []int, opts []Option,
-	cost func(options) int64, phase telemetry.Phase,
+	cost func(options) int64,
 	solve func(ctx context.Context, o options, ts ugraph.Terminals, exec sampling.Executor) (*Result, error)) (*Result, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
@@ -309,9 +324,7 @@ func runBaseline(ctx context.Context, g *Graph, terminals []int, opts []Option,
 	}
 	defer release()
 	start := time.Now()
-	done := tr.Span(phase)
 	out, err := solve(ctx, o, ts, eng.exec())
-	done()
 	if err != nil {
 		return nil, err
 	}

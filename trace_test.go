@@ -129,6 +129,35 @@ func TestTracePhaseSpans(t *testing.T) {
 	}
 }
 
+// TestTraceMonteCarloCountsDrawsOnce: a traced MonteCarlo times its draws
+// as one sample span, inside the measured Duration, reports every draw
+// once, and answers exactly as untraced.
+func TestTraceMonteCarloCountsDrawsOnce(t *testing.T) {
+	g := denseRandomGraph(t, 40, 140, 11)
+	const s = 4000
+	for _, est := range []Estimator{EstimatorMonteCarlo, EstimatorHorvitzThompson} {
+		opts := []Option{WithSamples(s), WithSeed(3), WithWorkers(1), WithEstimator(est)}
+		base, err := MonteCarlo(g, []int{0, 13, 26, 39}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := MonteCarlo(g, []int{0, 13, 26, 39}, append(opts, WithTrace())...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Reliability != base.Reliability || res.Variance != base.Variance {
+			t.Fatalf("%v: traced %v/%v, untraced %v/%v", est, res.Reliability, res.Variance, base.Reliability, base.Variance)
+		}
+		sample, ok := res.Phases.Span("sample")
+		if !ok || sample.Count != 1 || sample.Duration <= 0 || sample.Duration > res.Duration {
+			t.Fatalf("%v: sample span %+v (ok=%v), Duration %v; want one span within Duration", est, sample, ok, res.Duration)
+		}
+		if res.Phases.SamplesDrawn != s {
+			t.Fatalf("%v: SamplesDrawn = %d, want %d", est, res.Phases.SamplesDrawn, s)
+		}
+	}
+}
+
 // TestTraceRoundsContract pins when a trace reports sampling rounds: a
 // default sampled solve draws its whole schedule in exactly one round, and
 // a solve that samples nothing — Exact, or a Reliability query the S2BDD
