@@ -50,6 +50,20 @@ func TestConstructionCancelledAtEntry(t *testing.T) {
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("pre-cancelled construction took %v", d)
 	}
+
+	// The context is checked before planning: a plan that would fail (a
+	// terminal with no edge) does not mask the cancellation.
+	iso := ugraph.New(3)
+	if _, err := iso.AddEdge(0, 1, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	its, err := ugraph.NewTerminals(iso, []int{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSampler(ctx, iso, its, Config{Samples: 10}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled NewSampler on an unplannable query returned %v, want context.Canceled", err)
+	}
 }
 
 func TestConstructionCancelMidExpansionRetriesBitIdentical(t *testing.T) {

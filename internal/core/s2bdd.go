@@ -95,15 +95,12 @@ func (r *run) recycle(states []snapshot) {
 	}
 }
 
-// execute runs construction, recording every stratum it forms.
-func (r *run) execute() error {
+// execute runs construction, recording every stratum it forms. t0 is when
+// the construct span began; it is read only when r.tr is set.
+func (r *run) execute(t0 time.Time) error {
 	cfg := &r.cfg
 	m := r.plan.M()
 	r.res.SamplesRequested = cfg.Samples
-	var t0 time.Time
-	if r.tr != nil {
-		t0 = time.Now()
-	}
 
 	r.remaining = make([]int32, r.g.N())
 	for _, e := range r.g.Edges() {

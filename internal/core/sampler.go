@@ -76,11 +76,16 @@ type Sampler struct {
 // NewSampler validates the query, runs S2BDD construction with the full
 // schedule of cfg recorded, and returns the sampler positioned at draw
 // zero. An exact query (no strata) yields a sampler with Remaining() == 0
-// whose Result is the exact answer. Construction checks ctx at every layer
-// and at every expansion-chunk boundary within a layer, so a cancelled call
-// returns ctx.Err() promptly; ctx never influences the arithmetic, so a
-// retry builds exactly what an uninterrupted call would have.
+// whose Result is the exact answer. A ctx already done when NewSampler is
+// called returns ctx.Err() before any planning. Construction checks ctx at
+// every layer and at every expansion-chunk boundary within a layer, so a
+// cancelled call returns ctx.Err() promptly; ctx never influences the
+// arithmetic, so a retry builds exactly what an uninterrupted call would
+// have.
 func NewSampler(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, cfg Config) (*Sampler, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -95,6 +100,12 @@ func NewSampler(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, cfg C
 	if ord == nil {
 		ord = naturalOrder(g.M())
 	}
+	// The construct span covers planning too.
+	tr := telemetry.FromContext(ctx)
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
 	plan, err := frontier.NewPlan(g, ts, ord)
 	if err != nil {
 		return nil, err
@@ -107,11 +118,11 @@ func NewSampler(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, cfg C
 		k:        len(ts),
 		ord:      ord,
 		maxFront: plan.MaxFrontier(),
-		tr:       telemetry.FromContext(ctx),
+		tr:       tr,
 		rng:      rand.New(rand.NewPCG(cfg.Seed, 0xa0761d6478bd642f)),
 		workers:  sampling.ClampWorkers(cfg.Workers, 0),
 	}
-	if err := r.execute(); err != nil {
+	if err := r.execute(t0); err != nil {
 		return nil, err
 	}
 	s := &Sampler{r: r}

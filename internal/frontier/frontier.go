@@ -20,9 +20,10 @@
 //     other terminal-carrying components or unseen terminals remain.
 //
 // The Plan stores each layer as a diff (≤2 vertices enter, ≤2 retire), so
-// its memory is O(m) regardless of frontier width; callers that need the
-// concrete frontier of the layer they are processing maintain it
-// incrementally with AdvanceFrontier.
+// its memory is O(m + n) regardless of frontier width, and NewPlan builds
+// it in O(m log n) time; callers that need the concrete frontier of the
+// layer they are processing maintain it incrementally with
+// AdvanceFrontier.
 package frontier
 
 import (
@@ -114,7 +115,6 @@ type Plan struct {
 	lastTouch  []int32
 
 	layers      []layerStep
-	unseenFrom  []int32 // unseenFrom[l] = #terminals with firstTouch ≥ l
 	termsSorted []int32 // terminals sorted by firstTouch
 	termStart   []int32 // termStart[l] = first index with firstTouch ≥ l
 	maxFrontier int
@@ -125,7 +125,8 @@ type Plan struct {
 var ErrFrontierTooWide = errors.New("frontier: frontier exceeds maximum width; try a different edge order")
 
 // NewPlan builds a Plan for g with terminals ts processing edges in ord
-// (a permutation of edge indices).
+// (a permutation of edge indices). It takes O(m log n) time, for any
+// frontier width, and a fixed number of allocations.
 func NewPlan(g *ugraph.Graph, ts ugraph.Terminals, ord []int) (*Plan, error) {
 	m := g.M()
 	if err := validatePerm(m, ord); err != nil {
@@ -162,74 +163,79 @@ func NewPlan(g *ugraph.Graph, ts ugraph.Terminals, ord []int) (*Plan, error) {
 		}
 	}
 
-	// unseenFrom and termsSorted/termStart.
-	p.unseenFrom = make([]int32, m+2)
-	p.termsSorted = make([]int32, 0, len(ts))
+	// termsSorted is a stable counting sort of ts by firstTouch, and
+	// termStart[l] counts the terminals first touched before l. Counting
+	// into termStart[f+2] makes termStart[f+1] the start of bucket f after
+	// the prefix sum; filling the bucket advances it to the start of
+	// bucket f+1, which is where the loop leaves it.
 	p.termStart = make([]int32, m+2)
-	cnt := make([]int32, m+1)
+	p.termsSorted = make([]int32, len(ts))
 	for _, t := range ts {
-		cnt[p.firstTouch[t]]++
+		p.termStart[p.firstTouch[t]+2]++
 	}
-	for l := m; l >= 0; l-- {
-		p.unseenFrom[l] = p.unseenFrom[l+1] + cnt[l]
+	for l := 1; l <= m+1; l++ {
+		p.termStart[l] += p.termStart[l-1]
 	}
-	p.termStart[0] = 0
-	for l := 0; l <= m; l++ {
-		p.termStart[l+1] = p.termStart[l] + cnt[l]
-	}
-	buckets := make([][]int32, m+1)
 	for _, t := range ts {
-		ft := p.firstTouch[t]
-		buckets[ft] = append(buckets[ft], int32(t))
-	}
-	for _, b := range buckets {
-		p.termsSorted = append(p.termsSorted, b...)
+		f := p.firstTouch[t] + 1
+		p.termsSorted[p.termStart[f]] = int32(t)
+		p.termStart[f]++
 	}
 
-	// Frontier evolution as diffs; track width via simulation without
-	// retaining the per-layer contents.
+	// Frontier evolution as diffs. A vertex joins the frontier once, at
+	// its first touch, unless that is also its last, and leaves once, at
+	// its last touch. Survivors keep their relative order and entering
+	// endpoints append (U before V), so a vertex's slot in F_l is the
+	// number of vertices still on the frontier that joined before it: a
+	// prefix sum over a Fenwick tree indexed by join number (seq).
 	p.layers = make([]layerStep, m)
-	slotOf := make(map[int32]int32, 64)
-	flen := 0
+	seq := make([]int32, n)
+	tree := make([]int32, n+1)
+	add := func(i, d int32) {
+		for i++; int(i) < len(tree); i += i & -i {
+			tree[i] += d
+		}
+	}
+	rank := func(i int32) int32 {
+		r := int32(0)
+		for ; i > 0; i -= i & -i {
+			r += tree[i]
+		}
+		return r
+	}
+	joined, flen := int32(0), int32(0)
+	move := func(v int, l int32) {
+		switch first, last := p.firstTouch[v], p.lastTouch[v]; {
+		case first == l && last == l: // touched once: never on the frontier
+		case last == l:
+			add(seq[v], -1)
+			flen--
+		case first == l:
+			seq[v] = joined
+			add(joined, 1)
+			joined++
+			flen++
+		}
+	}
 	for l := 0; l < m; l++ {
 		e := g.Edge(ord[l])
-		st := layerStep{edge: e, slotU: -1, slotV: -1, flen: int32(flen)}
-		if s, ok := slotOf[int32(e.U)]; ok {
-			st.slotU = s
-		}
-		if s, ok := slotOf[int32(e.V)]; ok {
-			st.slotV = s
-		}
+		st := layerStep{edge: e, slotU: -1, slotV: -1, flen: flen}
 		st.uRetires = p.lastTouch[e.U] == int32(l)
 		st.vRetires = p.lastTouch[e.V] == int32(l)
+		// Both slots are read before this layer's joins and leaves.
+		if p.firstTouch[e.U] < int32(l) {
+			st.slotU = rank(seq[e.U])
+		}
+		if p.firstTouch[e.V] < int32(l) {
+			st.slotV = rank(seq[e.V])
+		}
+		move(e.U, int32(l))
+		if e.V != e.U {
+			move(e.V, int32(l))
+		}
 		p.layers[l] = st
-
-		// Evolve the slot map exactly as AdvanceFrontier will: survivors
-		// keep relative order; entering endpoints append (U before V).
-		next := make([]int32, 0, flen+2)
-		cur := make([]int32, flen)
-		for v, s := range slotOf {
-			cur[s] = v
-		}
-		for _, v := range cur {
-			if (v == int32(e.U) && st.uRetires) || (v == int32(e.V) && st.vRetires) {
-				continue
-			}
-			next = append(next, v)
-		}
-		if st.slotU == -1 && !st.uRetires {
-			next = append(next, int32(e.U))
-		}
-		if st.slotV == -1 && !st.vRetires && e.V != e.U {
-			next = append(next, int32(e.V))
-		}
-		clear(slotOf)
-		for s, v := range next {
-			slotOf[v] = int32(s)
-		}
-		flen = len(next)
-		if flen > p.maxFrontier {
-			p.maxFrontier = flen
+		if int(flen) > p.maxFrontier {
+			p.maxFrontier = int(flen)
 		}
 	}
 	if p.maxFrontier > MaxFrontierWidth {
@@ -275,7 +281,7 @@ func (p *Plan) EdgeAt(l int) ugraph.Edge { return p.layers[l].edge }
 
 // UnseenFrom returns the number of terminals with no incident edge processed
 // before position l.
-func (p *Plan) UnseenFrom(l int) int { return int(p.unseenFrom[l]) }
+func (p *Plan) UnseenFrom(l int) int { return len(p.terms) - int(p.termStart[l]) }
 
 // UnseenTerms returns the terminals untouched before position l.
 func (p *Plan) UnseenTerms(l int) []int32 {
@@ -467,7 +473,7 @@ func (p *Plan) Apply(l int, s *State, exists bool, earlyTerm bool, sc *Scratch, 
 		}
 	}
 
-	unseen := int(p.unseenFrom[l+1])
+	unseen := p.UnseenFrom(l + 1)
 	if retiredFlagged > 0 {
 		if retiredFlagged == 1 && aliveFlagged == 0 && unseen == 0 {
 			return OneSink
