@@ -171,21 +171,14 @@ func TestHeuristicPrefersTerminalHeavyNodes(t *testing.T) {
 		remaining: []int32{0, 1, 2, 1},
 	}
 	f := []int32{1} // frontier with one slot holding vertex 1
-	flagged := node{
-		state: frontier.State{Comp: []uint16{0}, Flag: []bool{true}, Tcnt: []uint16{1}},
-		p:     xfloat.FromFloat64(0.125),
-	}
-	unflagged := node{
-		state: frontier.State{Comp: []uint16{0}, Flag: []bool{false}, Tcnt: []uint16{0}},
-		p:     xfloat.FromFloat64(0.125),
-	}
-	if r.heuristic(f, &flagged) <= r.heuristic(f, &unflagged) {
+	flagged := frontier.State{Comp: []uint16{0}, Flag: []bool{true}, Tcnt: []uint16{1}}
+	unflagged := frontier.State{Comp: []uint16{0}, Flag: []bool{false}, Tcnt: []uint16{0}}
+	p := xfloat.FromFloat64(0.125)
+	if r.heuristic(f, &flagged, p) <= r.heuristic(f, &unflagged, p) {
 		t.Fatal("heuristic must prefer terminal-carrying nodes at equal mass")
 	}
 	// Heavier mass wins among equals.
-	heavy := flagged
-	heavy.p = heavy.p.MulFloat64(4)
-	if r.heuristic(f, &heavy) <= r.heuristic(f, &flagged) {
+	if r.heuristic(f, &flagged, p.MulFloat64(4)) <= r.heuristic(f, &flagged, p) {
 		t.Fatal("heuristic must grow with node probability")
 	}
 }

@@ -11,7 +11,7 @@
 // tables: whether a child merges into the layer, occupies a fresh node slot,
 // or is deleted into a sampling stratum depends on the global,
 // order-dependent fill state of the width-bounded table. Chunks therefore do
-// only the schedule-independent work — Apply, key construction, within-chunk
+// only the schedule-independent work — Apply, key hashing, within-chunk
 // deduplication — and record an event log; the driver replays the logs in
 // (chunk, event) order against the global table. Replay order equals the
 // sequential sweep's child order, so every xfloat addition, node ID,
@@ -19,9 +19,19 @@
 // chunk) draw is bit-identical for any worker count — including one, which
 // makes the chunked construction the schedule rather than an approximation
 // of it.
+//
+// No node owns heap storage. A layer's states are rows of a stateArena
+// (arena.go): every chunk reads the parents' arena, each worker slot
+// pushes its chunks' distinct children into an arena of its own, and the
+// replay copies each new node into the next layer's arena and each deleted
+// child into the arena its stratum keeps. Keys are 64-bit hashes checked
+// against the rows in open-addressing stateTables, so construction
+// allocates per layer and per stratum, never per node.
 package core
 
 import (
+	"slices"
+
 	"netrel/internal/frontier"
 	"netrel/internal/sampling"
 	"netrel/internal/xfloat"
@@ -53,30 +63,24 @@ type expandEvent struct {
 	kind  expandKind
 }
 
-// expandEntry is one distinct live-child key produced by a chunk, in
-// first-encounter order. Its state storage comes from the producing slot's
-// pool; the replay hands it to the layer table or a deletion snapshot (or
-// returns it to the driver pool when the key already exists globally).
-type expandEntry struct {
-	key   string
-	state frontier.State
-}
-
-// expandResult is a chunk's output log.
+// expandResult is a chunk's output log. The chunk's entries distinct live
+// children are rows base, base+1, … of arena, the producing slot's, in
+// first-encounter order; an event's entry is its row less base.
 type expandResult struct {
 	events  []expandEvent
-	entries []expandEntry
+	arena   *stateArena
+	base    int32
+	entries int32
 }
 
 // expandSlot is the per-worker scratch of the construction phase: Apply
-// buffers, a key buffer, the within-chunk dedup map, and a state pool the
-// driver refills between layers.
+// buffers, the arena holding the distinct children of the slot's chunks
+// in the current layer, and the within-chunk dedup table.
 type expandSlot struct {
 	sc      *frontier.Scratch
 	scratch frontier.State
-	keyBuf  []byte
-	local   map[string]int32
-	pool    frontier.StatePool
+	arena   stateArena
+	local   stateTable
 }
 
 // expandSlotFor returns the worker-slot expansion scratch, creating it on
@@ -84,43 +88,19 @@ type expandSlot struct {
 // built before the pool starts), so no locking is needed.
 func (r *run) expandSlotFor(slot int) *expandSlot {
 	for len(r.expands) <= slot {
-		r.expands = append(r.expands, &expandSlot{
-			sc:    frontier.NewScratch(r.plan),
-			local: make(map[string]int32, 2*expandChunk),
-		})
+		r.expands = append(r.expands, &expandSlot{sc: frontier.NewScratch(r.plan)})
 	}
 	return r.expands[slot]
 }
 
-// distributeFree rebalances recycled state storage across the expansion
-// slots: every slot pool first drains back to the driver, then each slot
-// gets an equal share, with one share kept back for the driver (the replay
-// needs storage for repeated deletions of one key). The drain step matters
-// under a saturated engine: a slot whose TryGo offer was refused never ran
-// — and so never spent its share — and without reclamation it would hoard
-// a share per layer while the running slots allocate fresh. Called between
-// layers while every slot is idle.
-func (r *run) distributeFree() {
-	if len(r.expands) == 0 {
-		return
-	}
-	for _, es := range r.expands {
-		es.pool.MoveTo(&r.pool, es.pool.Len())
-	}
-	share := r.pool.Len() / (len(r.expands) + 1)
-	for _, es := range r.expands {
-		r.pool.MoveTo(&es.pool, share)
-	}
-}
-
-// expandLayer expands layer l's parents chunk-parallel and returns the
-// per-chunk logs in chunk order. The log storage (the chunk slice and each
-// chunk's event/entry arrays) is owned by the run and reused across layers
-// — the driver fully consumes every log before the next expansion starts —
-// so steady-state construction allocates only key strings and fresh node
-// states, as the sequential sweep did. On cancellation the partial logs
-// are garbage and the caller must propagate the error.
-func (r *run) expandLayer(l int, parents []node) ([]expandResult, error) {
+// expandLayer expands layer l's parents, whose states are rows of from,
+// chunk-parallel and returns the per-chunk logs in chunk order. The log
+// storage (the chunk slice, each chunk's event array and each slot's
+// arena) is owned by the run and reused across layers — the driver fully
+// consumes every log before the next expansion starts — so steady-state
+// construction allocates nothing per node. On cancellation the partial
+// logs are garbage and the caller must propagate the error.
+func (r *run) expandLayer(l int, from *stateArena, parents []node) ([]expandResult, error) {
 	nchunks := (len(parents) + expandChunk - 1) / expandChunk
 	for len(r.chunkBuf) < nchunks {
 		r.chunkBuf = append(r.chunkBuf, expandResult{})
@@ -131,10 +111,11 @@ func (r *run) expandLayer(l int, parents []node) ([]expandResult, error) {
 	err := sampling.ForEachChunkCtx(r.ctx, r.cfg.Exec, nchunks, r.workers, func() func(int) {
 		es := r.expandSlotFor(slot)
 		slot++
+		es.arena.reset()
 		return func(c int) {
 			lo := c * expandChunk
 			hi := min(lo+expandChunk, len(parents))
-			es.expand(r.plan, l, parents[lo:hi], earlyTerm, &out[c])
+			es.expand(r.plan, l, from, parents[lo:hi], earlyTerm, &out[c])
 		}
 	})
 	return out, err
@@ -142,40 +123,40 @@ func (r *run) expandLayer(l int, parents []node) ([]expandResult, error) {
 
 // expand processes one contiguous slice of a layer's parent nodes,
 // recording every produced child as an event into out (reusing its
-// storage). Within-chunk dedup keeps one state copy per distinct key; the
+// storage). Within-chunk dedup keeps one arena row per distinct key; the
 // per-child masses stay separate events so the replay can reproduce the
 // sequential table bookkeeping exactly.
-func (es *expandSlot) expand(plan *frontier.Plan, l int, parents []node, earlyTerm bool, out *expandResult) {
-	out.events = out.events[:0]
-	out.entries = out.entries[:0]
+func (es *expandSlot) expand(plan *frontier.Plan, l int, from *stateArena, parents []node, earlyTerm bool, out *expandResult) {
+	out.events = slices.Grow(out.events[:0], 2*len(parents))
+	out.arena, out.base = &es.arena, int32(len(es.arena.ncomp))
+	es.local.reset(2 * expandChunk)
 	e := plan.EdgeAt(l)
-	clear(es.local)
 	for i := range parents {
 		n := &parents[i]
+		ps := from.view(n.idx)
 		for _, exists := range [2]bool{true, false} {
 			w := e.P
 			if !exists {
 				w = 1 - e.P
 			}
 			childP := n.p.MulFloat64(w)
-			switch plan.Apply(l, &n.state, exists, earlyTerm, es.sc, &es.scratch) {
+			switch plan.Apply(l, &ps, exists, earlyTerm, es.sc, &es.scratch) {
 			case frontier.OneSink:
 				out.events = append(out.events, expandEvent{kind: expandOneSink, p: childP})
 			case frontier.ZeroSink:
 				out.events = append(out.events, expandEvent{kind: expandZeroSink, p: childP})
 			case frontier.Live:
-				es.keyBuf = es.scratch.Key(es.keyBuf[:0])
-				j, ok := es.local[string(es.keyBuf)]
-				if !ok {
-					j = int32(len(out.entries))
-					k := string(es.keyBuf)
-					es.local[k] = j
-					out.entries = append(out.entries, expandEntry{key: k, state: es.pool.Take(&es.scratch)})
+				h := hashKey(&es.scratch)
+				row := es.local.find(&es.arena, &es.scratch, h)
+				if row < 0 {
+					row = es.arena.push(&es.scratch, h)
+					es.local.add(&es.arena, row)
 				}
-				out.events = append(out.events, expandEvent{kind: expandLive, entry: j, p: childP})
+				out.events = append(out.events, expandEvent{kind: expandLive, entry: row - out.base, p: childP})
 			}
 		}
 	}
+	out.entries = int32(len(es.arena.ncomp)) - out.base
 }
 
 // Entry resolutions of the replay. Non-negative values are layer-table
@@ -186,10 +167,15 @@ const (
 	entryDeleted    int32 = -2
 )
 
-// layerTable is the replay's view of one layer under construction.
+// layerTable is the replay's view of one layer under construction: the
+// live children, whose states are rows of arena indexed by index (a node's
+// slot is its row), and the deleted ones, copied into del, the arena their
+// stratum will own.
 type layerTable struct {
+	arena       *stateArena
+	index       *stateTable
 	next        []node
-	index       map[string]int
+	del         *stateArena
 	deleted     []snapshot
 	deletedMass xfloat.F
 }
@@ -210,40 +196,50 @@ func (r *run) replayChunk(ch *expandResult, t *layerTable, resolve []int32) erro
 			r.pd = r.pd.Add(ev.p)
 			continue
 		}
+		row := ch.base + ev.entry
+		s := ch.arena.view(row)
 		switch res := resolve[ev.entry]; {
 		case res >= 0:
 			t.next[res].p = t.next[res].p.Add(ev.p)
 			r.res.NodesMerged++
 		case res == entryDeleted:
 			// Repeated overflow of one key: the sequential sweep snapshots
-			// each occurrence separately (deleted nodes are not indexed),
-			// so copy the entry's state for this one.
-			ent := &ch.entries[ev.entry]
-			t.deleted = append(t.deleted, snapshot{state: r.pool.Take(&ent.state), p: ev.p})
-			t.deletedMass = t.deletedMass.Add(ev.p)
+			// each occurrence separately (deleted nodes are not indexed).
+			t.delete(&s, ev.p)
 			r.res.NodesDeleted++
 		default: // first event of this entry
-			ent := &ch.entries[ev.entry]
-			if j, ok := t.index[ent.key]; ok {
-				resolve[ev.entry] = int32(j)
+			h := ch.arena.hash[row]
+			if j := t.index.find(t.arena, &s, h); j >= 0 {
+				resolve[ev.entry] = j
 				t.next[j].p = t.next[j].p.Add(ev.p)
 				r.res.NodesMerged++
-				r.pool.Put(ent.state) // state already represented globally
 			} else if len(t.next) < cfg.MaxWidth {
-				resolve[ev.entry] = int32(len(t.next))
-				t.index[ent.key] = len(t.next)
-				t.next = append(t.next, node{state: ent.state, p: ev.p})
+				j := t.arena.push(&s, h)
+				t.index.add(t.arena, j)
+				resolve[ev.entry] = j
+				t.next = append(t.next, node{idx: j, p: ev.p})
 				r.res.NodesCreated++
 			} else {
 				if cfg.ExactOnly {
 					return ErrNotExact
 				}
 				resolve[ev.entry] = entryDeleted
-				t.deleted = append(t.deleted, snapshot{state: ent.state, p: ev.p})
-				t.deletedMass = t.deletedMass.Add(ev.p)
+				t.delete(&s, ev.p)
 				r.res.NodesDeleted++
 			}
 		}
 	}
 	return nil
+}
+
+// delete snapshots a deleted child of mass p into the layer's stratum.
+func (t *layerTable) delete(s *frontier.State, p xfloat.F) {
+	if len(t.deleted) == 0 {
+		if t.del == nil {
+			t.del = &stateArena{}
+		}
+		t.del.reset()
+	}
+	t.deleted = append(t.deleted, snapshot{idx: t.del.push(s, 0), p: p})
+	t.deletedMass = t.deletedMass.Add(p)
 }

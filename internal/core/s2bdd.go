@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"time"
 
 	"netrel/internal/estimator"
@@ -15,18 +16,21 @@ import (
 	"netrel/internal/xfloat"
 )
 
-// node is a live S2BDD node: a frontier state with its probability mass and
-// cached deletion priority (log-space h(n) of Equation 10).
+// node is a live S2BDD node: the arena row of its frontier state, its
+// probability mass and its cached deletion priority (log-space h(n) of
+// Equation 10). It holds no pointers, so a layer of nodes is one flat
+// slice the garbage collector need not scan.
 type node struct {
-	state frontier.State
-	p     xfloat.F
-	hLog  float64
+	idx  int32
+	p    xfloat.F
+	hLog float64
 }
 
-// snapshot is a deleted node retained for stratified sampling.
+// snapshot is a deleted node retained for stratified sampling: a row of
+// its stratum's arena and its mass.
 type snapshot struct {
-	state frontier.State
-	p     xfloat.F
+	idx int32
+	p   xfloat.F
 }
 
 // run carries the mutable state of one S2BDD execution.
@@ -67,16 +71,11 @@ type run struct {
 	estSampled  xfloat.F
 
 	remaining []int32 // per-vertex count of unprocessed incident edges
-
-	// pool is the driver's share of the recycled state storage; the
-	// expansion slots hold the rest (see distributeFree). Construction
-	// creates and discards up to 2w states per layer, and reusing their
-	// slices removes the allocation churn from the hot loop.
-	pool frontier.StatePool
+	hbuf      []int32 // heuristic's per-component scratch
 
 	// chunkBuf is the reusable per-layer chunk-log storage (see
-	// expandLayer); stale entries alias moved states but are overwritten
-	// before ever being read again.
+	// expandLayer); stale entries are overwritten before ever being read
+	// again.
 	chunkBuf []expandResult
 
 	// strata are the recorded stratum schedules (allocation, weight, pick
@@ -86,13 +85,6 @@ type run struct {
 	strata []*stratumState
 
 	res Result
-}
-
-// recycle returns snapshot state storage to the driver pool.
-func (r *run) recycle(states []snapshot) {
-	for i := range states {
-		r.pool.Put(states[i].state)
-	}
 }
 
 // execute runs construction, recording every stratum it forms. t0 is when
@@ -108,7 +100,18 @@ func (r *run) execute(t0 time.Time) error {
 		r.remaining[e.V]++
 	}
 
-	nodes := []node{{state: r.plan.Root(), p: xfloat.One}}
+	// Each layer's states live in an arena: the parents' in cur, the
+	// children's in next, swapped every layer, as are the node slices.
+	// index finds a child's node by key; it and the arenas only grow. del
+	// and deleted take a layer's deleted children; a stratum that records
+	// draws keeps them, else the next layer reuses them.
+	cur, next := &stateArena{}, &stateArena{}
+	var index stateTable
+	root := r.plan.Root()
+	nodes := []node{{idx: cur.push(&root, 0), p: xfloat.One}}
+	var spare []node
+	var del *stateArena
+	var deleted []snapshot
 	r.res.NodesCreated = 1
 	r.res.PeakWidth = 1
 
@@ -130,7 +133,6 @@ func (r *run) execute(t0 time.Time) error {
 	}
 
 	flushed := false
-	index := make(map[string]int, 256)
 	var resolve []int32
 	for l := 0; l < m && len(nodes) > 0; l++ {
 		// Cancellation is checked per layer here and per expansion chunk
@@ -147,23 +149,16 @@ func (r *run) execute(t0 time.Time) error {
 		// logs in chunk order against the width-bounded table — the replay
 		// reproduces the sequential sweep's bookkeeping exactly (see
 		// expand.go).
-		r.distributeFree()
-		chunks, err := r.expandLayer(l, nodes)
+		chunks, err := r.expandLayer(l, cur, nodes)
 		if err != nil {
 			return err
 		}
-		clear(index)
-		table := layerTable{
-			next:  make([]node, 0, min(2*len(nodes), cfg.MaxWidth)),
-			index: index,
-		}
+		next.reset()
+		index.reset(min(2*len(nodes), cfg.MaxWidth))
+		table := layerTable{arena: next, index: &index, next: spare[:0], del: del, deleted: deleted[:0]}
 		for ci := range chunks {
 			ch := &chunks[ci]
-			if cap(resolve) < len(ch.entries) {
-				resolve = make([]int32, len(ch.entries))
-			} else {
-				resolve = resolve[:len(ch.entries)]
-			}
+			resolve = slices.Grow(resolve[:0], int(ch.entries))[:ch.entries]
 			for i := range resolve {
 				resolve[i] = entryUnresolved
 			}
@@ -171,7 +166,6 @@ func (r *run) execute(t0 time.Time) error {
 				return err
 			}
 		}
-		next, deleted, deletedMass := table.next, table.deleted, table.deletedMass
 
 		// Edge l is now processed: advance the frontier to F_{l+1} and
 		// update the remaining-degree counts used by the heuristic.
@@ -180,25 +174,25 @@ func (r *run) execute(t0 time.Time) error {
 		r.remaining[e.U]--
 		r.remaining[e.V]--
 
-		// Record this layer's deleted stratum (nodes live at layer l+1),
-		// then recycle the parents' state storage, which nothing references
-		// past this point.
-		if len(deleted) > 0 {
-			r.sampleStratum(l+1, curF, deleted, deletedMass)
+		// Record this layer's deleted stratum (nodes live at layer l+1).
+		// Nothing references the parents past this point, so their arena
+		// and node slice take the next layer's children.
+		del, deleted = table.del, table.deleted
+		if len(deleted) > 0 && r.sampleStratum(l+1, curF, del, deleted, table.deletedMass) {
+			del, deleted = nil, nil
 		}
-		for i := range nodes {
-			r.pool.Put(nodes[i].state)
-		}
+		cur, next = next, cur
+		nodes, spare = table.next, nodes
 
 		// Priority-sort the next layer so that, when it overflows, the
 		// lowest-h children are the ones deleted (Algorithm 2 line 34).
 		if !cfg.DisableHeuristic {
-			for i := range next {
-				next[i].hLog = r.heuristic(curF, &next[i])
+			for i := range nodes {
+				st := cur.view(nodes[i].idx)
+				nodes[i].hLog = r.heuristic(curF, &st, nodes[i].p)
 			}
-			sort.Slice(next, func(a, b int) bool { return next[a].hLog > next[b].hLog })
+			slices.SortFunc(nodes, byPriority)
 		}
-		nodes = next
 		if len(nodes) > r.res.PeakWidth {
 			r.res.PeakWidth = len(nodes)
 		}
@@ -221,9 +215,9 @@ func (r *run) execute(t0 time.Time) error {
 				}
 				flush := make([]snapshot, len(nodes))
 				for i := range nodes {
-					flush[i] = snapshot{state: nodes[i].state, p: nodes[i].p}
+					flush[i] = snapshot{idx: nodes[i].idx, p: nodes[i].p}
 				}
-				r.sampleStratum(l+1, curF, flush, liveMass)
+				r.sampleStratum(l+1, curF, cur, flush, liveMass)
 				nodes = nil
 				flushed = true
 				break
@@ -244,6 +238,13 @@ func (r *run) execute(t0 time.Time) error {
 	}
 	return nil
 }
+
+// byPriority orders nodes by descending deletion priority hLog. The
+// layer's permutation is part of the answer (it fixes node order, hence
+// which nodes a full layer deletes), and slices.SortFunc with byPriority
+// permutes exactly as sort.Slice with hLog[a] > hLog[b]: both run one
+// generated pdqsort (TestByPriorityMatchesSortSlice).
+func byPriority(a, b node) int { return cmp.Compare(b.hLog, a.hLog) }
 
 // sPrime returns the current Theorem 1 sample budget.
 func (r *run) sPrime() int {
@@ -272,28 +273,20 @@ func clamp01(x float64) float64 {
 // components with t > 0 of max(t/k, 1/d), where d is the component's count
 // of incident uncertain edges. Nodes with no terminal-carrying component
 // yet are scored with a small constant in place of the max term.
-func (r *run) heuristic(f []int32, n *node) float64 {
+func (r *run) heuristic(f []int32, st *frontier.State, p xfloat.F) float64 {
 	const unflaggedScore = 1e-6
-	if n.p.IsZero() {
+	if p.IsZero() {
 		// A node can carry exactly zero mass when the graph has certain
 		// (p = 1) edges — e.g. evidence conditioning — and the node lies on
 		// such an edge's absent branch. It contributes nothing to any sink,
 		// so it is the first to delete: log h(n) = −∞.
 		return math.Inf(-1)
 	}
-	st := &n.state
 	best := 0.0
 	// d per component: sum of remaining uncertain edges over member slots.
-	var dbuf [64]int32
-	var d []int32
-	if len(st.Flag) <= len(dbuf) {
-		d = dbuf[:len(st.Flag)]
-		for i := range d {
-			d[i] = 0
-		}
-	} else {
-		d = make([]int32, len(st.Flag))
-	}
+	r.hbuf = slices.Grow(r.hbuf[:0], len(st.Flag))[:len(st.Flag)]
+	d := r.hbuf
+	clear(d)
 	for slot, v := range f {
 		d[st.Comp[slot]] += r.remaining[v]
 	}
@@ -314,29 +307,28 @@ func (r *run) heuristic(f []int32, n *node) float64 {
 	if best == 0 {
 		best = unflaggedScore
 	}
-	return n.p.Log() + math.Log(best)
+	return p.Log() + math.Log(best)
 }
 
 // sampleStratum records one stratum (the deleted nodes of one layer, or the
-// flushed live nodes) for the Sampler to draw, and takes ownership of
-// snaps: they go back to the pool exactly once, when the stratum is
-// finished or found to need no draws. Allocation is s′·P_l with stochastic
-// rounding and inverse-allocation weighting, which keeps the combined
-// estimator unbiased even when a stratum's expected allocation is below one
-// sample. The draws themselves use streams seeded from (Seed, layer,
+// flushed live nodes, whose states are rows of arena) for the Sampler to
+// draw, and reports whether it scheduled any draws; if so, the stratum
+// keeps arena and snaps until they are done. Allocation is s′·P_l with
+// stochastic rounding and inverse-allocation weighting, which keeps the
+// combined estimator unbiased even when a stratum's expected allocation is
+// below one sample. The draws themselves use streams seeded from (Seed, layer,
 // stratum, chunk) and fold in chunk order, so the estimate does not depend
 // on the worker count or on how Resume calls split it (see parallel.go).
-func (r *run) sampleStratum(layer int, front []int32, snaps []snapshot, mass xfloat.F) {
+func (r *run) sampleStratum(layer int, front []int32, arena *stateArena, snaps []snapshot, mass xfloat.F) bool {
 	r.res.Strata++
 	stratum := r.res.Strata // 1-based stratum ordinal, deterministic
 	r.sampledMass = r.sampledMass.Add(mass)
 	st := r.scheduleStratum(mass)
 	if st == nil {
-		r.recycle(snaps)
-		return
+		return false
 	}
 	// front is a reused buffer, so it is copied.
-	st.layer, st.ordinal, st.front, st.snaps = layer, stratum, append([]int32(nil), front...), snaps
+	st.layer, st.ordinal, st.front, st.arena, st.snaps = layer, stratum, append([]int32(nil), front...), arena, snaps
 	st.unseen = r.plan.UnseenTerms(layer)
 	// Node choice is proportional to node mass within the stratum. cum is
 	// built once, before any chunk runs, and read concurrently by all chunks.
@@ -349,6 +341,7 @@ func (r *run) sampleStratum(layer int, front []int32, snaps []snapshot, mass xfl
 		st.seen = make(map[uint64]bool, st.draws)
 	}
 	r.strata = append(r.strata, st)
+	return true
 }
 
 // scheduleStratum allocates a stratum of the given mass its draws and

@@ -41,9 +41,10 @@ import (
 // the schedule.
 type stratumState struct {
 	layer   int
-	ordinal int     // 1-based stratum index (r.res.Strata when it formed)
-	front   []int32 // frontier (a copy: execute reuses its buffers)
-	unseen  []int32 // the terminals no edge before layer touches
+	ordinal int         // 1-based stratum index (r.res.Strata when it formed)
+	front   []int32     // frontier (a copy: execute reuses its buffers)
+	unseen  []int32     // the terminals no edge before layer touches
+	arena   *stateArena // the snapshots' states
 	snaps   []snapshot
 	mass    xfloat.F
 	weight  float64
@@ -173,6 +174,7 @@ func NewRootSampler(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, c
 	st := &stratumState{
 		ordinal: 1,
 		unseen:  make([]int32, len(ts)),
+		arena:   &stateArena{},
 		snaps:   []snapshot{{p: xfloat.One}},
 		mass:    xfloat.One,
 		weight:  1,
@@ -183,6 +185,7 @@ func NewRootSampler(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, c
 	for i, t := range ts {
 		st.unseen[i] = int32(t)
 	}
+	st.arena.push(&frontier.State{}, 0)
 	if cfg.Estimator == estimator.HorvitzThompson {
 		st.seen = make(map[uint64]bool, st.draws)
 	}
@@ -324,13 +327,14 @@ func (r *run) drawSegment(st *stratumState, comp *completer, chunk, off, n int) 
 	for i := 0; i < n; i++ {
 		idx := st.pick(&rng)
 		sp := &st.snaps[idx]
+		s := st.arena.view(sp.idx)
 		if r.cfg.Estimator == estimator.MonteCarlo {
-			if comp.drawMC(&sp.state, &rng) {
+			if comp.drawMC(&s, &rng) {
 				hits++
 			}
 			continue
 		}
-		if ok, pr, fp := comp.drawHT(&sp.state, &rng); ok {
+		if ok, pr, fp := comp.drawHT(&s, &rng); ok {
 			out = append(out, htDraw{fp: mixNodeFP(fp, idx), q: sp.p.Mul(pr).Div(st.mass)})
 		}
 	}
@@ -338,8 +342,8 @@ func (r *run) drawSegment(st *stratumState, comp *completer, chunk, off, n int) 
 }
 
 // finishStratum folds a completed stratum's contribution into the run —
-// mass·hit·weight, added in stratum order — and returns the stratum's
-// snapshots to the pool.
+// mass·hit·weight, added in stratum order — and drops the stratum's
+// snapshots.
 func (r *run) finishStratum(st *stratumState) {
 	hit := 0.0
 	switch r.cfg.Estimator {
@@ -349,8 +353,7 @@ func (r *run) finishStratum(st *stratumState) {
 		hit = st.ht.Estimate()
 	}
 	r.estSampled = r.estSampled.Add(st.mass.MulFloat64(hit * st.weight))
-	r.recycle(st.snaps)
-	st.snaps, st.front, st.cum, st.seen = nil, nil, nil, nil
+	st.arena, st.snaps, st.front, st.cum, st.seen = nil, nil, nil, nil, nil
 }
 
 // Result assembles the answer for the draws made so far. With the schedule

@@ -14,6 +14,7 @@ import (
 func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace
 	tr.Add(PhasePlan, time.Second)
+	tr.Extend(PhasePlan, time.Second)
 	tr.Span(PhaseConstruct)()
 	tr.Annotate(AnnotCacheHits, 3)
 	s := tr.Snapshot()
@@ -39,10 +40,12 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	got.Add(PhasePlan, 5*time.Millisecond)
 	got.Add(PhasePlan, 3*time.Millisecond)
-	got.Add(PhaseSample, -time.Second) // clock step: dropped
+	got.Extend(PhasePlan, 2*time.Millisecond) // time, no span
+	got.Add(PhaseSample, -time.Second)        // clock step: dropped
+	got.Extend(PhaseSample, -time.Second)
 	got.Annotate(AnnotSubproblems, 7)
 	s := tr.Snapshot()
-	if s.Nanos[PhasePlan] != int64(8*time.Millisecond) || s.Counts[PhasePlan] != 2 {
+	if s.Nanos[PhasePlan] != int64(10*time.Millisecond) || s.Counts[PhasePlan] != 2 {
 		t.Fatalf("plan accumulation wrong: %+v", s)
 	}
 	if s.Nanos[PhaseSample] != 0 || s.Counts[PhaseSample] != 0 {

@@ -43,8 +43,9 @@ const (
 	// PhasePlan is preprocessing/decomposition: prune → decompose →
 	// transform, producing the signed subproblems.
 	PhasePlan
-	// PhaseConstruct is S2BDD construction (layer expansion and table
-	// replay), summed over the request's subproblems.
+	// PhaseConstruct is S2BDD construction (the edge order, the frontier
+	// plan, layer expansion and table replay), summed over the request's
+	// subproblems.
 	PhaseConstruct
 	// PhaseSample is the stratified completion sampling, summed over the
 	// request's subproblems and strata.
@@ -131,6 +132,16 @@ func (t *Trace) Add(p Phase, d time.Duration) {
 	}
 	t.nanos[p].Add(int64(d))
 	t.counts[p].Add(1)
+}
+
+// Extend adds d to phase p's time without counting a span: for work that
+// belongs to a span another layer records, such as a subproblem's edge
+// order, computed before core opens the subproblem's construct span.
+func (t *Trace) Extend(p Phase, d time.Duration) {
+	if t == nil || p >= NumPhases || d < 0 {
+		return
+	}
+	t.nanos[p].Add(int64(d))
 }
 
 // Span starts a span under phase p and returns the function that ends it.

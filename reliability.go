@@ -440,7 +440,16 @@ func solveJobs(ctx context.Context, exec sampling.Executor, jobs []batch.Job, fa
 			}
 			i := miss[k]
 			j := jobs[i]
-			samplers[i], errs[i] = core.NewSampler(ctx, j.G, j.Ts, jobConfig(exec, j, o, exactOnly, total))
+			// The edge order is part of construction; jobConfig computes it.
+			var t0 time.Time
+			if tr != nil {
+				t0 = time.Now()
+			}
+			cfg := jobConfig(exec, j, o, exactOnly, total)
+			if tr != nil {
+				tr.Extend(telemetry.PhaseConstruct, time.Since(t0))
+			}
+			samplers[i], errs[i] = core.NewSampler(ctx, j.G, j.Ts, cfg)
 			if errs[i] != nil {
 				failed.Store(true)
 			}
