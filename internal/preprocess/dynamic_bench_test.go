@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"netrel/datasets"
 	"netrel/internal/preprocess"
 	"netrel/internal/ugraph"
 )
@@ -20,16 +19,7 @@ var updateSink *preprocess.IndexUpdate
 // a removal or addition rebuilds it.
 func BenchmarkIndexUpdate(b *testing.B) {
 	for _, name := range []string{"Tokyo", "Hit-d"} {
-		pub, err := datasets.Generate(name, datasets.Small, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g := ugraph.New(pub.N())
-		for _, e := range pub.Edges() {
-			if _, err := g.AddEdge(e.U, e.V, e.P); err != nil {
-				b.Fatal(err)
-			}
-		}
+		_, g := smallDataset(b, name)
 		idx := preprocess.BuildIndex(g)
 		for _, kind := range []string{"set_prob", "remove", "add"} {
 			b.Run(name+"/"+kind, func(b *testing.B) {

@@ -2,6 +2,7 @@ package preprocess
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"netrel/internal/ugraph"
@@ -69,8 +70,8 @@ func randDelta(rng *rand.Rand, g *ugraph.Graph) ugraph.Delta {
 // graphs and deltas — probability-only, removals (including multi-removal
 // splits), additions (including cross-tree merges and parallel re-adds of
 // bridges), and mixes — the updated index must equal a cold BuildIndex of
-// the mutated graph exactly, labels included, and its cover map must be
-// exact both ways.
+// the mutated graph exactly, labels, bridge forest and component lists
+// included, and its cover map must be exact both ways.
 func TestUpdateMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 500; iter++ {
@@ -104,6 +105,9 @@ func TestUpdateMatchesRebuild(t *testing.T) {
 			if got.Bridges[i] != want.Bridges[i] {
 				t.Fatalf("iter %d: Bridges[%d]=%d, want %d", iter, i, got.Bridges[i], want.Bridges[i])
 			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d: updated index differs from a cold build (delta %+v):\n got %+v\nwant %+v", iter, d, got, want)
 		}
 		if !d.TopologyChanged() && got != idx {
 			t.Fatalf("iter %d: probability-only delta replaced the index", iter)

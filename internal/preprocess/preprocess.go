@@ -1,10 +1,11 @@
 package preprocess
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"netrel/internal/telemetry"
 	"netrel/internal/ugraph"
@@ -76,6 +77,12 @@ func Run(g *ugraph.Graph, ts ugraph.Terminals, idx *Index) (*Result, error) {
 // build is recorded under PhaseIndex. ctx carries only the trace — the pass
 // itself is not cancellable (it is cheap relative to solving; callers check
 // ctx around it).
+//
+// With a prebuilt index, prune and decompose climb the bridge forest from
+// the k terminals' components to their common ancestor (at most k·s steps
+// for a Steiner subtree of s components), sort O(k + s) items, and copy
+// the components kept. Nothing else grows with the graph, except the edge
+// scan of g.Validate.
 func RunContext(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, idx *Index) (*Result, error) {
 	if len(ts) == 0 {
 		return nil, ErrNoTerminals
@@ -98,151 +105,91 @@ func RunContext(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, idx *
 		return res, nil
 	}
 
-	// --- Prune: Steiner subtree of the bridge tree. ---
-	// Bridge-tree nodes are 2ECCs; edges are bridges. Iteratively strip
-	// non-terminal leaf components; what remains is the minimal subtree
-	// spanning all terminal components.
-	nc := idx.NumComps
-	isTermComp := make([]bool, nc)
-	for _, t := range ts {
-		isTermComp[idx.Comp[t]] = true
+	// --- Prune: Steiner subtree of the bridge forest. ---
+	// The terminals' components must share a tree, or R = 0. The subtree is
+	// each terminal component's path up to their common ancestor, walked
+	// until it meets a component already kept.
+	tree := idx.tree
+	termComps := make([]int32, len(ts))
+	for i, t := range ts {
+		termComps[i] = idx.Comp[t]
 	}
-	compAdj := make([][]bridgeArc, nc)
-	for _, ei := range idx.Bridges {
-		e := g.Edge(ei)
-		cu, cv := idx.Comp[e.U], idx.Comp[e.V]
-		compAdj[cu] = append(compAdj[cu], bridgeArc{edge: ei, to: cv})
-		compAdj[cv] = append(compAdj[cv], bridgeArc{edge: ei, to: cu})
-	}
-
-	// Connectivity check across comps: all terminal comps must be in one
-	// bridge-tree component; otherwise R = 0.
-	if !terminalCompsConnected(compAdj, isTermComp, nc) {
-		res.Disconnected = true
-		return res, nil
-	}
-
-	kept := make([]bool, nc)
-	for c := range kept {
-		kept[c] = true
-	}
-	deg := make([]int, nc)
-	for c := range compAdj {
-		deg[c] = len(compAdj[c])
-	}
-	queue := make([]int32, 0, nc)
-	for c := 0; c < nc; c++ {
-		if deg[c] <= 1 && !isTermComp[c] {
-			queue = append(queue, int32(c))
+	slices.Sort(termComps)
+	termComps = slices.Compact(termComps)
+	top := termComps[0]
+	for _, c := range termComps[1:] {
+		if tree[c].root != tree[top].root {
+			res.Disconnected = true
+			return res, nil
+		}
+		for tree[c].depth > tree[top].depth {
+			c = tree[c].up
+		}
+		for tree[top].depth > tree[c].depth {
+			top = tree[top].up
+		}
+		for c != top {
+			c, top = tree[c].up, tree[top].up
 		}
 	}
-	for len(queue) > 0 {
-		c := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if !kept[c] || isTermComp[c] {
-			continue
-		}
-		if deg[c] > 1 {
-			continue
-		}
-		kept[c] = false
-		for _, arc := range compAdj[c] {
-			if kept[arc.to] {
-				deg[arc.to]--
-				if deg[arc.to] <= 1 && !isTermComp[arc.to] {
-					queue = append(queue, arc.to)
-				}
+	kept := make(map[int32]bool, len(termComps))
+	var bridges []int32
+	for _, c := range termComps {
+		for !kept[c] {
+			kept[c] = true
+			if c == top {
+				break
 			}
-		}
-	}
-	// Comps in other bridge-tree components (not reachable from terminal
-	// comps) also have to go; strip them by reachability.
-	reach := make([]bool, nc)
-	stack := []int32{idx.Comp[ts[0]]}
-	reach[idx.Comp[ts[0]]] = true
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, arc := range compAdj[c] {
-			if kept[arc.to] && !reach[arc.to] {
-				reach[arc.to] = true
-				stack = append(stack, arc.to)
-			}
-		}
-	}
-	for c := 0; c < nc; c++ {
-		if !reach[c] {
-			kept[c] = false
+			bridges = append(bridges, tree[c].upEdge)
+			c = tree[c].up
 		}
 	}
 
 	// --- Decompose: kept bridges must exist; their probabilities multiply
-	// into PB and their endpoints become terminals of their components. ---
-	extraTerms := make(map[int32][]int, 8) // comp → attachment vertices
-	for _, ei := range idx.Bridges {
-		e := g.Edge(ei)
-		cu, cv := idx.Comp[e.U], idx.Comp[e.V]
-		if !kept[cu] || !kept[cv] {
-			continue
-		}
-		res.PB = res.PB.MulFloat64(e.P)
-		res.Bridges++
-		extraTerms[cu] = append(extraTerms[cu], e.U)
-		extraTerms[cv] = append(extraTerms[cv], e.V)
+	// into PB (in edge order, which fixes the rounding) and their endpoints
+	// become terminals of their components. ---
+	slices.Sort(bridges)
+	type attachment struct {
+		comp int32
+		v    int
 	}
-
-	// --- Build subgraphs per kept comp. ---
-	// Group vertices and edges.
-	termsByComp := make(map[int32][]int, 8)
+	at := make([]attachment, 0, len(ts)+2*len(bridges))
 	for _, t := range ts {
-		c := idx.Comp[t]
-		termsByComp[c] = append(termsByComp[c], t)
+		at = append(at, attachment{idx.Comp[t], t})
 	}
-	for c, vs := range extraTerms {
-		termsByComp[c] = append(termsByComp[c], vs...)
+	for _, ei := range bridges {
+		e := g.Edge(int(ei))
+		res.PB = res.PB.MulFloat64(e.P)
+		at = append(at, attachment{idx.Comp[e.U], e.U}, attachment{idx.Comp[e.V], e.V})
 	}
+	res.Bridges = len(bridges)
 
-	vertsByComp := make(map[int32][]int, 8)
-	for v := 0; v < g.N(); v++ {
-		c := idx.Comp[v]
-		if kept[c] {
-			vertsByComp[c] = append(vertsByComp[c], v)
+	// --- Build subgraphs per kept comp, ascending; every kept comp holds a
+	// terminal or a bridge endpoint. ---
+	slices.SortFunc(at, func(a, b attachment) int {
+		return cmp.Or(cmp.Compare(a.comp, b.comp), cmp.Compare(a.v, b.v))
+	})
+	terms := make([]int, len(at))
+	for i, a := range at {
+		terms[i] = a.v
+	}
+	for i := 0; i < len(at); {
+		c := at[i].comp
+		j := i + 1
+		for j < len(at) && at[j].comp == c {
+			j++
 		}
-	}
-
-	comps := make([]int32, 0, len(termsByComp))
-	for c := range termsByComp {
-		if kept[c] {
-			comps = append(comps, c)
-		}
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i] < comps[j] })
-
-	for _, c := range comps {
-		sub, err := buildSubproblem(g, idx, c, vertsByComp[c], termsByComp[c])
+		res.KeptVertices += int(idx.vertStart[c+1] - idx.vertStart[c])
+		res.KeptEdges += int(idx.edgeStart[c+1] - idx.edgeStart[c])
+		sub, err := buildSubproblem(g, idx, c, terms[i:j])
 		if err != nil {
 			return nil, err
 		}
-		if sub == nil {
-			continue // ≤1 distinct terminal: factor 1
+		if sub != nil { // nil: ≤1 distinct terminal, factor 1
+			res.Subproblems = append(res.Subproblems, sub)
+			res.MaxSubgraphEdges = max(res.MaxSubgraphEdges, sub.G.M())
 		}
-		res.Subproblems = append(res.Subproblems, sub)
-	}
-	for _, c := range comps {
-		res.KeptVertices += len(vertsByComp[c])
-	}
-	for ei, e := range g.Edges() {
-		if idx.IsBridge[ei] {
-			continue
-		}
-		if kept[idx.Comp[e.U]] {
-			res.KeptEdges++
-		}
-	}
-	for _, sub := range res.Subproblems {
-		if sub.G.M() > res.MaxSubgraphEdges {
-			res.MaxSubgraphEdges = sub.G.M()
-		}
+		i = j
 	}
 	if res.OriginalEdges > 0 {
 		res.ReducedRatio = float64(res.MaxSubgraphEdges) / float64(res.OriginalEdges)
@@ -250,65 +197,25 @@ func RunContext(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, idx *
 	return res, nil
 }
 
-// bridgeArc is an edge of the bridge tree: a bridge leading to a
-// neighbouring 2ECC.
-type bridgeArc struct {
-	edge int   // edge index in g
-	to   int32 // neighbouring comp
-}
-
-func terminalCompsConnected(compAdj [][]bridgeArc, isTermComp []bool, nc int) bool {
-	start := -1
-	for c := 0; c < nc; c++ {
-		if isTermComp[c] {
-			start = c
-			break
-		}
-	}
-	if start == -1 {
-		return true
-	}
-	seen := make([]bool, nc)
-	stack := []int32{int32(start)}
-	seen[start] = true
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, arc := range compAdj[c] {
-			if !seen[arc.to] {
-				seen[arc.to] = true
-				stack = append(stack, arc.to)
-			}
-		}
-	}
-	for c := 0; c < nc; c++ {
-		if isTermComp[c] && !seen[c] {
-			return false
-		}
-	}
-	return true
-}
-
 // buildSubproblem extracts comp c as a compact graph, applies the transform
-// rewrites, and returns nil when the subproblem is trivially 1.
-func buildSubproblem(g *ugraph.Graph, idx *Index, c int32, verts []int, terms []int) (*Subproblem, error) {
-	// Dedup terminals.
-	sort.Ints(terms)
-	terms = dedupInts(terms)
+// rewrites, and returns nil when the subproblem is trivially 1. terms must
+// be ascending.
+func buildSubproblem(g *ugraph.Graph, idx *Index, c int32, terms []int) (*Subproblem, error) {
+	terms = slices.Compact(terms)
 	if len(terms) <= 1 {
 		return nil, nil
 	}
+	verts := idx.verts[idx.vertStart[c]:idx.vertStart[c+1]]
 	local := make(map[int]int, len(verts))
-	vmap := make([]int, 0, len(verts))
-	for _, v := range verts {
-		local[v] = len(vmap)
-		vmap = append(vmap, v)
+	vmap := make([]int, len(verts))
+	for i, v := range verts {
+		local[int(v)] = i
+		vmap[i] = int(v)
 	}
-	edges := make([]ugraph.Edge, 0, 16)
-	for ei, e := range g.Edges() {
-		if idx.IsBridge[ei] || idx.Comp[e.U] != c {
-			continue
-		}
+	compEdges := idx.edges[idx.edgeStart[c]:idx.edgeStart[c+1]]
+	edges := make([]ugraph.Edge, 0, len(compEdges))
+	for _, ei := range compEdges {
+		e := g.Edge(int(ei))
 		edges = append(edges, ugraph.Edge{U: local[e.U], V: local[e.V], P: e.P})
 	}
 	isTerm := make([]bool, len(vmap))
@@ -363,20 +270,6 @@ func buildSubproblem(g *ugraph.Graph, idx *Index, c int32, verts []int, terms []
 		Sig:                  Sign(sg, ts2),
 		Comp:                 c,
 	}, nil
-}
-
-func dedupInts(xs []int) []int {
-	if len(xs) == 0 {
-		return xs
-	}
-	w := 1
-	for i := 1; i < len(xs); i++ {
-		if xs[i] != xs[i-1] {
-			xs[w] = xs[i]
-			w++
-		}
-	}
-	return xs[:w]
 }
 
 // transform applies the paper's three rewrites to a fixpoint (Algorithm 3):
