@@ -88,6 +88,68 @@ func TestBDDExactBudgetError(t *testing.T) {
 	}
 }
 
+// TestMergingShrinksBDD runs BDDExact on a ladder under a 1,000-node
+// budget: the merged diagram stays polynomial, while without merging
+// layer l alone would hold 2^l states and the run would DNF.
+func TestMergingShrinksBDD(t *testing.T) {
+	g := NewGraph(20)
+	for i := 0; i < 10; i++ {
+		if i+1 < 10 {
+			if err := g.AddEdge(i, i+1, 0.5); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.AddEdge(10+i, 10+i+1, 0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := g.AddEdge(i, 10+i, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := BDDExact(g, []int{0, 19}, WithBDDNodeBudget(1000))
+	if err != nil {
+		t.Fatalf("ladder BDD: %v", err)
+	}
+	want, err := Factoring(g, []int{0, 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.Reliability-want.Reliability) > 1e-9 {
+		t.Fatalf("ladder: BDD %v vs factoring %v", res.Reliability, want.Reliability)
+	}
+}
+
+// TestGrid5x5AgainstFactoring checks BDDExact on a 40-edge grid, far
+// beyond brute force, against the factoring solver.
+func TestGrid5x5AgainstFactoring(t *testing.T) {
+	g := NewGraph(25)
+	for r := 0; r < 5; r++ {
+		for c := 0; c < 5; c++ {
+			if c+1 < 5 {
+				if err := g.AddEdge(r*5+c, r*5+c+1, 0.8); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if r+1 < 5 {
+				if err := g.AddEdge(r*5+c, (r+1)*5+c, 0.8); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	res, err := BDDExact(g, []int{0, 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Factoring(g, []int{0, 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.Reliability-want.Reliability) > 1e-9 {
+		t.Fatalf("BDD %v vs factoring %v", res.Reliability, want.Reliability)
+	}
+}
+
 func TestFactoringAgreesOnBridgeGraph(t *testing.T) {
 	g := bridgeOfTriangles(t)
 	res, err := Factoring(g, []int{0, 5})

@@ -375,3 +375,30 @@ func BenchmarkMonteCarlo(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBDDExact times the exact frontier BDD baseline on a 4×4 grid
+// (24 edges, p = 0.9) between opposite corners on one worker: every layer
+// is built whole, so construction does all the work.
+func BenchmarkBDDExact(b *testing.B) {
+	g := netrel.NewGraph(16)
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 4; c++ {
+			if c+1 < 4 {
+				if err := g.AddEdge(r*4+c, r*4+c+1, 0.9); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if r+1 < 4 {
+				if err := g.AddEdge(r*4+c, (r+1)*4+c, 0.9); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := netrel.BDDExact(g, []int{0, 15}, netrel.WithWorkers(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

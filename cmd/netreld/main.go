@@ -1489,9 +1489,7 @@ func statusFor(err error) int {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		slog.Warn("encoding response failed", "error", err.Error())
 	}
 }

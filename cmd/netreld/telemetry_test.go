@@ -324,12 +324,12 @@ func TestRequestIDEcho(t *testing.T) {
 func TestHealthzDraining(t *testing.T) {
 	srv, ts := testServer(t)
 	code, body := getBody(t, ts.URL+"/healthz")
-	if code != http.StatusOK || !strings.Contains(body, `"status": "ok"`) {
+	if code != http.StatusOK || !strings.Contains(body, `"status":"ok"`) {
 		t.Fatalf("healthy probe = %d %q", code, body)
 	}
 	srv.drain()
 	code, body = getBody(t, ts.URL+"/healthz")
-	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"status": "draining"`) {
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"status":"draining"`) {
 		t.Fatalf("draining probe = %d %q, want 503 draining", code, body)
 	}
 }

@@ -9,8 +9,8 @@ package netrel
 // construction or scheduling refactor cannot drift silently:
 //
 //   - BruteForce (Definition 1 verbatim) is the ground truth.
-//   - BDDExact and Exact (the S2BDD run in exact mode, through the full
-//     preprocessing pipeline) must both agree with it to float rounding —
+//   - BDDExact (under every edge ordering) and Exact (the S2BDD run in
+//     exact mode, through the full preprocessing pipeline) must both agree with it to float rounding —
 //     they sum the same world masses along different groupings, so the
 //     comparison tolerance is rounding slack, not a statistical bound.
 //   - Reliability with a tiny width (forcing deletion + stratified
@@ -167,13 +167,21 @@ func TestDifferentialSolvers(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			truth := bruteForce(t, c.g, c.terms)
 
-			// Exact solvers vs ground truth.
+			// Exact solvers vs ground truth. BDDExact builds the whole
+			// graph's diagram, so each edge order (BFS is the default)
+			// builds a different one.
 			bddRes, err := BDDExact(c.g, c.terms)
 			if err != nil {
 				t.Fatalf("BDDExact: %v", err)
 			}
-			if d := absDiff(bddRes.Reliability, truth); d > exactAgreeTol {
-				t.Fatalf("BDDExact %v vs brute force %v (diff %g)", bddRes.Reliability, truth, d)
+			for _, ord := range []Ordering{OrderNatural, OrderDFS, OrderDegree, OrderRCM} {
+				res, err := BDDExact(c.g, c.terms, WithOrdering(ord))
+				if err != nil {
+					t.Fatalf("BDDExact ordering %d: %v", ord, err)
+				}
+				if d := absDiff(res.Reliability, truth); d > exactAgreeTol {
+					t.Fatalf("BDDExact ordering %d: %v vs brute force %v (diff %g)", ord, res.Reliability, truth, d)
+				}
 			}
 			exactRes, err := Exact(c.g, c.terms, WithMaxWidth(1<<16))
 			if err != nil {

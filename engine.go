@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"netrel/internal/bdd"
 	"netrel/internal/core"
 	"netrel/internal/engine"
 	"netrel/internal/exact"
@@ -346,9 +345,5 @@ func samplingCost(o options) int64 {
 // is governed by its node budget (one node expansion ≈ one draw-equivalent
 // of frontier operations), not by samples or the S2BDD width.
 func bddCost(o options) int64 {
-	b := o.bddBudget
-	if b <= 0 {
-		b = bdd.DefaultNodeBudget
-	}
-	return int64(b)
+	return int64(o.bddBudget)
 }

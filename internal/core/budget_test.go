@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -10,6 +11,7 @@ import (
 
 	"netrel/internal/estimator"
 	"netrel/internal/exact"
+	"netrel/internal/frontier"
 	"netrel/internal/ugraph"
 )
 
@@ -149,6 +151,101 @@ func TestStatesDoNotAliasAfterPooling(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameResult(t, fmt.Sprintf("%s workers=%d split", label, w), res, a)
+			}
+		}
+	}
+}
+
+// bddConfig is the classic frontier BDD as a core run: exact, unbounded
+// width, retire-time sink detection only, no heuristic ordering.
+func bddConfig(ord []int, budget int) Config {
+	return Config{
+		MaxWidth: math.MaxInt, Order: ord, ExactOnly: true,
+		DisableEarlyTermination: true, DisableHeuristic: true,
+		NodeBudget: budget, Workers: 1,
+	}
+}
+
+// refNodeCounts builds the classic frontier BDD with byte keys and returns
+// cum, where cum[l] is the number of nodes created through layer l (cum[0]
+// counts the root).
+func refNodeCounts(plan *frontier.Plan) []int64 {
+	sc := frontier.NewScratch(plan)
+	layer := []frontier.State{plan.Root()}
+	cum := []int64{1}
+	var out frontier.State
+	for l := 0; l < plan.M(); l++ {
+		seen := map[string]bool{}
+		var next []frontier.State
+		for i := range layer {
+			for _, exists := range [2]bool{true, false} {
+				if plan.Apply(l, &layer[i], exists, false, sc, &out) != frontier.Live {
+					continue
+				}
+				if k := string(out.Key(nil)); !seen[k] {
+					seen[k] = true
+					next = append(next, out.Clone())
+				}
+			}
+		}
+		layer = next
+		cum = append(cum, cum[l]+int64(len(next)))
+	}
+	return cum
+}
+
+// TestNodeBudgetDNF checks the node budget of the exact BDD baseline: a
+// run fails with ErrNodeBudget exactly when the budget is below the
+// unbudgeted run's NodesCreated, and the error names the first layer whose
+// cumulative node count exceeds the budget.
+func TestNodeBudgetDNF(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	g := randConnected(r, 14, 24)
+	ts, _ := ugraph.NewTerminals(g, []int{0, 5, 10})
+	ord := bfsOrder(g, ts)
+	plan, err := frontier.NewPlan(g, ts, ord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cum := refNodeCounts(plan)
+	full, err := compute(g, ts, bddConfig(ord, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.NodesCreated != cum[plan.M()] {
+		t.Fatalf("NodesCreated %d, reference BDD has %d nodes", full.NodesCreated, cum[plan.M()])
+	}
+	want, err := exact.Factoring(g, ts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Abs(full.Estimate - want.Float64()); !full.Exact || d > 1e-12 {
+		t.Fatalf("unbudgeted run: %v (exact %v), factoring %v", full.Estimate, full.Exact, want.Float64())
+	}
+	// Probe each layer boundary: one node under it must DNF at that layer,
+	// exactly it must get past it.
+	for l := 1; l <= plan.M(); l++ {
+		for _, budget := range []int64{cum[l] - 1, cum[l]} {
+			if budget < 1 {
+				continue
+			}
+			crossing := 0
+			for j := 1; j <= plan.M(); j++ {
+				if cum[j] > budget {
+					crossing = j
+					break
+				}
+			}
+			res, err := compute(g, ts, bddConfig(ord, int(budget)))
+			if crossing == 0 {
+				if err != nil || res.EstimateX != full.EstimateX {
+					t.Fatalf("budget %d ≥ %d nodes: %v, R %v want %v", budget, full.NodesCreated, err, res.Estimate, full.Estimate)
+				}
+				continue
+			}
+			wantMsg := fmt.Sprintf("%v: >%d nodes at layer %d/%d", ErrNodeBudget, budget, crossing, plan.M())
+			if !errors.Is(err, ErrNodeBudget) || err.Error() != wantMsg {
+				t.Fatalf("budget %d: got %v, want %q", budget, err, wantMsg)
 			}
 		}
 	}

@@ -67,6 +67,11 @@ type Config struct {
 	// sampling.ForEachChunkCtx); nil spawns goroutines per call.
 	// Results do not depend on it.
 	Exec sampling.Executor
+	// NodeBudget caps the nodes created across all layers; ≤0 means no
+	// cap. It is checked once per layer, after the layer is built, and a
+	// run over it fails with ErrNodeBudget naming that layer: the exact
+	// BDD baseline's deterministic stand-in for running out of memory.
+	NodeBudget int
 
 	// Ablation switches (all default to the paper's configuration).
 
@@ -114,6 +119,10 @@ func (c *Config) withDefaults() Config {
 
 // ErrNotExact reports that an ExactOnly run would have required sampling.
 var ErrNotExact = errors.New("core: graph too large for exact S2BDD within MaxWidth")
+
+// ErrNodeBudget reports that a run created more than Config.NodeBudget
+// nodes: the paper's "DNF (did not finish: out of memory)".
+var ErrNodeBudget = errors.New("core: node budget exceeded (DNF)")
 
 // Result reports the estimate, the bounds, and run statistics.
 type Result struct {

@@ -1,24 +1,23 @@
 // Parallel construction of the S2BDD layers.
 //
-// Layer expansion is sharded the way the exact baseline's is
-// (internal/bdd/parallel.go): a layer's parent nodes are split into
-// fixed-size chunks whose boundaries depend only on the layer width, chunks
-// expand concurrently on up to Workers slots (engine-pool
-// goroutines when cfg.Exec is set), and the driver consumes per-chunk
-// outputs in chunk order.
+// A layer's parent nodes are split into fixed-size chunks whose boundaries
+// depend only on the layer width, chunks expand concurrently on up to
+// Workers slots (engine-pool goroutines when cfg.Exec is set), and the
+// driver consumes per-chunk outputs in chunk order.
 //
-// Unlike the exact baseline, the S2BDD cannot merge whole per-chunk child
-// tables: whether a child merges into the layer, occupies a fresh node slot,
-// or is deleted into a sampling stratum depends on the global,
-// order-dependent fill state of the width-bounded table. Chunks therefore do
-// only the schedule-independent work — Apply, key hashing, within-chunk
+// The driver cannot merge whole per-chunk child tables: whether a child
+// merges into the layer, occupies a fresh node slot, or is deleted into a
+// sampling stratum depends on the global, order-dependent fill state of
+// the width-bounded table. Chunks therefore do only the
+// schedule-independent work — Apply, key hashing, within-chunk
 // deduplication — and record an event log; the driver replays the logs in
 // (chunk, event) order against the global table. Replay order equals the
 // sequential sweep's child order, so every xfloat addition, node ID,
 // deletion, stratum mass, and downstream SeedStream(seed, layer, stratum,
 // chunk) draw is bit-identical for any worker count — including one, which
 // makes the chunked construction the schedule rather than an approximation
-// of it.
+// of it. The node budget (Config.NodeBudget) is checked once a layer's
+// replay is done, so it too sees only the schedule-independent count.
 //
 // No node owns heap storage. A layer's states are rows of a stateArena
 // (arena.go): every chunk reads the parents' arena, each worker slot
@@ -39,10 +38,10 @@ import (
 
 // expandChunk is the number of parent nodes per deterministic expansion
 // unit. Chunk boundaries depend only on the layer width, never on the
-// worker count. The grain is finer than the exact baseline's (whose layers
-// are unbounded): S2BDD layers are capped at MaxWidth, and a chunk of 64
-// parents still costs ≳100µs of Apply work on the dense graphs where
-// construction parallelism matters, dwarfing the atomic chunk-claim.
+// worker count. A chunk of 64 parents costs ≳100µs of Apply work on the
+// dense graphs where construction parallelism matters, dwarfing the atomic
+// chunk-claim; the exact BDD baseline's unbounded layers simply split into
+// more chunks.
 const expandChunk = 64
 
 // Event kinds of the expansion log, in the child encounter order of the

@@ -166,6 +166,9 @@ func (r *run) execute(t0 time.Time) error {
 				return err
 			}
 		}
+		if cfg.NodeBudget > 0 && r.res.NodesCreated > int64(cfg.NodeBudget) {
+			return fmt.Errorf("%w: >%d nodes at layer %d/%d", ErrNodeBudget, cfg.NodeBudget, l+1, m)
+		}
 
 		// Edge l is now processed: advance the frontier to F_{l+1} and
 		// update the remaining-degree counts used by the heuristic.

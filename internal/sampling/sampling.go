@@ -3,11 +3,12 @@
 // streams, and the chunk scheduler with its pool interface (pool.go).
 // Chunk boundaries depend only on the workload, each chunk derives its own
 // stream from SeedStream, and chunk results fold in chunk order, so a fixed
-// seed yields bit-identical results for every worker count. The S2BDD
-// stratum sampler in internal/core, which also draws the paper's plain
-// Monte Carlo and Horvitz–Thompson baselines (Section 3.2.2) as its root
-// stratum, the BDD layer expander in internal/bdd and analysis all build
-// on them, so the clamping and seeding rules live in exactly one place.
+// seed yields bit-identical results for every worker count. The S2BDD in
+// internal/core, whose layer expansion also builds the paper's exact BDD
+// baseline and whose stratum sampler also draws its plain Monte Carlo and
+// Horvitz–Thompson baselines (Section 3.2.2) as its root stratum, and
+// analysis all build on them, so the clamping and seeding rules live in
+// exactly one place.
 // The package keeps its name, which the benchmark module imports.
 package sampling
 

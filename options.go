@@ -78,8 +78,9 @@ type options struct {
 
 func defaultOptions() options {
 	return options{
-		samples:  10_000,
-		maxWidth: 10_000,
+		samples:   10_000,
+		maxWidth:  10_000,
+		bddBudget: 20_000_000,
 	}
 }
 
@@ -221,7 +222,9 @@ func WithStall(window int, threshold float64) Option {
 }
 
 // WithBDDNodeBudget caps the exact BDD baseline's total node count, after
-// which it fails with a memory-limit error (the paper's DNF).
+// which it fails with a memory-limit error (the paper's DNF). The default,
+// 20,000,000 nodes, is a few GB of frontier states, mirroring the paper's
+// observation that exact BDDs handle only graphs of 100–200 edges.
 func WithBDDNodeBudget(nodes int) Option {
 	return func(o *options) error {
 		if nodes <= 0 {

@@ -57,7 +57,6 @@ import (
 	"time"
 
 	"netrel/internal/batch"
-	"netrel/internal/bdd"
 	"netrel/internal/core"
 	"netrel/internal/exact"
 	"netrel/internal/order"
@@ -249,9 +248,11 @@ func MonteCarloContext(ctx context.Context, g *Graph, terminals []int, opts ...O
 		})
 }
 
-// BDDExact computes R[G,T] exactly with the classic full-materialization
-// frontier BDD (the paper's BDD baseline). Fails with a memory-limit error
-// on graphs whose diagram exceeds the node budget.
+// BDDExact computes R[G,T] exactly with the paper's frontier BDD baseline
+// (Section 3.2.1): the S2BDD construction with no width bound, no early
+// sink detection and no deletion, so every layer is built whole and a sink
+// is found only when a component retires. A diagram that outgrows the node
+// budget (WithBDDNodeBudget) fails with a DNF error naming the layer.
 func BDDExact(g *Graph, terminals []int, opts ...Option) (*Result, error) {
 	return BDDExactContext(context.Background(), g, terminals, opts...)
 }
@@ -260,17 +261,25 @@ func BDDExact(g *Graph, terminals []int, opts ...Option) (*Result, error) {
 func BDDExactContext(ctx context.Context, g *Graph, terminals []int, opts ...Option) (*Result, error) {
 	return runBaseline(ctx, g, terminals, opts, bddCost,
 		func(ctx context.Context, o options, ts ugraph.Terminals, exec sampling.Executor) (*Result, error) {
-			defer telemetry.FromContext(ctx).Span(telemetry.PhaseConstruct)()
-			res, err := bdd.ComputeContext(ctx, g.internal(), ts, bdd.Options{
-				Order:      order.Compute(g.internal(), o.ordering.strategy(), ts[0]),
-				NodeBudget: o.bddBudget,
-				Workers:    o.workers,
-				Exec:       exec,
+			// NewSampler records the construct span.
+			s, err := core.NewSampler(ctx, g.internal(), ts, core.Config{
+				MaxWidth:                math.MaxInt,
+				Order:                   order.Compute(g.internal(), o.ordering.strategy(), ts[0]),
+				ExactOnly:               true,
+				DisableEarlyTermination: true,
+				DisableHeuristic:        true,
+				NodeBudget:              o.bddBudget,
+				Workers:                 o.workers,
+				Exec:                    exec,
 			})
 			if err != nil {
 				return nil, err
 			}
-			return exactResult(res.Reliability), nil
+			res, err := s.Result()
+			if err != nil {
+				return nil, err
+			}
+			return exactResult(res.EstimateX), nil
 		})
 }
 

@@ -176,6 +176,15 @@ func TestDisconnectedTerminalsZero(t *testing.T) {
 	if !math.IsInf(res.Log10, -1) {
 		t.Fatalf("Log10 of zero = %v", res.Log10)
 	}
+	// BDDExact has no preprocessing: the diagram itself must resolve all
+	// mass into the 0-sink.
+	bddRes, err := BDDExact(g, []int{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bddRes.Reliability != 0 || !bddRes.Exact {
+		t.Fatalf("disconnected BDDExact: %+v", bddRes)
+	}
 }
 
 func TestSingleTerminal(t *testing.T) {
@@ -186,6 +195,13 @@ func TestSingleTerminal(t *testing.T) {
 	}
 	if res.Reliability != 1 || !res.Exact {
 		t.Fatalf("k=1: %+v", res)
+	}
+	bddRes, err := BDDExact(g, []int{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bddRes.Reliability != 1 || !bddRes.Exact {
+		t.Fatalf("k=1 BDDExact: %+v", bddRes)
 	}
 }
 
