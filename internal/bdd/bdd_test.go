@@ -1,16 +1,38 @@
-package bdd
+// Package bdd_test checks the paper's exact BDD baseline (Section 3.2.1):
+// the classic frontier BDD, which runs as a core S2BDD construction with
+// no width bound, exact-only, and early termination and the heuristic
+// switched off (the configuration BDDExact uses). The package holds tests
+// only; the baseline has no code of its own.
+package bdd_test
 
 import (
-	"errors"
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
+	"netrel/internal/core"
 	"netrel/internal/exact"
 	"netrel/internal/order"
 	"netrel/internal/ugraph"
 )
+
+// compute runs the exact BDD baseline on g under the given edge order.
+func compute(g *ugraph.Graph, ts ugraph.Terminals, ord []int) (core.Result, error) {
+	s, err := core.NewSampler(context.Background(), g, ts, core.Config{
+		MaxWidth:                math.MaxInt,
+		Order:                   ord,
+		ExactOnly:               true,
+		DisableEarlyTermination: true,
+		DisableHeuristic:        true,
+		Workers:                 1,
+	})
+	if err != nil {
+		return core.Result{}, err
+	}
+	return s.Result()
+}
 
 func randConnected(r *rand.Rand, n, extra int) *ugraph.Graph {
 	g := ugraph.New(n)
@@ -36,14 +58,14 @@ func TestKnownTriangle(t *testing.T) {
 		{U: 0, V: 1, P: 0.5}, {U: 1, V: 2, P: 0.5}, {U: 0, V: 2, P: 0.5},
 	})
 	ts, _ := ugraph.NewTerminals(g, []int{0, 1})
-	res, err := Compute(g, ts, Options{})
+	res, err := compute(g, ts, order.Compute(g, order.Natural, ts[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.Reliability.Float64()-0.625) > 1e-12 {
-		t.Fatalf("R = %v, want 0.625", res.Reliability.Float64())
+	if math.Abs(res.EstimateX.Float64()-0.625) > 1e-12 {
+		t.Fatalf("R = %v, want 0.625", res.EstimateX.Float64())
 	}
-	if res.Layers != 3 || res.Nodes < 1 {
+	if !res.Exact || res.LayersProcessed != 3 || res.NodesCreated < 1 {
 		t.Fatalf("stats wrong: %+v", res)
 	}
 }
@@ -51,12 +73,12 @@ func TestKnownTriangle(t *testing.T) {
 func TestSingleTerminal(t *testing.T) {
 	g, _ := ugraph.FromEdges(2, []ugraph.Edge{{U: 0, V: 1, P: 0.1}})
 	ts, _ := ugraph.NewTerminals(g, []int{1})
-	res, err := Compute(g, ts, Options{})
+	res, err := compute(g, ts, order.Compute(g, order.Natural, ts[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reliability.Float64() != 1 {
-		t.Fatalf("k=1 must give R=1, got %v", res.Reliability.Float64())
+	if res.EstimateX.Float64() != 1 {
+		t.Fatalf("k=1 must give R=1, got %v", res.EstimateX.Float64())
 	}
 }
 
@@ -65,12 +87,12 @@ func TestDisconnectedTerminalsGiveZero(t *testing.T) {
 		{U: 0, V: 1, P: 0.9}, {U: 2, V: 3, P: 0.9},
 	})
 	ts, _ := ugraph.NewTerminals(g, []int{0, 2})
-	res, err := Compute(g, ts, Options{})
+	res, err := compute(g, ts, order.Compute(g, order.Natural, ts[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Reliability.IsZero() {
-		t.Fatalf("R = %v, want 0", res.Reliability.Float64())
+	if !res.EstimateX.IsZero() {
+		t.Fatalf("R = %v, want 0", res.EstimateX.Float64())
 	}
 }
 
@@ -97,121 +119,19 @@ func TestPropertyMatchesBruteForce(t *testing.T) {
 			return false
 		}
 		ord := order.Compute(g, strategies[r.IntN(len(strategies))], ts[0])
-		res, err := Compute(g, ts, Options{Order: ord})
+		res, err := compute(g, ts, ord)
 		if err != nil {
 			t.Log(err)
 			return false
 		}
-		if res.Reliability.Sub(want).Abs().Float64() > 1e-10 {
+		if res.EstimateX.Sub(want).Abs().Float64() > 1e-10 {
 			t.Logf("n=%d m=%d k=%d: got %v want %v",
-				n, g.M(), k, res.Reliability.Float64(), want.Float64())
+				n, g.M(), k, res.EstimateX.Float64(), want.Float64())
 			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGrid5x5AgainstFactoring(t *testing.T) {
-	// 5x5 grid, 40 edges: far beyond brute force; factoring (exact) is the
-	// reference. Exercises the merged BDD on a mid-size structured graph.
-	g := ugraph.New(25)
-	id := func(r, c int) int { return r*5 + c }
-	for r := 0; r < 5; r++ {
-		for c := 0; c < 5; c++ {
-			if c+1 < 5 {
-				if _, err := g.AddEdge(id(r, c), id(r, c+1), 0.8); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if r+1 < 5 {
-				if _, err := g.AddEdge(id(r, c), id(r+1, c), 0.8); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	ts, _ := ugraph.NewTerminals(g, []int{0, 24})
-	ord := order.Compute(g, order.BFS, 0)
-	res, err := Compute(g, ts, Options{Order: ord})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := exact.Factoring(g, ts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reliability.Sub(want).Abs().Float64() > 1e-9 {
-		t.Fatalf("BDD %v vs factoring %v", res.Reliability.Float64(), want.Float64())
-	}
-}
-
-func TestNodeBudgetDNF(t *testing.T) {
-	r := rand.New(rand.NewPCG(1, 2))
-	g := randConnected(r, 30, 60)
-	ts, _ := ugraph.NewTerminals(g, []int{0, 10, 20})
-	_, err := Compute(g, ts, Options{NodeBudget: 50, Order: order.Compute(g, order.BFS, 0)})
-	if !errors.Is(err, ErrMemoryLimit) {
-		t.Fatalf("want ErrMemoryLimit, got %v", err)
-	}
-}
-
-func TestMergingShrinksBDD(t *testing.T) {
-	// On a ladder graph the merged BDD must stay polynomial: without
-	// merging, 2^l states exist at layer l.
-	g := ugraph.New(20)
-	for i := 0; i < 10; i++ {
-		if i+1 < 10 {
-			if _, err := g.AddEdge(i, i+1, 0.5); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := g.AddEdge(10+i, 10+i+1, 0.5); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := g.AddEdge(i, 10+i, 0.5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts, _ := ugraph.NewTerminals(g, []int{0, 19})
-	ord := order.Compute(g, order.BFS, 0)
-	res, err := Compute(g, ts, Options{Order: ord})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Nodes > 1000 {
-		t.Fatalf("ladder BDD has %d nodes; merging is not effective", res.Nodes)
-	}
-	want, err := exact.Factoring(g, ts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reliability.Sub(want).Abs().Float64() > 1e-9 {
-		t.Fatalf("ladder: BDD %v vs factoring %v", res.Reliability.Float64(), want.Float64())
-	}
-}
-
-func BenchmarkBDDGrid4x4(b *testing.B) {
-	g := ugraph.New(16)
-	id := func(r, c int) int { return r*4 + c }
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			if c+1 < 4 {
-				_, _ = g.AddEdge(id(r, c), id(r, c+1), 0.9)
-			}
-			if r+1 < 4 {
-				_, _ = g.AddEdge(id(r, c), id(r+1, c), 0.9)
-			}
-		}
-	}
-	ts, _ := ugraph.NewTerminals(g, []int{0, 15})
-	ord := order.Compute(g, order.BFS, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Compute(g, ts, Options{Order: ord}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
