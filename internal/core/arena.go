@@ -10,7 +10,8 @@ import (
 // one layer has the same frontier width f, so state i's component labels
 // sit at comp[i·f:(i+1)·f], and its first ncomp[i] flag and count entries
 // at the same offset of flag and tcnt. hash[i] is the state's key hash.
-// The width is set by the first push after a reset.
+// The rows are ncomp's entries; comp, flag and tcnt may run past them, as
+// room the expansion kernel writes children into before keeping them.
 type stateArena struct {
 	f     int
 	comp  []uint16
@@ -20,36 +21,52 @@ type stateArena struct {
 	hash  []uint64
 }
 
-// reset empties the arena, keeping its storage.
-func (a *stateArena) reset() {
-	a.comp, a.flag, a.tcnt = a.comp[:0], a.flag[:0], a.tcnt[:0]
-	a.ncomp, a.hash = a.ncomp[:0], a.hash[:0]
+// reset empties the arena for rows of width f, keeping its storage.
+func (a *stateArena) reset(f int) {
+	a.f, a.ncomp, a.hash = f, a.ncomp[:0], a.hash[:0]
+}
+
+// room makes comp, flag and tcnt long enough for n rows past the last.
+func (a *stateArena) room(n int) {
+	need := (len(a.ncomp) + n) * a.f
+	if len(a.comp) < need {
+		a.comp = slices.Grow(a.comp, need-len(a.comp))[:need]
+		a.flag = slices.Grow(a.flag, need-len(a.flag))[:need]
+		a.tcnt = slices.Grow(a.tcnt, need-len(a.tcnt))[:need]
+	}
+}
+
+// pending returns row, of ncomp components, as a State whose slices point
+// into the arena. The row may lie past the last one: the expansion kernel
+// writes a child there before keeping it.
+func (a *stateArena) pending(row int32, ncomp int) frontier.State {
+	lo := int(row) * a.f
+	hi, n := lo+a.f, lo+ncomp
+	return frontier.State{Comp: a.comp[lo:hi:hi], Flag: a.flag[lo:n:n], Tcnt: a.tcnt[lo:n:n]}
+}
+
+// commit keeps the row after the last, which holds a state of ncomp
+// components whose key hash is h.
+func (a *stateArena) commit(ncomp int, h uint64) {
+	a.ncomp = append(a.ncomp, uint16(ncomp))
+	a.hash = append(a.hash, h)
 }
 
 // push copies s, whose key hash is h, into a new row and returns its index.
 func (a *stateArena) push(s *frontier.State, h uint64) int32 {
 	i := len(a.ncomp)
-	if i == 0 {
-		a.f = len(s.Comp)
-	}
+	a.room(1)
 	at := i * a.f
-	a.comp = append(a.comp, s.Comp...)
-	a.flag = slices.Grow(a.flag, a.f)[:at+a.f]
-	a.tcnt = slices.Grow(a.tcnt, a.f)[:at+a.f]
+	copy(a.comp[at:at+a.f], s.Comp)
 	copy(a.flag[at:], s.Flag)
 	copy(a.tcnt[at:], s.Tcnt)
-	a.ncomp = append(a.ncomp, uint16(len(s.Flag)))
-	a.hash = append(a.hash, h)
+	a.commit(len(s.Flag), h)
 	return int32(i)
 }
 
 // view returns row i as a State whose slices point into the arena; it is
 // valid until the arena is reset.
-func (a *stateArena) view(i int32) frontier.State {
-	lo := int(i) * a.f
-	hi, n := lo+a.f, lo+int(a.ncomp[i])
-	return frontier.State{Comp: a.comp[lo:hi:hi], Flag: a.flag[lo:n:n], Tcnt: a.tcnt[lo:n:n]}
-}
+func (a *stateArena) view(i int32) frontier.State { return a.pending(i, int(a.ncomp[i])) }
 
 // sameKey reports whether row i and s agree on the merge key (Comp, Flag)
 // of Lemma 4.3; Tcnt is not part of it.
@@ -59,29 +76,45 @@ func (a *stateArena) sameKey(i int32, s *frontier.State) bool {
 	return slices.Equal(a.comp[lo:lo+a.f], s.Comp) && slices.Equal(a.flag[lo:lo+n], s.Flag)
 }
 
-// hashKey hashes the merge key (Comp, Flag) of s, four labels per multiply.
-func hashKey(s *frontier.State) uint64 {
-	const mul = 0x9e3779b97f4a7c15
-	h := uint64(len(s.Comp))*mul ^ uint64(len(s.Flag))
-	c := s.Comp
-	for ; len(c) >= 4; c = c[4:] {
-		h = (h ^ uint64(c[0]) ^ uint64(c[1])<<16 ^ uint64(c[2])<<32 ^ uint64(c[3])<<48) * mul
+// hashMul is the multiplier of the merge-key hash.
+const hashMul = 0x9e3779b97f4a7c15
+
+// The merge-key hash of a row of width f starts at f·hashMul, folds the
+// component labels in four to a word (hashLabel), the last word padded
+// with zeros, then the flags (hashFlags). A row's flag count follows from
+// its labels (a canonical state numbers every component it has), so the
+// labels can be hashed as they are written, before the count is known.
+
+// hashLabel folds label x, the k-th of its row, into the hash h through
+// the pending word w, and returns both.
+func hashLabel(h, w uint64, k int, x uint16) (uint64, uint64) {
+	w |= uint64(x) << (16 * (k & 3))
+	if k&3 == 3 {
+		return (h ^ w) * hashMul, 0
 	}
-	for _, x := range c {
-		h = (h ^ uint64(x)) * mul
+	return h, w
+}
+
+// hashFlags finishes a merge-key hash: h has folded every label word, and
+// flag is the row's flags, folded 64 to a word.
+func hashFlags(h uint64, flag []bool) uint64 {
+	for ; len(flag) >= 64; flag = flag[64:] {
+		h = (h ^ flagWord(flag[:64])) * hashMul
 	}
-	var bits uint64
-	for i, f := range s.Flag {
-		if f {
-			bits |= 1 << (i & 63)
-		}
-		if i&63 == 63 {
-			h, bits = (h^bits)*mul, 0
-		}
-	}
-	h = (h ^ bits) * mul
+	h = (h ^ flagWord(flag)) * hashMul
 	h = (h ^ h>>33) * 0xff51afd7ed558ccd
 	return h ^ h>>33
+}
+
+// flagWord packs up to 64 flags into a word, flag i at bit i.
+func flagWord(flag []bool) uint64 {
+	var w uint64
+	for i, f := range flag {
+		if f {
+			w |= 1 << i
+		}
+	}
+	return w
 }
 
 // stateTable is an open-addressing index of arena rows by merge key. A

@@ -12,6 +12,16 @@ import (
 	"netrel/internal/xfloat"
 )
 
+// hashKey is the reference merge-key hash of s, which the expansion kernel
+// computes as it writes a row (see hashLabel).
+func hashKey(s *frontier.State) uint64 {
+	h, w := uint64(len(s.Comp))*hashMul, uint64(0)
+	for k, x := range s.Comp {
+		h, w = hashLabel(h, w, k, x)
+	}
+	return hashFlags((h^w)*hashMul, s.Flag)
+}
+
 // TestStateTableMatchesKeyBytes checks the key table against the byte key
 // it replaced: over the Apply children of random plans, layer by layer,
 // sameKey holds exactly when frontier.State.Key bytes are equal, the table
@@ -29,6 +39,7 @@ func TestStateTableMatchesKeyBytes(t *testing.T) {
 		layer := []frontier.State{plan.Root()}
 		for l := 0; l < plan.M() && len(layer) > 0; l++ {
 			var a stateArena
+			a.reset(plan.Step(l).Width)
 			var tab stateTable
 			tab.reset(2 * len(layer))
 			keys := map[string]int32{}
@@ -80,6 +91,7 @@ func TestStateTableMatchesKeyBytes(t *testing.T) {
 func TestStateTableCollisions(t *testing.T) {
 	const h = 42
 	var a stateArena
+	a.reset(9)
 	var tab stateTable
 	tab.reset(200)
 	var states []frontier.State
@@ -116,6 +128,7 @@ func TestStateTableCollisions(t *testing.T) {
 // the first overflow fails the run.
 func TestReplayRepeatedDeletion(t *testing.T) {
 	var slot stateArena
+	slot.reset(2)
 	a := frontier.State{Comp: []uint16{0, 0}, Flag: []bool{true}, Tcnt: []uint16{1}}
 	b := frontier.State{Comp: []uint16{0, 1}, Flag: []bool{true, false}, Tcnt: []uint16{1, 0}}
 	slot.push(&a, hashKey(&a))
@@ -129,7 +142,7 @@ func TestReplayRepeatedDeletion(t *testing.T) {
 	}}
 	replay := func(exactOnly bool) (*run, *layerTable, error) {
 		r := &run{cfg: Config{MaxWidth: 1, ExactOnly: exactOnly}}
-		t := &layerTable{arena: &stateArena{}, index: &stateTable{}}
+		t := &layerTable{arena: &stateArena{f: 2}, index: &stateTable{}}
 		t.index.reset(1)
 		return r, t, r.replayChunk(&ch, t, []int32{entryUnresolved, entryUnresolved})
 	}
@@ -186,6 +199,23 @@ func TestByPriorityMatchesSortSlice(t *testing.T) {
 			if a[i].idx != b[i].idx {
 				t.Fatalf("trial %d (n=%d): permutations differ at %d", trial, n, i)
 			}
+		}
+	}
+}
+
+// TestHashKeyWideRows covers rows of 64 or more components, whose flags
+// fold into more than one word: a flag past the first word must reach
+// the hash.
+func TestHashKeyWideRows(t *testing.T) {
+	for _, n := range []int{63, 64, 65, 130} {
+		st := frontier.State{Comp: make([]uint16, n), Flag: make([]bool, n), Tcnt: make([]uint16, n)}
+		for i := range st.Comp {
+			st.Comp[i] = uint16(i)
+		}
+		h := hashKey(&st)
+		st.Flag[n-1] = true
+		if hashKey(&st) == h {
+			t.Fatalf("%d components: flag %d does not change the hash", n, n-1)
 		}
 	}
 }

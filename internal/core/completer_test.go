@@ -174,11 +174,11 @@ func TestHeuristicPrefersTerminalHeavyNodes(t *testing.T) {
 	flagged := frontier.State{Comp: []uint16{0}, Flag: []bool{true}, Tcnt: []uint16{1}}
 	unflagged := frontier.State{Comp: []uint16{0}, Flag: []bool{false}, Tcnt: []uint16{0}}
 	p := xfloat.FromFloat64(0.125)
-	if r.heuristic(f, &flagged, p) <= r.heuristic(f, &unflagged, p) {
+	if r.heuristic(f, &flagged, p, new([]int32)) <= r.heuristic(f, &unflagged, p, new([]int32)) {
 		t.Fatal("heuristic must prefer terminal-carrying nodes at equal mass")
 	}
 	// Heavier mass wins among equals.
-	if r.heuristic(f, &flagged, p.MulFloat64(4)) <= r.heuristic(f, &flagged, p) {
+	if r.heuristic(f, &flagged, p.MulFloat64(4), new([]int32)) <= r.heuristic(f, &flagged, p, new([]int32)) {
 		t.Fatal("heuristic must grow with node probability")
 	}
 }

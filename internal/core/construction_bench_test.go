@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -89,15 +90,21 @@ func tokyoQuery(tb testing.TB) subproblem {
 }
 
 // BenchmarkConstruction times one construct-bound NewSampler: the S2BDD
-// of a Tokyo big-component query at s = w = 10⁴ on one worker.
+// of a Tokyo big-component query at s = w = 10⁴, on one worker and on
+// two. The serial driver's share (replay, sort) shows only with two.
 func BenchmarkConstruction(b *testing.B) {
 	q := tokyoQuery(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.NewSampler(context.Background(), q.g, q.ts, q.cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := q.cfg
+			cfg.Workers = workers
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.NewSampler(context.Background(), q.g, q.ts, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

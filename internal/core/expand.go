@@ -9,7 +9,7 @@
 // merges into the layer, occupies a fresh node slot, or is deleted into a
 // sampling stratum depends on the global, order-dependent fill state of
 // the width-bounded table. Chunks therefore do only the
-// schedule-independent work — Apply, key hashing, within-chunk
+// schedule-independent work — the child kernel, key hashing, within-chunk
 // deduplication — and record an event log; the driver replays the logs in
 // (chunk, event) order against the global table. Replay order equals the
 // sequential sweep's child order, so every xfloat addition, node ID,
@@ -19,9 +19,17 @@
 // of it. The node budget (Config.NodeBudget) is checked once a layer's
 // replay is done, so it too sees only the schedule-independent count.
 //
+// The child kernel (expand) reads the layer's frontier.Step and makes both
+// children of a parent in one relabel pass, writing them straight into
+// the worker slot's arena and hashing their keys as it writes; it computes
+// exactly what frontier.Plan.Apply does, which stays as its test
+// reference. Once the replay is done, the new layer's deletion priorities
+// are scored in fixed node chunks on the same workers (score, s2bdd.go),
+// and only the sort that orders the layer runs on the driver.
+//
 // No node owns heap storage. A layer's states are rows of a stateArena
 // (arena.go): every chunk reads the parents' arena, each worker slot
-// pushes its chunks' distinct children into an arena of its own, and the
+// writes its chunks' distinct children into an arena of its own, and the
 // replay copies each new node into the next layer's arena and each deleted
 // child into the arena its stratum keeps. Keys are 64-bit hashes checked
 // against the rows in open-addressing stateTables, so construction
@@ -38,7 +46,7 @@ import (
 
 // expandChunk is the number of parent nodes per deterministic expansion
 // unit. Chunk boundaries depend only on the layer width, never on the
-// worker count. A chunk of 64 parents costs ≳100µs of Apply work on the
+// worker count. A chunk of 64 parents costs ≳100µs of expansion work on the
 // dense graphs where construction parallelism matters, dwarfing the atomic
 // chunk-claim; the exact BDD baseline's unbounded layers simply split into
 // more chunks.
@@ -63,8 +71,9 @@ type expandEvent struct {
 }
 
 // expandResult is a chunk's output log. The chunk's entries distinct live
-// children are rows base, base+1, … of arena, the producing slot's, in
-// first-encounter order; an event's entry is its row less base.
+// children are rows base, base+1, … of arena, the producing slot's; an
+// event's entry is its row less base. Which event of an entry comes first
+// is fixed by the event order, not by the row order.
 type expandResult struct {
 	events  []expandEvent
 	arena   *stateArena
@@ -72,14 +81,15 @@ type expandResult struct {
 	entries int32
 }
 
-// expandSlot is the per-worker scratch of the construction phase: Apply
-// buffers, the arena holding the distinct children of the slot's chunks
-// in the current layer, and the within-chunk dedup table.
+// expandSlot is the per-worker scratch of the construction phase: the
+// arena holding the distinct children of the slot's chunks in the current
+// layer, the within-chunk dedup table, the kernel's relabel map and the
+// heuristic's per-component scratch.
 type expandSlot struct {
-	sc      *frontier.Scratch
-	scratch frontier.State
-	arena   stateArena
-	local   stateTable
+	arena stateArena
+	local stateTable
+	canon []uint16 // parent component (or entering endpoint) → child label + 1, 0 if no slot
+	hbuf  []int32
 }
 
 // expandSlotFor returns the worker-slot expansion scratch, creating it on
@@ -87,19 +97,20 @@ type expandSlot struct {
 // built before the pool starts), so no locking is needed.
 func (r *run) expandSlotFor(slot int) *expandSlot {
 	for len(r.expands) <= slot {
-		r.expands = append(r.expands, &expandSlot{sc: frontier.NewScratch(r.plan)})
+		r.expands = append(r.expands, &expandSlot{canon: make([]uint16, r.maxFront+2)})
 	}
 	return r.expands[slot]
 }
 
-// expandLayer expands layer l's parents, whose states are rows of from,
-// chunk-parallel and returns the per-chunk logs in chunk order. The log
+// expandLayer expands the parents of the layer whose transition is r.step,
+// whose states are rows of from, chunk-parallel and returns the per-chunk
+// logs in chunk order. The log
 // storage (the chunk slice, each chunk's event array and each slot's
 // arena) is owned by the run and reused across layers — the driver fully
 // consumes every log before the next expansion starts — so steady-state
 // construction allocates nothing per node. On cancellation the partial
 // logs are garbage and the caller must propagate the error.
-func (r *run) expandLayer(l int, from *stateArena, parents []node) ([]expandResult, error) {
+func (r *run) expandLayer(from *stateArena, parents []node) ([]expandResult, error) {
 	nchunks := (len(parents) + expandChunk - 1) / expandChunk
 	for len(r.chunkBuf) < nchunks {
 		r.chunkBuf = append(r.chunkBuf, expandResult{})
@@ -110,11 +121,11 @@ func (r *run) expandLayer(l int, from *stateArena, parents []node) ([]expandResu
 	err := sampling.ForEachChunkCtx(r.ctx, r.cfg.Exec, nchunks, r.workers, func() func(int) {
 		es := r.expandSlotFor(slot)
 		slot++
-		es.arena.reset()
+		es.arena.reset(r.step.Width)
 		return func(c int) {
 			lo := c * expandChunk
 			hi := min(lo+expandChunk, len(parents))
-			es.expand(r.plan, l, from, parents[lo:hi], earlyTerm, &out[c])
+			es.expand(&r.step, earlyTerm, from, parents[lo:hi], &out[c])
 		}
 	})
 	return out, err
@@ -125,37 +136,276 @@ func (r *run) expandLayer(l int, from *stateArena, parents []node) ([]expandResu
 // storage). Within-chunk dedup keeps one arena row per distinct key; the
 // per-child masses stay separate events so the replay can reproduce the
 // sequential table bookkeeping exactly.
-func (es *expandSlot) expand(plan *frontier.Plan, l int, from *stateArena, parents []node, earlyTerm bool, out *expandResult) {
+//
+// Each parent costs one relabel pass. The absent-edge child is written
+// straight into a row of the slot's arena, hashing its labels as it goes.
+// The present-edge child differs from it only by the merge of the edge's
+// endpoint components cu and cv: when cu == cv it is the same state with
+// the same outcome, so it becomes a second event on the same entry, and
+// otherwise its row is the absent child's with the merged label folded in.
+// Sink rows and within-chunk duplicates are not kept. The outcomes follow
+// frontier.Plan.Apply, which is the test reference.
+func (es *expandSlot) expand(st *frontier.Step, earlyTerm bool, from *stateArena, parents []node, out *expandResult) {
 	out.events = slices.Grow(out.events[:0], 2*len(parents))
-	out.arena, out.base = &es.arena, int32(len(es.arena.ncomp))
+	a := &es.arena
+	out.arena, out.base = a, int32(len(a.ncomp))
 	es.local.reset(2 * expandChunk)
-	e := plan.EdgeAt(l)
+	pIn, pOut := st.Edge.P, 1-st.Edge.P
+	var abs absent
 	for i := range parents {
 		n := &parents[i]
 		ps := from.view(n.idx)
-		for _, exists := range [2]bool{true, false} {
-			w := e.P
-			if !exists {
-				w = 1 - e.P
-			}
-			childP := n.p.MulFloat64(w)
-			switch plan.Apply(l, &ps, exists, earlyTerm, es.sc, &es.scratch) {
-			case frontier.OneSink:
-				out.events = append(out.events, expandEvent{kind: expandOneSink, p: childP})
-			case frontier.ZeroSink:
-				out.events = append(out.events, expandEvent{kind: expandZeroSink, p: childP})
-			case frontier.Live:
-				h := hashKey(&es.scratch)
-				row := es.local.find(&es.arena, &es.scratch, h)
-				if row < 0 {
-					row = es.arena.push(&es.scratch, h)
-					es.local.add(&es.arena, row)
-				}
-				out.events = append(out.events, expandEvent{kind: expandLive, entry: row - out.base, p: childP})
+		a.room(2)
+		src := int32(len(a.ncomp))
+		es.absentChild(st, &ps, &abs)
+		kAbs := abs.counts().kind(st.Unseen, earlyTerm)
+		entAbs := es.keep(kAbs, src, abs.ncomp, abs.hash)
+		kPre, entPre := kAbs, entAbs
+		if abs.cu != abs.cv {
+			pre := abs.present()
+			if kPre = pre.kind(st.Unseen, earlyTerm); kPre == expandLive {
+				// The present child goes to the row after the last: the
+				// absent child's own, unless that was kept.
+				dst := int32(len(a.ncomp))
+				entPre = es.keep(kPre, dst, pre.ncomp, a.derive(&abs, src, dst))
 			}
 		}
+		out.events = append(out.events,
+			expandEvent{kind: kPre, entry: entPre - out.base, p: n.p.MulFloat64(pIn)},
+			expandEvent{kind: kAbs, entry: entAbs - out.base, p: n.p.MulFloat64(pOut)})
 	}
-	out.entries = int32(len(es.arena.ncomp)) - out.base
+	out.entries = int32(len(a.ncomp)) - out.base
+}
+
+// keep resolves a child of kind k written at the arena's next row, row,
+// with ncomp components and key hash h: a live child that repeats a key
+// of the chunk returns that key's row; a new one is committed and indexed.
+// A sink's row is not kept (its event carries no entry).
+func (es *expandSlot) keep(k expandKind, row int32, ncomp int, h uint64) int32 {
+	if k != expandLive {
+		return 0
+	}
+	a := &es.arena
+	s := a.pending(row, ncomp)
+	if j := es.local.find(a, &s, h); j >= 0 {
+		return j
+	}
+	a.commit(ncomp, h)
+	es.local.add(a, row)
+	return row
+}
+
+// absent is the absent-edge child of a parent, written into the arena's
+// next row, with what its present-edge sibling needs: the endpoints'
+// components cu and cv in the parent's extended universe (entering
+// endpoints numbered after its components), their child labels a and b
+// (-1 when the component keeps no slot), flags and terminal counts.
+type absent struct {
+	cu, cv       int32
+	a, b         int32
+	fa, fb       bool
+	ta, tb       uint16
+	ncomp, alive int
+	hash         uint64
+}
+
+// childCounts is a child's component count and its flagged components
+// alive and retired, from which its outcome follows.
+type childCounts struct{ ncomp, alive, retired int }
+
+// kind classifies a child by the sink rules of frontier.Plan.Apply.
+func (c childCounts) kind(unseen int, earlyTerm bool) expandKind {
+	switch {
+	case c.retired > 0:
+		if c.retired == 1 && c.alive == 0 && unseen == 0 {
+			return expandOneSink
+		}
+		return expandZeroSink
+	case earlyTerm && c.alive == 1 && unseen == 0:
+		return expandOneSink // all terminals already in one live component (Lemma 4.1)
+	}
+	return expandLive
+}
+
+// absentChild writes the absent-edge child of parent s into the arena's
+// next row (room for it must exist) and describes it in c.
+func (es *expandSlot) absentChild(st *frontier.Step, s *frontier.State, c *absent) {
+	*c = absent{}
+	nOld := int32(len(s.Flag))
+	ext := nOld
+	var enter [2]int32 // entering endpoints that stay on the frontier
+	var extFlag [2]bool
+	nEnter := 0
+	if st.SlotU >= 0 {
+		c.cu = int32(s.Comp[st.SlotU])
+	} else {
+		c.cu, extFlag[0] = ext, st.UTerm
+		ext++
+		if !st.URetires {
+			enter[nEnter] = c.cu
+			nEnter++
+		}
+	}
+	switch {
+	case st.SlotV >= 0:
+		c.cv = int32(s.Comp[st.SlotV])
+	case st.Edge.V == st.Edge.U:
+		c.cv = c.cu
+	default:
+		c.cv, extFlag[ext-nOld] = ext, st.VTerm
+		ext++
+		if !st.VRetires {
+			enter[nEnter] = c.cv
+			nEnter++
+		}
+	}
+	c.fa, c.ta = componentFlag(s, extFlag, c.cu)
+	c.fb, c.tb = componentFlag(s, extFlag, c.cv)
+
+	a := &es.arena
+	at := len(a.ncomp) * a.f
+	comp, flag, tcnt := a.comp[at:at+a.f], a.flag[at:at+a.f], a.tcnt[at:at+a.f]
+	canon := es.canon[:ext]
+	clear(canon)
+	skipU, skipV := int32(-1), int32(-1)
+	if st.URetires {
+		skipU = st.SlotU
+	}
+	if st.VRetires {
+		skipV = st.SlotV
+	}
+	// Labels are first-occurrence component numbers over the surviving
+	// slots; the key hash takes them four to a word as they are written.
+	h, w, k := uint64(a.f)*hashMul, uint64(0), 0
+	for slot, x := range s.Comp {
+		if int32(slot) == skipU || int32(slot) == skipV {
+			continue
+		}
+		id := canon[x]
+		if id == 0 {
+			c.ncomp++
+			id = uint16(c.ncomp)
+			canon[x] = id
+			flag[id-1], tcnt[id-1] = s.Flag[x], s.Tcnt[x]
+			if s.Flag[x] {
+				c.alive++
+			}
+		}
+		comp[k] = id - 1
+		h, w = hashLabel(h, w, k, id-1)
+		k++
+	}
+	for _, x := range enter[:nEnter] { // a fresh component each
+		f, t := componentFlag(s, extFlag, x)
+		comp[k], flag[c.ncomp], tcnt[c.ncomp] = uint16(c.ncomp), f, t
+		c.ncomp++
+		canon[x] = uint16(c.ncomp)
+		if f {
+			c.alive++
+		}
+		h, w = hashLabel(h, w, k, comp[k])
+		k++
+	}
+	c.a, c.b = int32(canon[c.cu])-1, int32(canon[c.cv])-1
+	c.hash = hashFlags((h^w)*hashMul, flag[:c.ncomp])
+}
+
+// derive writes the present-edge child of c, the absent-edge child at row
+// src, into row dst (src itself, or the row after it) and returns its key
+// hash. Merging cu's and cv's components renumbers the labels monotonely:
+// when both keep slots, the later-numbered one takes the earlier one's
+// label and every label after it moves down by one; otherwise the labels
+// stay. The merged component carries both flags and both counts.
+func (a *stateArena) derive(c *absent, src, dst int32) uint64 {
+	f, n := a.f, c.ncomp
+	sc, sf, stc := a.comp[int(src)*f:][:f], a.flag[int(src)*f:][:n], a.tcnt[int(src)*f:][:n]
+	dc, df, dtc := a.comp[int(dst)*f:][:f], a.flag[int(dst)*f:][:n], a.tcnt[int(dst)*f:][:n]
+	h, w := uint64(f)*hashMul, uint64(0)
+	into := c.a
+	if c.a >= 0 && c.b >= 0 {
+		lo, hi := uint16(min(c.a, c.b)), uint16(max(c.a, c.b))
+		for k, x := range sc {
+			switch {
+			case x == hi:
+				x = lo
+			case x > hi:
+				x--
+			}
+			dc[k] = x
+			h, w = hashLabel(h, w, k, x)
+		}
+		copy(df[:hi], sf[:hi])
+		copy(dtc[:hi], stc[:hi])
+		copy(df[hi:], sf[hi+1:])
+		copy(dtc[hi:], stc[hi+1:])
+		n--
+		into = int32(lo)
+	} else {
+		for k, x := range sc {
+			dc[k] = x
+			h, w = hashLabel(h, w, k, x)
+		}
+		copy(df, sf)
+		copy(dtc, stc)
+		if into < 0 {
+			into = c.b
+		}
+	}
+	if into >= 0 {
+		df[into], dtc[into] = c.fa || c.fb, c.ta+c.tb
+	}
+	return hashFlags((h^w)*hashMul, df[:n])
+}
+
+// componentFlag returns the flag and terminal count of component x of
+// parent s's extended universe, whose entering endpoints' flags are ext.
+func componentFlag(s *frontier.State, ext [2]bool, x int32) (bool, uint16) {
+	if n := int32(len(s.Flag)); x >= n {
+		if ext[x-n] {
+			return true, 1
+		}
+		return false, 0
+	}
+	return s.Flag[x], s.Tcnt[x]
+}
+
+// counts returns the absent child's tallies. Only cu's and cv's
+// components can lose every slot: any other parent component keeps its
+// slots, and entering endpoints are cu or cv.
+func (c *absent) counts() childCounts {
+	n := childCounts{ncomp: c.ncomp, alive: c.alive}
+	if c.a < 0 && c.fa {
+		n.retired++
+	}
+	if c.cv != c.cu && c.b < 0 && c.fb {
+		n.retired++
+	}
+	return n
+}
+
+// present returns the present-edge child's tallies when cu != cv: the
+// merged component carries both flags and survives if either part does.
+// Its row is written by derive.
+func (c *absent) present() childCounts {
+	n := childCounts{ncomp: c.ncomp, alive: c.alive}
+	switch {
+	case c.a >= 0 && c.b >= 0:
+		n.ncomp--
+		if c.fa && c.fb {
+			n.alive--
+		}
+	case c.a >= 0:
+		if c.fb && !c.fa {
+			n.alive++
+		}
+	case c.b >= 0:
+		if c.fa && !c.fb {
+			n.alive++
+		}
+	case c.fa || c.fb:
+		n.retired = 1
+	}
+	return n
 }
 
 // Entry resolutions of the replay. Non-negative values are layer-table
@@ -237,7 +487,7 @@ func (t *layerTable) delete(s *frontier.State, p xfloat.F) {
 		if t.del == nil {
 			t.del = &stateArena{}
 		}
-		t.del.reset()
+		t.del.reset(len(s.Comp))
 	}
 	t.deleted = append(t.deleted, snapshot{idx: t.del.push(s, 0), p: p})
 	t.deletedMass = t.deletedMass.Add(p)

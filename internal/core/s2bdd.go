@@ -11,6 +11,7 @@ import (
 
 	"netrel/internal/estimator"
 	"netrel/internal/frontier"
+	"netrel/internal/sampling"
 	"netrel/internal/telemetry"
 	"netrel/internal/ugraph"
 	"netrel/internal/xfloat"
@@ -60,6 +61,7 @@ type run struct {
 	compls  []*completer  // one per sampling worker slot, created lazily
 	edges   *edgeStream   // the completers' shared edge data (planStream)
 	expands []*expandSlot // one per construction worker slot, created lazily
+	step    frontier.Step // the transition of the layer being expanded
 
 	pc xfloat.F // mass proven connected (1-sink)
 	pd xfloat.F // mass proven disconnected (0-sink)
@@ -71,7 +73,6 @@ type run struct {
 	estSampled  xfloat.F
 
 	remaining []int32 // per-vertex count of unprocessed incident edges
-	hbuf      []int32 // heuristic's per-component scratch
 
 	// chunkBuf is the reusable per-layer chunk-log storage (see
 	// expandLayer); stale entries are overwritten before ever being read
@@ -143,17 +144,18 @@ func (r *run) execute(t0 time.Time) error {
 		if err := r.ctx.Err(); err != nil {
 			return err
 		}
-		e := r.plan.EdgeAt(l)
+		r.step = r.plan.Step(l)
+		e := r.step.Edge
 
 		// Expand the layer's parents chunk-parallel, then replay the chunk
 		// logs in chunk order against the width-bounded table — the replay
 		// reproduces the sequential sweep's bookkeeping exactly (see
 		// expand.go).
-		chunks, err := r.expandLayer(l, cur, nodes)
+		chunks, err := r.expandLayer(cur, nodes)
 		if err != nil {
 			return err
 		}
-		next.reset()
+		next.reset(r.step.Width)
 		index.reset(min(2*len(nodes), cfg.MaxWidth))
 		table := layerTable{arena: next, index: &index, next: spare[:0], del: del, deleted: deleted[:0]}
 		for ci := range chunks {
@@ -190,9 +192,8 @@ func (r *run) execute(t0 time.Time) error {
 		// Priority-sort the next layer so that, when it overflows, the
 		// lowest-h children are the ones deleted (Algorithm 2 line 34).
 		if !cfg.DisableHeuristic {
-			for i := range nodes {
-				st := cur.view(nodes[i].idx)
-				nodes[i].hLog = r.heuristic(curF, &st, nodes[i].p)
+			if err := r.score(cur, curF, nodes); err != nil {
+				return err
 			}
 			slices.SortFunc(nodes, byPriority)
 		}
@@ -272,11 +273,44 @@ func clamp01(x float64) float64 {
 	return x
 }
 
+// scoreChunk is the number of nodes per deterministic scoring unit. A
+// node's priority depends on nothing but its own row and mass, so chunk
+// boundaries cannot change a score; a layer of one chunk is scored inline.
+const scoreChunk = 256
+
+// score sets the deletion priority hLog of every node of a layer whose
+// states are rows of arena over the frontier f, in node chunks on the
+// run's workers.
+func (r *run) score(arena *stateArena, f []int32, nodes []node) error {
+	nchunks := (len(nodes) + scoreChunk - 1) / scoreChunk
+	if nchunks <= 1 || r.workers <= 1 {
+		r.scoreNodes(r.expandSlotFor(0), arena, f, nodes)
+		return nil
+	}
+	slot := 0
+	return sampling.ForEachChunkCtx(r.ctx, r.cfg.Exec, nchunks, r.workers, func() func(int) {
+		es := r.expandSlotFor(slot)
+		slot++
+		return func(c int) {
+			r.scoreNodes(es, arena, f, nodes[c*scoreChunk:min((c+1)*scoreChunk, len(nodes))])
+		}
+	})
+}
+
+// scoreNodes scores nodes with es's scratch.
+func (r *run) scoreNodes(es *expandSlot, arena *stateArena, f []int32, nodes []node) {
+	for i := range nodes {
+		st := arena.view(nodes[i].idx)
+		nodes[i].hLog = r.heuristic(f, &st, nodes[i].p, &es.hbuf)
+	}
+}
+
 // heuristic computes log h(n) (Equation 10): h(n) = p_n · max over frontier
 // components with t > 0 of max(t/k, 1/d), where d is the component's count
 // of incident uncertain edges. Nodes with no terminal-carrying component
-// yet are scored with a small constant in place of the max term.
-func (r *run) heuristic(f []int32, st *frontier.State, p xfloat.F) float64 {
+// yet are scored with a small constant in place of the max term. buf is
+// the caller's per-component scratch.
+func (r *run) heuristic(f []int32, st *frontier.State, p xfloat.F, buf *[]int32) float64 {
 	const unflaggedScore = 1e-6
 	if p.IsZero() {
 		// A node can carry exactly zero mass when the graph has certain
@@ -287,8 +321,8 @@ func (r *run) heuristic(f []int32, st *frontier.State, p xfloat.F) float64 {
 	}
 	best := 0.0
 	// d per component: sum of remaining uncertain edges over member slots.
-	r.hbuf = slices.Grow(r.hbuf[:0], len(st.Flag))[:len(st.Flag)]
-	d := r.hbuf
+	*buf = slices.Grow((*buf)[:0], len(st.Flag))[:len(st.Flag)]
+	d := *buf
 	clear(d)
 	for slot, v := range f {
 		d[st.Comp[slot]] += r.remaining[v]

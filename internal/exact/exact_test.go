@@ -1,11 +1,13 @@
 package exact
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
+	"netrel/internal/core"
 	"netrel/internal/ugraph"
 )
 
@@ -254,60 +256,78 @@ func TestPropertyFactoringMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestFactoringHandlesModerateGraphs(t *testing.T) {
-	// A 4x4 grid (24 edges) with 2 terminals — beyond brute force comfort
-	// for repeated tests but easy for factoring with reductions.
-	g := ugraph.New(16)
-	id := func(r, c int) int { return r*4 + c }
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			if c+1 < 4 {
-				if _, err := g.AddEdge(id(r, c), id(r, c+1), 0.9); err != nil {
-					t.Fatal(err)
+// grid returns a rows×cols grid graph whose edges all have probability p.
+func grid(rows, cols int, p float64) *ugraph.Graph {
+	g := ugraph.New(rows * cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			v := r*cols + c
+			if c+1 < cols {
+				if _, err := g.AddEdge(v, v+1, p); err != nil {
+					panic(err)
 				}
 			}
-			if r+1 < 4 {
-				if _, err := g.AddEdge(id(r, c), id(r+1, c), 0.9); err != nil {
-					t.Fatal(err)
+			if r+1 < rows {
+				if _, err := g.AddEdge(v, v+cols, p); err != nil {
+					panic(err)
 				}
 			}
 		}
 	}
-	ts := terms(t, g, 0, 15)
-	r, err := Factoring(g, ts, 0)
+	return g
+}
+
+// TestFactoringHandlesModerateGraphs checks Factoring on grids with
+// corner terminals: a 3×4 grid (17 edges) against brute force over its
+// 2^17 worlds, and a 4×4 grid (24 edges), whose 2^24 worlds would take
+// seconds, against the exact BDD baseline: a core S2BDD construction with
+// no width bound, exact-only, and early termination and the heuristic off.
+func TestFactoringHandlesModerateGraphs(t *testing.T) {
+	g := grid(3, 4, 0.9)
+	ts := terms(t, g, 0, 11)
+	fa, err := Factoring(g, ts, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	got := r.Float64()
-	if got <= 0.9 || got >= 1 {
-		t.Fatalf("grid reliability %v outside plausible range (0.9, 1)", got)
-	}
-	// Cross-check against brute force (2^24 ≈ 16M worlds — affordable once).
-	if testing.Short() {
-		return
 	}
 	bf, err := BruteForce(g, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(bf.Float64()-got) > 1e-10 {
-		t.Fatalf("factoring %v vs brute force %v", got, bf.Float64())
+	if math.Abs(bf.Float64()-fa.Float64()) > 1e-10 {
+		t.Fatalf("3×4 grid: factoring %v vs brute force %v", fa.Float64(), bf.Float64())
+	}
+
+	g = grid(4, 4, 0.9)
+	ts = terms(t, g, 0, 15)
+	fa, err = Factoring(g, ts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fa.Float64()
+	if got <= 0.9 || got >= 1 {
+		t.Fatalf("4×4 grid reliability %v outside plausible range (0.9, 1)", got)
+	}
+	s, err := core.NewSampler(context.Background(), g, ts, core.Config{
+		MaxWidth:                math.MaxInt,
+		ExactOnly:               true,
+		DisableEarlyTermination: true,
+		DisableHeuristic:        true,
+		Workers:                 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Exact || math.Abs(res.Estimate-got) > 1e-10 {
+		t.Fatalf("4×4 grid: factoring %v vs exact BDD %v (exact %v)", got, res.Estimate, res.Exact)
 	}
 }
 
 func BenchmarkFactoringGrid4x4(b *testing.B) {
-	g := ugraph.New(16)
-	id := func(r, c int) int { return r*4 + c }
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			if c+1 < 4 {
-				_, _ = g.AddEdge(id(r, c), id(r, c+1), 0.9)
-			}
-			if r+1 < 4 {
-				_, _ = g.AddEdge(id(r, c), id(r+1, c), 0.9)
-			}
-		}
-	}
+	g := grid(4, 4, 0.9)
 	ts, _ := ugraph.NewTerminals(g, []int{0, 15})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -59,7 +59,8 @@ type State struct {
 	Tcnt []uint16
 }
 
-// Clone deep-copies a state.
+// Clone deep-copies a state. Construction keeps states in flat arenas and
+// never clones one; tests and reference sweeps do.
 func (s *State) Clone() State {
 	return State{
 		Comp: append([]uint16(nil), s.Comp...),
@@ -70,6 +71,7 @@ func (s *State) Clone() State {
 
 // Key appends a canonical byte encoding of the mergeable part of the state
 // (partition + terminal booleans, per Lemma 4.3) to dst and returns it.
+// It is the reference the S2BDD's hashed key tables are tested against.
 func (s *State) Key(dst []byte) []byte {
 	for _, c := range s.Comp {
 		dst = append(dst, byte(c), byte(c>>8))
@@ -276,9 +278,6 @@ func (p *Plan) K() int { return len(p.terms) }
 // MaxFrontier returns the maximum frontier width over all layers.
 func (p *Plan) MaxFrontier() int { return p.maxFrontier }
 
-// EdgeAt returns the edge processed at position l.
-func (p *Plan) EdgeAt(l int) ugraph.Edge { return p.layers[l].edge }
-
 // UnseenFrom returns the number of terminals with no incident edge processed
 // before position l.
 func (p *Plan) UnseenFrom(l int) int { return len(p.terms) - int(p.termStart[l]) }
@@ -329,7 +328,45 @@ func (p *Plan) FrontierAt(l int) []int32 {
 	return append([]int32(nil), cur...)
 }
 
-// Scratch holds reusable buffers for Apply. One per goroutine.
+// Step is the frontier transition of one layer, for expansion kernels that
+// write child states themselves instead of calling Apply. A child's slots
+// are the parent's slots in order minus the retiring ones, then the
+// surviving entering endpoints, U before V.
+type Step struct {
+	Edge ugraph.Edge
+	// SlotU and SlotV are the endpoints' slots in F_l, or -1 for an
+	// endpoint that enters at this layer; a self-loop has SlotV == SlotU.
+	SlotU, SlotV int32
+	// URetires and VRetires report that the endpoint leaves the frontier
+	// after this edge (it was the vertex's last unprocessed edge).
+	URetires, VRetires bool
+	// UTerm and VTerm report that the endpoint is a terminal.
+	UTerm, VTerm bool
+	// Width is |F_{l+1}|, the slot count of every child state.
+	Width int
+	// Unseen counts the terminals untouched before position l+1.
+	Unseen int
+}
+
+// Step returns the frontier transition of layer l.
+func (p *Plan) Step(l int) Step {
+	st := &p.layers[l]
+	width := 0
+	if l+1 < len(p.layers) {
+		width = int(p.layers[l+1].flen)
+	}
+	return Step{
+		Edge:  st.edge,
+		SlotU: st.slotU, SlotV: st.slotV,
+		URetires: st.uRetires, VRetires: st.vRetires,
+		UTerm: p.isTerm[st.edge.U], VTerm: p.isTerm[st.edge.V],
+		Width:  width,
+		Unseen: p.UnseenFrom(l + 1),
+	}
+}
+
+// Scratch holds reusable buffers for Apply, the test reference. One per
+// goroutine.
 type Scratch struct {
 	mapTo []int32 // ext comp id → representative ext comp id (after merge)
 	canon []int32 // ext comp id → canonical new id, or -1
@@ -345,7 +382,9 @@ func NewScratch(p *Plan) *Scratch {
 }
 
 // Apply processes the edge at position l in state s with the given edge
-// existence, writing the child state into out (reusing its capacity).
+// existence, writing the child state into out (reusing its capacity). It
+// is the test reference for the S2BDD's fused expansion kernel, which
+// reads the layer's Step and writes both children of a parent in one pass.
 // earlyTerm enables the S2BDD early 1-sink detection; the classic
 // construction passes false. The returned Outcome tells whether out is a
 // live node or the transition hit a sink (out is then undefined). out must

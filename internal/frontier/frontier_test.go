@@ -25,7 +25,7 @@ func expand(t *testing.T, p *Plan, earlyTerm bool) xfloat.F {
 		if l == p.M() {
 			t.Fatalf("state survived past the last layer: %+v", s)
 		}
-		e := p.EdgeAt(l)
+		e := p.Step(l).Edge
 		for _, exists := range [2]bool{false, true} {
 			w := 1 - e.P
 			if exists {
@@ -210,7 +210,7 @@ func TestEarlyTerminationOnlyShrinksWork(t *testing.T) {
 		states := 0
 		var rec func(l int, s State)
 		rec = func(l int, s State) {
-			e := p.EdgeAt(l)
+			e := p.Step(l).Edge
 			_ = e
 			for _, exists := range [2]bool{false, true} {
 				var out State
@@ -398,6 +398,39 @@ func TestPlanMatchesMapReference(t *testing.T) {
 					t.Fatalf("trial %d: UnseenTerms(%d) = %v, reference %v", trial, l, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestStepMatchesPlan checks each layer's Step against the plan: its
+// slots and retire flags are the layer's, its width is |F_{l+1}| as
+// AdvanceFrontier builds it, its unseen count is UnseenFrom(l+1), and its
+// terminal flags are the endpoints'.
+func TestStepMatchesPlan(t *testing.T) {
+	r := rand.New(rand.NewPCG(28, 3))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + r.IntN(30)
+		g := messyGraph(r, n, r.IntN(3*n))
+		ts, err := ugraph.NewTerminals(g, r.Perm(n)[:1+r.IntN(n)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := mustPlan(t, g, ts, r.Perm(g.M()))
+		isTerm := map[int]bool{}
+		for _, v := range ts {
+			isTerm[v] = true
+		}
+		var cur, next []int32
+		for l := 0; l < g.M(); l++ {
+			st, ls := p.Step(l), p.layers[l]
+			next = p.AdvanceFrontier(l, cur, next)
+			if st.Edge != ls.edge || st.SlotU != ls.slotU || st.SlotV != ls.slotV ||
+				st.URetires != ls.uRetires || st.VRetires != ls.vRetires ||
+				st.UTerm != isTerm[ls.edge.U] || st.VTerm != isTerm[ls.edge.V] ||
+				st.Width != len(next) || st.Unseen != p.UnseenFrom(l+1) {
+				t.Fatalf("trial %d layer %d: step %+v, layer %+v, next frontier %v", trial, l, st, ls, next)
+			}
+			cur, next = next, cur
 		}
 	}
 }

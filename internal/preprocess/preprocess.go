@@ -313,11 +313,19 @@ func transform(n int, edges []ugraph.Edge, isTerm []bool) []ugraph.Edge {
 		return inc[v]
 	}
 
+	// Per vertex: whether it is queued, and the live edge to it first met
+	// at the vertex being visited, valid while seen is that visit's number.
+	type mark struct {
+		queued      bool
+		seen, first int32
+	}
+	marks := make([]mark, n)
+	visit := int32(0)
+
 	queue := make([]int32, 0, n)
-	inQueue := make([]bool, n)
 	push := func(v int) {
-		if !inQueue[v] {
-			inQueue[v] = true
+		if !marks[v].queued {
+			marks[v].queued = true
 			queue = append(queue, int32(v))
 		}
 	}
@@ -328,12 +336,12 @@ func transform(n int, edges []ugraph.Edge, isTerm []bool) []ugraph.Edge {
 	for len(queue) > 0 {
 		v := int(queue[len(queue)-1])
 		queue = queue[:len(queue)-1]
-		inQueue[v] = false
+		marks[v].queued = false
 
 		// Drop self-loops and merge parallel edges at v.
 		ids := liveAt(v)
 		w := 0
-		firstTo := make(map[int]int32, len(ids))
+		visit++
 		changedNeighbour := false
 		for _, ei := range ids {
 			o := other(int(ei), v)
@@ -341,21 +349,22 @@ func transform(n int, edges []ugraph.Edge, isTerm []bool) []ugraph.Edge {
 				es[ei].alive = false // loop
 				continue
 			}
-			if j, ok := firstTo[o]; ok {
+			if m := &marks[o]; m.seen == visit {
+				j := m.first
 				es[j].p = 1 - (1-es[j].p)*(1-es[ei].p)
 				es[ei].alive = false
 				changedNeighbour = true
 				continue
 			}
-			firstTo[o] = ei
+			marks[o].seen, marks[o].first = visit, ei
 			ids[w] = ei
 			w++
 		}
 		inc[v] = ids[:w]
 		if changedNeighbour {
 			// Neighbour degrees dropped; they may now be contractible.
-			for o := range firstTo {
-				push(o)
+			for _, ei := range inc[v] {
+				push(other(int(ei), v))
 			}
 		}
 
