@@ -121,11 +121,8 @@ func keySet(parts ...[]string) []string {
 	return out
 }
 
-var (
-	resultKeys = []string{"duration_ms", "exact", "log10", "lower", "reliability", "samples_used",
-		"subproblems", "upper", "variance"}
-	cacheKeys = nest("cache", "capacity", "entries", "hits", "misses")
-)
+var resultKeys = []string{"duration_ms", "exact", "log10", "lower", "reliability", "samples_used",
+	"subproblems", "upper", "variance"}
 
 // bodyKeys is the recursive key set of a decoded JSON value: object keys as
 // dotted paths, array elements under "[]" (the union over elements).
@@ -184,7 +181,7 @@ func progressEvents(n int) []string {
 func contractCases() []contractCase {
 	const over = `"samples":1000` // padded past the 2048-byte cap below
 	pad := strings.Repeat(" ", 2100)
-	reliabilityKeys := keySet([]string{"graph", "mode"}, nest("result", resultKeys...), cacheKeys)
+	reliabilityKeys := keySet([]string{"graph", "mode", "cache_hits", "cache_misses"}, nest("result", resultKeys...))
 	return []contractCase{
 		// POST /v1/reliability
 		{name: "reliability", path: "/v1/reliability", body: `{"terminals":[0,2],"samples":2000,"seed":7}`,
@@ -288,7 +285,7 @@ func contractCases() []contractCase {
 			body:   `{"queries":[{"terminals":[0,2]},{"mode":"conditional","terminals":[1,3],"evidence":[{"edge":0,"up":false}]},{"terminals":[0,2]}],"samples":2000,"seed":3}`,
 			status: http.StatusOK,
 			keys: keySet([]string{"graph", "duration_ms", "cache_hits", "cache_misses", "queries_planned",
-				"queries_deduped", "results", "results[].bridges"}, cacheKeys, nest("results[]", resultKeys...)[1:]),
+				"queries_deduped", "results", "results[].bridges"}, nest("results[]", resultKeys...)[1:]),
 			check: func(t *testing.T, g *netrel.Graph, b map[string]any) {
 				want, err := netrel.NewSession(g).BatchReliability([]netrel.Query{
 					{Terminals: []int{0, 2}},
@@ -392,7 +389,7 @@ func contractCases() []contractCase {
 		{name: "whatif", path: "/v1/whatif", body: `{"delta":{"set_prob":[{"edge":1,"p":0.3}]},"terminals":[0,2],"samples":2000,"seed":5}`,
 			status: http.StatusOK,
 			keys: keySet([]string{"graph", "mode", "topology_changed", "cache_hits", "cache_misses"},
-				nest("result", resultKeys...), cacheKeys),
+				nest("result", resultKeys...)),
 			check: func(t *testing.T, g *netrel.Graph, b map[string]any) {
 				mutated, err := g.Apply(netrel.GraphDelta{SetProb: []netrel.EdgeProbUpdate{{Edge: 1, P: 0.3}}})
 				if err != nil {

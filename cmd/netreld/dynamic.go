@@ -79,7 +79,6 @@ func (s *server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		elapsed := time.Since(q.start)
-		h.c.mutations.Add(1)
 		return map[string]any{
 			"graph":            h.name,
 			"version":          stats.Version,
@@ -206,7 +205,6 @@ func (s *server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 			"result":           toResponse(res),
 			"cache_hits":       annots[telemetry.AnnotCacheHits],
 			"cache_misses":     annots[telemetry.AnnotCacheMisses],
-			"cache":            toCacheResponse(h.sess.CacheStats()),
 		}, nil
 	})
 }

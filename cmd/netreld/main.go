@@ -310,12 +310,11 @@ type defaults struct {
 // queries of each mode were answered (topk counts one per ranking request,
 // not per candidate it expanded into).
 type graphCounters struct {
-	queries   atomic.Uint64 // single queries answered
-	batches   atomic.Uint64 // batch requests answered
-	batchQs   atomic.Uint64 // queries answered inside batches
-	mutations atomic.Uint64 // PATCH /v1/graphs/{name}/edges applied
-	whatifs   atomic.Uint64 // what-if queries answered
-	failures  atomic.Uint64
+	queries  atomic.Uint64 // single queries answered
+	batches  atomic.Uint64 // batch requests answered
+	batchQs  atomic.Uint64 // queries answered inside batches
+	whatifs  atomic.Uint64 // what-if queries answered
+	failures atomic.Uint64
 
 	// samplesDrawn counts completion draws across answered requests (from
 	// the request traces); earlyStops the subproblems a target width halted
@@ -1281,11 +1280,13 @@ func (s *server) handleReliability(w http.ResponseWriter, r *http.Request) {
 		}
 		h.c.queries.Add(1)
 		h.c.countMode(spec.Mode, 1)
+		annots := q.tr.Snapshot().Annots
 		return map[string]any{
-			"graph":  h.name,
-			"mode":   spec.Mode.String(),
-			"result": toResponse(res),
-			"cache":  toCacheResponse(h.sess.CacheStats()),
+			"graph":        h.name,
+			"mode":         spec.Mode.String(),
+			"result":       toResponse(res),
+			"cache_hits":   annots[telemetry.AnnotCacheHits],
+			"cache_misses": annots[telemetry.AnnotCacheMisses],
 		}, nil
 	})
 }
@@ -1355,7 +1356,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			"duration_ms":     float64(elapsed) / float64(time.Millisecond),
 			"cache_hits":      annots[telemetry.AnnotCacheHits],
 			"cache_misses":    annots[telemetry.AnnotCacheMisses],
-			"cache":           toCacheResponse(h.sess.CacheStats()),
 			"queries_planned": annots[telemetry.AnnotQueriesPlanned],
 			"queries_deduped": annots[telemetry.AnnotQueriesDeduped],
 		}, nil

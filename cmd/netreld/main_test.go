@@ -118,6 +118,31 @@ func TestSingleReliabilityMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestReliabilityCacheCountsAreOwn: a single query's cache_hits and
+// cache_misses count its own subproblem lookups, not the graph's totals.
+func TestReliabilityCacheCountsAreOwn(t *testing.T) {
+	_, ts := testServer(t)
+	type counts struct {
+		Hits   int64 `json:"cache_hits"`
+		Misses int64 `json:"cache_misses"`
+	}
+	post := func(body string) counts {
+		var got counts
+		if code := postJSON(t, ts.URL+"/v1/reliability", body, &got); code != http.StatusOK {
+			t.Fatalf("status %d", code)
+		}
+		return got
+	}
+	const q = `{"terminals":[0,2],"samples":2000,"seed":7}`
+	cold := post(q)
+	if cold.Hits != 0 || cold.Misses == 0 {
+		t.Fatalf("cold query: %+v, want misses only", cold)
+	}
+	if warm := post(q); warm != (counts{Hits: cold.Misses}) {
+		t.Fatalf("warm query: %+v, want %d hits and no misses", warm, cold.Misses)
+	}
+}
+
 func TestExactQuery(t *testing.T) {
 	_, ts := testServer(t)
 	var got struct {
@@ -138,7 +163,6 @@ func TestBatchEndpoint(t *testing.T) {
 		Results        []queryResponse `json:"results"`
 		CacheHits      uint64          `json:"cache_hits"`
 		CacheMisses    uint64          `json:"cache_misses"`
-		Cache          cacheResponse   `json:"cache"`
 		QueriesPlanned uint64          `json:"queries_planned"`
 		QueriesDeduped uint64          `json:"queries_deduped"`
 	}

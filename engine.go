@@ -46,9 +46,9 @@ type EngineConfig struct {
 	QueueDepth int
 	// MaxCost caps a single request's cost, measured in
 	// sample-draw-equivalent units. A single query is billed samples + its
-	// construction budget (⌈WorkFactor·samples⌉ — construction effort is
-	// bounded by that multiple of the sampling cost, so it is billed like
-	// the extra draws it replaces) and over-cost queries fail with
+	// construction budget (⌈DefaultWorkFactor·samples⌉ — construction
+	// effort is bounded by that multiple of the sampling cost, so it is
+	// billed like the extra draws it replaces) and over-cost queries fail with
 	// ErrOverCost before any planning. Batches admit in two phases: a small
 	// planning cost (one unit per distinct terminal set) checked before any
 	// planning, then the post-dedup solve cost — unique subproblems, not
@@ -268,9 +268,9 @@ func (e *Engine) reprice(ctx context.Context, admittedCost, cost int64) error {
 // query is billed its sample budget plus its construction budget:
 //
 //   - when the construction work budget is active (sampling run with the
-//     stall rule on), construction is capped at WorkFactor·s·|E| node-slot
-//     operations — the cost of about WorkFactor·s draws — so the query
-//     costs ⌈(1+WorkFactor)·s⌉ units;
+//     stall rule on), construction is capped at DefaultWorkFactor·s·|E|
+//     node-slot operations — the cost of about DefaultWorkFactor·s draws —
+//     so the query costs ⌈(1+DefaultWorkFactor)·s⌉ units;
 //   - otherwise (exactOnly, bounds-only s=0, or the stall rule disabled)
 //     construction sweeps every layer unbudgeted, bounded only by
 //     2·MaxWidth·|E| slot operations ≈ 2·MaxWidth draw-equivalents, and is

@@ -95,23 +95,3 @@ func Build(queries [][]Job) *Plan {
 	}
 	return p
 }
-
-// TotalJobs returns the number of job references across all queries (the
-// work a sequential per-query runner would perform).
-func (p *Plan) TotalJobs() int {
-	n := 0
-	for _, refs := range p.Refs {
-		n += len(refs)
-	}
-	return n
-}
-
-// SharedFraction reports how much of the batch's work the dedup removed:
-// 1 − unique/total. Zero when nothing is shared (or the plan is empty).
-func (p *Plan) SharedFraction() float64 {
-	total := p.TotalJobs()
-	if total == 0 {
-		return 0
-	}
-	return 1 - float64(len(p.Unique))/float64(total)
-}

@@ -47,12 +47,6 @@ func TestBuildDedupsAndOrdersLargestFirst(t *testing.T) {
 				p.Unique[i-1].G.M(), p.Unique[i].G.M())
 		}
 	}
-	if p.TotalJobs() != 7 {
-		t.Fatalf("total jobs = %d, want 7", p.TotalJobs())
-	}
-	if got := p.SharedFraction(); got < 0.57 || got > 0.58 { // 1 - 3/7
-		t.Fatalf("shared fraction = %v, want ≈4/7", got)
-	}
 	// Every reference must resolve to the job with the same signature.
 	for q, jobs := range queries {
 		if len(p.Refs[q]) != len(jobs) {

@@ -15,9 +15,13 @@ import (
 	"netrel/internal/ugraph"
 )
 
+// The stall rule compares against the resolved mass one full window back,
+// so it cannot fire before layer stallWindow+1: a flush within the first
+// stallWindow layers is the work budget's.
+
 // TestWorkBudgetFlushes verifies the construction work budget: with a tiny
-// sample budget the budget is tiny too, so construction must flush after a
-// handful of layers instead of walking the whole graph.
+// sample budget the budget is tiny too, so construction must flush within
+// the first window instead of walking the whole graph.
 func TestWorkBudgetFlushes(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 3))
 	g := randConnected(r, 300, 900)
@@ -25,22 +29,20 @@ func TestWorkBudgetFlushes(t *testing.T) {
 	ts, _ := ugraph.NewTerminals(g, perm[:5])
 	res, err := compute(g, ts, Config{
 		MaxWidth: 10000, Samples: 10, Seed: 1,
-		// Stall rule made inert so only the work budget can flush.
-		StallWindow: 1 << 20, StallThreshold: 1e-300,
 		Order: bfsOrder(g, ts),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Flushed {
-		t.Fatal("work budget did not flush")
-	}
-	if res.LayersProcessed >= g.M()/2 {
-		t.Fatalf("flush too late: %d of %d layers", res.LayersProcessed, g.M())
+	if !res.Flushed || res.LayersProcessed > stallWindow {
+		t.Fatalf("work budget did not flush: flushed %v after %d of %d layers",
+			res.Flushed, res.LayersProcessed, g.M())
 	}
 }
 
-// TestWorkBudgetScalesWithSamples: more samples buy more construction.
+// TestWorkBudgetScalesWithSamples: more samples buy more construction. The
+// small budget flushes within the first window, so the work budget is what
+// stops it.
 func TestWorkBudgetScalesWithSamples(t *testing.T) {
 	r := rand.New(rand.NewPCG(5, 8))
 	g := randConnected(r, 300, 900)
@@ -49,17 +51,19 @@ func TestWorkBudgetScalesWithSamples(t *testing.T) {
 	layers := func(samples int) int {
 		res, err := compute(g, ts, Config{
 			MaxWidth: 256, Samples: samples, Seed: 1,
-			StallWindow: 1 << 20, StallThreshold: 1e-300,
 			Order: bfsOrder(g, ts),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !res.Flushed {
+			t.Fatalf("s=%d: construction walked all %d layers", samples, g.M())
+		}
 		return res.LayersProcessed
 	}
 	small, large := layers(20), layers(5000)
-	if large < small {
-		t.Fatalf("larger budget built fewer layers: %d vs %d", large, small)
+	if small > stallWindow || large <= small {
+		t.Fatalf("budget-limited run built %d layers, larger budget %d", small, large)
 	}
 }
 
@@ -109,8 +113,10 @@ func TestStatesDoNotAliasAfterPooling(t *testing.T) {
 	g := randConnected(r, 40, 60)
 	ts, _ := ugraph.NewTerminals(g, []int{0, 20, 39})
 	base := Config{MaxWidth: 8, Samples: 500, Seed: 77, Order: bfsOrder(g, ts)}
+	// Fewer samples shrink the work budget, so this run flushes earlier
+	// than base, after deleting nodes.
 	flush := base
-	flush.WorkFactor = 0.02
+	flush.Samples = 100
 	for _, kind := range []estimator.Kind{estimator.MonteCarlo, estimator.HorvitzThompson} {
 		for _, c := range []struct {
 			name string

@@ -201,7 +201,7 @@ func refComplete(plan *frontier.Plan, layer int, st *frontier.State, rng *rand.R
 		}
 		return v
 	}
-	uf := unionfind.New(n + plan.MaxFrontier() + 2)
+	uf := unionfind.NewArena(n + plan.MaxFrontier() + 2)
 	pr = xfloat.One
 	fp = 0xcbf29ce484222325
 	ord := plan.Order()

@@ -23,17 +23,23 @@ import (
 
 // Default parameter values; the paper's experiments use w = 10⁴, s = 10⁴.
 const (
-	DefaultMaxWidth       = 10_000
-	DefaultStallWindow    = 16
-	DefaultStallThreshold = 1e-3
+	DefaultMaxWidth = 10_000
 	// DefaultWorkFactor bounds construction effort at this multiple of the
 	// sampling budget's own cost (s·|E| elementary operations): spending
 	// more than that on bound-tightening can never pay for itself. This
 	// realizes Algorithm 2's budget-driven early exit; construction effort
 	// — and hence bound quality — scales with s, which is why the paper
 	// observes the approach "works more effectively when the number of
-	// samples is large" (Section 7.4).
+	// samples is large" (Section 7.4). It and the stall rule race;
+	// whichever fires first flushes.
 	DefaultWorkFactor = 0.5
+)
+
+// The stall rule: construction flushes once the resolved mass has grown by
+// less than stallThreshold over the last stallWindow layers.
+const (
+	stallWindow    = 16
+	stallThreshold = 1e-3
 )
 
 // Config parameterizes an S2BDD run. The zero value selects all defaults
@@ -86,33 +92,12 @@ type Config struct {
 	DisableStall bool
 	// DisableReduction ignores Theorem 1 and keeps s′ = s.
 	DisableReduction bool
-
-	// StallWindow is the number of layers over which bound progress is
-	// measured; ≤0 selects DefaultStallWindow.
-	StallWindow int
-	// StallThreshold is the minimum resolved-mass gain per window below
-	// which construction stops and the live nodes are flushed to sampling;
-	// ≤0 selects DefaultStallThreshold.
-	StallThreshold float64
-	// WorkFactor bounds construction effort at WorkFactor·s·|E| node-slot
-	// operations before flushing; ≤0 selects DefaultWorkFactor. The stall
-	// rule and the work budget race; whichever fires first flushes.
-	WorkFactor float64
 }
 
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.MaxWidth <= 0 {
 		out.MaxWidth = DefaultMaxWidth
-	}
-	if out.StallWindow <= 0 {
-		out.StallWindow = DefaultStallWindow
-	}
-	if out.StallThreshold <= 0 {
-		out.StallThreshold = DefaultStallThreshold
-	}
-	if out.WorkFactor <= 0 {
-		out.WorkFactor = DefaultWorkFactor
 	}
 	return out
 }

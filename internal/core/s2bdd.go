@@ -123,14 +123,14 @@ func (r *run) execute(t0 time.Time) error {
 	// Stall detection ring buffer of resolved-mass progress, plus the
 	// construction work budget (node-slot operations) derived from the
 	// sampling budget.
-	progress := make([]float64, cfg.StallWindow)
+	progress := make([]float64, stallWindow)
 	for i := range progress {
 		progress[i] = -1
 	}
 	work := 0.0
 	workBudget := math.Inf(1)
 	if cfg.Samples > 0 && !cfg.ExactOnly && !cfg.DisableStall {
-		workBudget = cfg.WorkFactor * float64(cfg.Samples) * float64(m)
+		workBudget = DefaultWorkFactor * float64(cfg.Samples) * float64(m)
 	}
 
 	flushed := false
@@ -209,10 +209,10 @@ func (r *run) execute(t0 time.Time) error {
 		if !cfg.DisableStall && !cfg.ExactOnly && len(nodes) > 0 && cfg.Samples > 0 {
 			work += float64(len(nodes)) * float64(len(curF)+4)
 			prog := r.pc.Add(r.pd).Add(r.sampledMass).Float64()
-			slot := (l + 1) % cfg.StallWindow
+			slot := (l + 1) % stallWindow
 			old := progress[slot]
 			progress[slot] = prog
-			if (old >= 0 && prog-old < cfg.StallThreshold) || work > workBudget {
+			if (old >= 0 && prog-old < stallThreshold) || work > workBudget {
 				liveMass := xfloat.Zero
 				for i := range nodes {
 					liveMass = liveMass.Add(nodes[i].p)

@@ -10,6 +10,7 @@ import (
 
 	"netrel/internal/estimator"
 	"netrel/internal/exact"
+	"netrel/internal/frontier"
 	"netrel/internal/order"
 	"netrel/internal/ugraph"
 )
@@ -114,7 +115,7 @@ func TestPropertyExactMatchesBruteForce(t *testing.T) {
 			return false
 		}
 		if math.Abs(res.Estimate-want.Float64()) > 1e-10 {
-			t.Logf("m=%d k=%d: got %v want %v", g.M(), ts.K(), res.Estimate, want.Float64())
+			t.Logf("m=%d k=%d: got %v want %v", g.M(), len(ts), res.Estimate, want.Float64())
 			return false
 		}
 		return true
@@ -394,29 +395,42 @@ func TestGrid5x5ExactAgainstFactoring(t *testing.T) {
 	}
 }
 
+// TestStallFlushActivates: on a long ladder of near-certain edges with
+// terminals at its ends, almost no mass resolves before the far end, so
+// the stall rule must stop construction. The sample budget exceeds
+// 2·MaxWidth·(MaxFrontier+4), which puts the work budget out of reach:
+// the flush can only be the stall rule's.
 func TestStallFlushActivates(t *testing.T) {
-	// A large random graph with a small width and tight stall settings
-	// must flush rather than walk all layers.
-	r := rand.New(rand.NewPCG(51, 53))
-	g := randConnected(r, 200, 400)
-	perm := r.Perm(200)
-	ts, _ := ugraph.NewTerminals(g, perm[:5])
-	res, err := compute(g, ts, Config{
-		MaxWidth: 50, Samples: 200, Seed: 1,
-		StallWindow: 8, StallThreshold: 0.5, // aggressive: flush quickly
-		Order: bfsOrder(g, ts),
-	})
+	const rungs, width = 100, 16
+	g := ugraph.New(2 * rungs)
+	for i := 0; i < rungs; i++ {
+		edges := [][2]int{{2 * i, 2*i + 1}}
+		if i+1 < rungs {
+			edges = append(edges, [2]int{2 * i, 2*i + 2}, [2]int{2*i + 1, 2*i + 3})
+		}
+		for _, e := range edges {
+			if _, err := g.AddEdge(e[0], e[1], 0.9999); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ts, _ := ugraph.NewTerminals(g, []int{0, 2*rungs - 1})
+	ord := bfsOrder(g, ts)
+	plan, err := frontier.NewPlan(g, ts, ord)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Flushed {
-		t.Fatalf("expected flush; processed %d layers", res.LayersProcessed)
+	samples := 2*width*(plan.MaxFrontier()+4) + 1
+	res, err := compute(g, ts, Config{MaxWidth: width, Samples: samples, Seed: 1, Order: ord})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.LayersProcessed >= g.M() {
-		t.Fatal("flush did not stop construction early")
+	if !res.Flushed || res.LayersProcessed <= stallWindow || res.LayersProcessed >= g.M() {
+		t.Fatalf("expected a stall flush; flushed %v after %d of %d layers",
+			res.Flushed, res.LayersProcessed, g.M())
 	}
-	if res.Estimate < 0 || res.Estimate > 1 {
-		t.Fatalf("estimate %v out of range", res.Estimate)
+	if res.Estimate < res.Lower || res.Estimate > res.Upper {
+		t.Fatalf("estimate %v outside [%v, %v]", res.Estimate, res.Lower, res.Upper)
 	}
 }
 

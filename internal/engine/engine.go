@@ -711,12 +711,6 @@ func (e *Engine) isClosed() bool {
 	}
 }
 
-// Workers returns the pool size.
-func (e *Engine) Workers() int { return e.workers }
-
-// MaxCost returns the per-request cost cap (0 = uncapped).
-func (e *Engine) MaxCost() int64 { return e.maxCost }
-
 // Stats snapshots the engine's gauges and counters.
 func (e *Engine) Stats() Stats {
 	s := Stats{

@@ -40,17 +40,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Parse converts an estimator name ("mc" or "ht") to a Kind.
-func Parse(name string) (Kind, error) {
-	switch name {
-	case "mc", "montecarlo":
-		return MonteCarlo, nil
-	case "ht", "horvitz-thompson", "horvitzthompson":
-		return HorvitzThompson, nil
-	}
-	return 0, fmt.Errorf("estimator: unknown kind %q", name)
-}
-
 // ReducedSamplesRaw evaluates Theorem 1's piecewise formula verbatim,
 // returning ⌊s·factor⌋ which may be zero or negative when the bounds are
 // very tight. Figure 4(b) reports this raw value.

@@ -216,15 +216,3 @@ func TestHTEstimateIgnoresDisconnected(t *testing.T) {
 		t.Fatal("disconnected samples must not contribute")
 	}
 }
-
-func TestKindStringParse(t *testing.T) {
-	for _, k := range []Kind{MonteCarlo, HorvitzThompson} {
-		got, err := Parse(k.String())
-		if err != nil || got != k {
-			t.Fatalf("round trip %v failed: %v %v", k, got, err)
-		}
-	}
-	if _, err := Parse("nope"); err == nil {
-		t.Fatal("bad name accepted")
-	}
-}

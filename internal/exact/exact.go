@@ -173,7 +173,7 @@ const (
 // connectState checks whether the terminals can still possibly be connected
 // (they lie in one component of the remaining multigraph).
 func connectState(fg *factorGraph) connState {
-	uf := unionfind.New(fg.n)
+	uf := unionfind.NewArena(fg.n)
 	for _, e := range fg.edges {
 		uf.Union(e.U, e.V)
 	}

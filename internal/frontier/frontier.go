@@ -269,12 +269,6 @@ func (p *Plan) Graph() *ugraph.Graph { return p.g }
 // Order returns the edge processing order.
 func (p *Plan) Order() []int { return p.order }
 
-// Terminals returns the terminal set.
-func (p *Plan) Terminals() ugraph.Terminals { return p.terms }
-
-// K returns the terminal count.
-func (p *Plan) K() int { return len(p.terms) }
-
 // MaxFrontier returns the maximum frontier width over all layers.
 func (p *Plan) MaxFrontier() int { return p.maxFrontier }
 
@@ -286,10 +280,6 @@ func (p *Plan) UnseenFrom(l int) int { return len(p.terms) - int(p.termStart[l])
 func (p *Plan) UnseenTerms(l int) []int32 {
 	return p.termsSorted[p.termStart[l]:]
 }
-
-// FirstTouch returns the first position at which vertex v is touched, or m
-// if v has no incident edge.
-func (p *Plan) FirstTouch(v int) int { return int(p.firstTouch[v]) }
 
 // Root returns the state at layer 0: empty frontier, no components.
 func (p *Plan) Root() State { return State{} }

@@ -29,9 +29,6 @@ const (
 	// Degree orders vertices by descending degree, then applies the same
 	// grouping rule.
 	Degree
-	// FrontierMin greedily picks the next edge minimizing the resulting
-	// frontier size; O(m²), intended for small graphs and ablations only.
-	FrontierMin
 	// RCM orders vertices by reverse Cuthill–McKee (bandwidth
 	// minimization), a classic choice for keeping frontier-like widths
 	// small on mesh-like graphs.
@@ -49,32 +46,11 @@ func (s Strategy) String() string {
 		return "dfs"
 	case Degree:
 		return "degree"
-	case FrontierMin:
-		return "frontiermin"
 	case RCM:
 		return "rcm"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
-}
-
-// Parse converts a strategy name to a Strategy.
-func Parse(name string) (Strategy, error) {
-	switch name {
-	case "natural":
-		return Natural, nil
-	case "bfs":
-		return BFS, nil
-	case "dfs":
-		return DFS, nil
-	case "degree":
-		return Degree, nil
-	case "frontiermin":
-		return FrontierMin, nil
-	case "rcm":
-		return RCM, nil
-	}
-	return 0, fmt.Errorf("order: unknown strategy %q", name)
 }
 
 // Compute returns a permutation of edge indices of g according to the
@@ -94,8 +70,6 @@ func Compute(g *ugraph.Graph, st Strategy, start int) []int {
 		return traversalOrder(g, vertexOrderDFS(g, start))
 	case Degree:
 		return traversalOrder(g, vertexOrderDegree(g))
-	case FrontierMin:
-		return frontierMin(g)
 	case RCM:
 		return traversalOrder(g, vertexOrderRCM(g, start))
 	default:
@@ -301,66 +275,6 @@ func traversalOrder(g *ugraph.Graph, pos []int) []int {
 	return ord
 }
 
-// frontierMin greedily selects the edge whose processing minimizes the
-// next frontier size (ties: more vertices retired, then smaller index).
-func frontierMin(g *ugraph.Graph) []int {
-	m := g.M()
-	remaining := make([]int, g.N()) // unprocessed incident edge count
-	for _, e := range g.Edges() {
-		remaining[e.U]++
-		remaining[e.V]++
-	}
-	inFrontier := make([]bool, g.N())
-	frontierSize := 0
-	used := make([]bool, m)
-	ord := make([]int, 0, m)
-	for len(ord) < m {
-		best, bestSize, bestRetired := -1, 1<<30, -1
-		for i := 0; i < m; i++ {
-			if used[i] {
-				continue
-			}
-			e := g.Edge(i)
-			size := frontierSize
-			retired := 0
-			// entering endpoints
-			if !inFrontier[e.U] {
-				size++
-			}
-			if !inFrontier[e.V] && e.V != e.U {
-				size++
-			}
-			// retiring endpoints after processing this edge
-			if remaining[e.U] == 1 {
-				size--
-				retired++
-			}
-			if e.V != e.U && remaining[e.V] == 1 {
-				size--
-				retired++
-			}
-			if size < bestSize || (size == bestSize && retired > bestRetired) {
-				best, bestSize, bestRetired = i, size, retired
-			}
-		}
-		e := g.Edge(best)
-		used[best] = true
-		ord = append(ord, best)
-		inFrontier[e.U] = true
-		inFrontier[e.V] = true
-		remaining[e.U]--
-		remaining[e.V]--
-		frontierSize = bestSize
-		if remaining[e.U] == 0 {
-			inFrontier[e.U] = false
-		}
-		if remaining[e.V] == 0 {
-			inFrontier[e.V] = false
-		}
-	}
-	return ord
-}
-
 // MaxFrontier simulates processing edges in ord and returns the maximum
 // frontier size reached. Used to compare strategies and to size S2BDD node
 // buffers.
@@ -397,19 +311,4 @@ func MaxFrontier(g *ugraph.Graph, ord []int) int {
 		}
 	}
 	return maxSize
-}
-
-// Validate checks that ord is a permutation of 0..m-1.
-func Validate(m int, ord []int) error {
-	if len(ord) != m {
-		return fmt.Errorf("order: length %d, want %d", len(ord), m)
-	}
-	seen := make([]bool, m)
-	for _, i := range ord {
-		if i < 0 || i >= m || seen[i] {
-			return fmt.Errorf("order: not a permutation at value %d", i)
-		}
-		seen[i] = true
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package order
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -50,7 +51,19 @@ func randConnected(r *rand.Rand, n, extra int) *ugraph.Graph {
 }
 
 func allStrategies() []Strategy {
-	return []Strategy{Natural, BFS, DFS, Degree, FrontierMin, RCM}
+	return []Strategy{Natural, BFS, DFS, Degree, RCM}
+}
+
+// isPerm reports whether ord is a permutation of 0..m-1.
+func isPerm(m int, ord []int) bool {
+	sorted := slices.Clone(ord)
+	slices.Sort(sorted)
+	for i, v := range sorted {
+		if v != i {
+			return false
+		}
+	}
+	return len(sorted) == m
 }
 
 func TestAllStrategiesProducePermutations(t *testing.T) {
@@ -58,9 +71,8 @@ func TestAllStrategiesProducePermutations(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		g := randConnected(r, 2+r.IntN(20), r.IntN(15))
 		for _, st := range allStrategies() {
-			ord := Compute(g, st, -1)
-			if err := Validate(g.M(), ord); err != nil {
-				t.Fatalf("strategy %v: %v", st, err)
+			if ord := Compute(g, st, -1); !isPerm(g.M(), ord) {
+				t.Fatalf("strategy %v: %v is not a permutation", st, ord)
 			}
 		}
 	}
@@ -75,7 +87,7 @@ func TestPropertyPermutation(t *testing.T) {
 		if r.IntN(2) == 0 {
 			start = r.IntN(g.N())
 		}
-		return Validate(g.M(), Compute(g, st, start)) == nil
+		return isPerm(g.M(), Compute(g, st, start))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -107,16 +119,14 @@ func TestBFSBeatsNaturalShuffledOnGrid(t *testing.T) {
 	}
 }
 
+// TestFrontierMinOnPath: a path graph reaches the minimum frontier width,
+// 2, under the traversal orders.
 func TestFrontierMinOnPath(t *testing.T) {
-	// A path graph has frontier width 2 under any sensible order.
 	g := ugraph.New(10)
 	for v := 0; v < 9; v++ {
 		if _, err := g.AddEdge(v, v+1, 0.5); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := MaxFrontier(g, Compute(g, FrontierMin, -1)); got > 2 {
-		t.Fatalf("FrontierMin frontier on path = %d", got)
 	}
 	if got := MaxFrontier(g, Compute(g, BFS, 0)); got > 2 {
 		t.Fatalf("BFS frontier on path = %d", got)
@@ -146,30 +156,6 @@ func TestMaxFrontierBounds(t *testing.T) {
 				t.Fatalf("strategy %v: frontier %d out of [1,%d]", st, got, g.N())
 			}
 		}
-	}
-}
-
-func TestStrategyStringParseRoundTrip(t *testing.T) {
-	for _, st := range allStrategies() {
-		got, err := Parse(st.String())
-		if err != nil || got != st {
-			t.Fatalf("round trip %v: got %v, %v", st, got, err)
-		}
-	}
-	if _, err := Parse("bogus"); err == nil {
-		t.Fatal("Parse accepted bogus strategy")
-	}
-}
-
-func TestValidateRejects(t *testing.T) {
-	if err := Validate(3, []int{0, 1}); err == nil {
-		t.Error("short order accepted")
-	}
-	if err := Validate(3, []int{0, 1, 1}); err == nil {
-		t.Error("duplicate accepted")
-	}
-	if err := Validate(3, []int{0, 1, 3}); err == nil {
-		t.Error("out of range accepted")
 	}
 }
 

@@ -30,7 +30,7 @@ func TestBridgeForestMatchesNaive(t *testing.T) {
 		if !slices.Equal(idx.IsBridge, bridge) {
 			t.Fatalf("trial %d: IsBridge %v, naive %v", trial, idx.IsBridge, bridge)
 		}
-		graphComp, twoEdge := unionfind.New(g.N()), unionfind.New(g.N())
+		graphComp, twoEdge := unionfind.NewArena(g.N()), unionfind.NewArena(g.N())
 		for ei, e := range g.Edges() {
 			graphComp.Union(e.U, e.V)
 			if !bridge[ei] {

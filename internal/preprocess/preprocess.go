@@ -342,7 +342,6 @@ func transform(n int, edges []ugraph.Edge, isTerm []bool) []ugraph.Edge {
 		ids := liveAt(v)
 		w := 0
 		visit++
-		changedNeighbour := false
 		for _, ei := range ids {
 			o := other(int(ei), v)
 			if o == v {
@@ -353,20 +352,19 @@ func transform(n int, edges []ugraph.Edge, isTerm []bool) []ugraph.Edge {
 				j := m.first
 				es[j].p = 1 - (1-es[j].p)*(1-es[ei].p)
 				es[ei].alive = false
-				changedNeighbour = true
 				continue
 			}
 			marks[o].seen, marks[o].first = visit, ei
 			ids[w] = ei
 			w++
 		}
+		// A merge drops the neighbour's degree, but the neighbour needs no
+		// push: it is still queued. All vertices start queued, and series
+		// contraction, the only rewrite that creates a parallel pair,
+		// pushes both its ends, so both ends of a pair are queued until the
+		// first of them pops and merges it. Every other neighbour is
+		// untouched since its last pop, and such a vertex is a fixed point.
 		inc[v] = ids[:w]
-		if changedNeighbour {
-			// Neighbour degrees dropped; they may now be contractible.
-			for _, ei := range inc[v] {
-				push(other(int(ei), v))
-			}
-		}
 
 		// Series contraction of a degree-2 non-terminal.
 		if len(inc[v]) == 2 && !isTerm[v] {

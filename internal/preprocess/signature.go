@@ -66,32 +66,15 @@ func Sign(g *ugraph.Graph, ts ugraph.Terminals) Signature {
 	})
 }
 
-// SignTerminals canonically identifies a terminal set for plan-level
-// deduplication. Within one batch every query shares the graph and its 2ECC
-// index, so the (sorted, deduplicated — ugraph.NewTerminals canonicalizes)
-// terminal set alone determines the whole preprocessing outcome: two queries
-// with equal terminal signatures produce byte-identical plans and can share
-// one planQuery run. The hash is domain-separated from Sign so a terminal
-// signature can never collide into a subproblem cache key by construction.
-func SignTerminals(ts ugraph.Terminals) Signature {
-	return hashSig(func(put func(uint64)) {
-		put(0x7465726d_7369676e) // "termsign" domain tag
-		put(uint64(len(ts)))
-		for _, t := range ts {
-			put(uint64(t))
-		}
-	})
-}
-
 // SignSpec canonically identifies a (mode, terminal set, evidence) planning
 // unit for plan-level deduplication in mixed-mode batches. Two queries with
 // equal spec signatures run the same preprocessing — same mode, same
 // canonicalized terminals, same normalized evidence, same graph (shared by
 // the whole batch) — and can therefore share one plan. The hash is
-// domain-separated from Sign and SignTerminals, and the mode participates in
-// it, so specs of different modes never collide into one plan even when
-// their terminal sets coincide (their subproblems still dedup at the solve
-// level whenever conditioning leaves them byte-identical).
+// domain-separated from Sign, and the mode participates in it, so specs of
+// different modes never collide into one plan even when their terminal
+// sets coincide (their subproblems still dedup at the solve level whenever
+// conditioning leaves them byte-identical).
 func SignSpec(mode uint64, ts ugraph.Terminals, obs []Observation) Signature {
 	return hashSig(func(put func(uint64)) {
 		put(0x73706563_7369676e) // "specsign" domain tag

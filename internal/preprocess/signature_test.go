@@ -131,28 +131,34 @@ func TestBridgesCounted(t *testing.T) {
 	}
 }
 
+// TestSignTerminalsDedupKey checks the plan-dedup key of a terminal set,
+// SignSpec with no evidence.
 func TestSignTerminalsDedupKey(t *testing.T) {
 	g := mustGraph(t, 6, []ugraph.Edge{{U: 0, V: 1, P: 0.5}, {U: 1, V: 2, P: 0.5},
 		{U: 2, V: 3, P: 0.5}, {U: 3, V: 4, P: 0.5}, {U: 4, V: 5, P: 0.5}})
+	sign := func(ts []int) Signature { return SignSpec(0, mustTerms(t, g, ts), nil) }
 
 	// NewTerminals canonicalizes (sorts, dedups), so permutations and
 	// repeats of one set share a signature — the plan-dedup contract.
-	a := SignTerminals(mustTerms(t, g, []int{0, 3, 5}))
-	if b := SignTerminals(mustTerms(t, g, []int{5, 0, 3, 0})); a != b {
+	a := sign([]int{0, 3, 5})
+	if b := sign([]int{5, 0, 3, 0}); a != b {
 		t.Fatal("canonically equal terminal sets got different signatures")
 	}
 	seen := map[Signature]bool{a: true}
 	for _, ts := range [][]int{{0, 3}, {3, 5}, {0, 5}, {0}, {0, 1, 2, 3, 4, 5}} {
-		s := SignTerminals(mustTerms(t, g, ts))
+		s := sign(ts)
 		if seen[s] {
 			t.Fatalf("terminal set %v collided with an earlier signature", ts)
 		}
 		seen[s] = true
 	}
+	if SignSpec(1, mustTerms(t, g, []int{0, 3, 5}), nil) == a {
+		t.Fatal("the mode does not participate in the signature")
+	}
 
-	// Domain separation: a terminal signature must not equal the subproblem
+	// Domain separation: a plan signature must not equal the subproblem
 	// signature of the same terminals (they key different caches).
-	if ts := mustTerms(t, g, []int{0, 3, 5}); SignTerminals(ts) == Sign(g, ts) {
-		t.Fatal("terminal and subproblem signature domains overlap")
+	if ts := mustTerms(t, g, []int{0, 3, 5}); SignSpec(0, ts, nil) == Sign(g, ts) {
+		t.Fatal("plan and subproblem signature domains overlap")
 	}
 }

@@ -176,3 +176,18 @@ func TestTransformMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// FuzzTransformMatchesReference is TestTransformMatchesReference on fuzzed
+// generator seeds.
+func FuzzTransformMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint64(2))
+	f.Add(uint64(28), uint64(2))
+	f.Fuzz(func(t *testing.T, s1, s2 uint64) {
+		n, edges, isTerm := chainMultigraph(rand.New(rand.NewPCG(s1, s2)))
+		want := refTransform(n, append([]ugraph.Edge(nil), edges...), isTerm)
+		got := transform(n, append([]ugraph.Edge(nil), edges...), isTerm)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("transform(%d, %v, %v)\n= %v\nreference %v", n, edges, isTerm, got, want)
+		}
+	})
+}

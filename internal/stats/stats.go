@@ -1,52 +1,11 @@
 // Package stats implements the accuracy metrics of the paper's Section 7.6:
-// variance and error rate of repeated approximations against exact values,
-// plus a Welford accumulator for streaming summaries.
+// variance and error rate of repeated approximations against exact values.
 package stats
 
 import (
 	"errors"
 	"math"
 )
-
-// Welford accumulates a running mean and variance in one pass.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation in.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the observation count.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 for no observations).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the population variance.
-func (w *Welford) Variance() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// SampleVariance returns the Bessel-corrected variance.
-func (w *Welford) SampleVariance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // Accuracy evaluates repeated approximations against exact references using
 // the paper's definitions:

@@ -2,48 +2,8 @@ package stats
 
 import (
 	"math"
-	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
-
-func TestWelfordMatchesDirect(t *testing.T) {
-	r := rand.New(rand.NewPCG(1, 2))
-	f := func(_ int) bool {
-		n := 1 + r.IntN(50)
-		xs := make([]float64, n)
-		var w Welford
-		for i := range xs {
-			xs[i] = r.Float64()*10 - 5
-			w.Add(xs[i])
-		}
-		mean := 0.0
-		for _, x := range xs {
-			mean += x
-		}
-		mean /= float64(n)
-		varSum := 0.0
-		for _, x := range xs {
-			varSum += (x - mean) * (x - mean)
-		}
-		direct := varSum / float64(n)
-		return math.Abs(w.Mean()-mean) < 1e-10 && math.Abs(w.Variance()-direct) < 1e-10
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWelfordEmptyAndSingle(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.SampleVariance() != 0 {
-		t.Fatal("empty accumulator must be zero")
-	}
-	w.Add(3)
-	if w.Mean() != 3 || w.Variance() != 0 || w.SampleVariance() != 0 || w.N() != 1 {
-		t.Fatal("single observation wrong")
-	}
-}
 
 func TestEvalAccuracyKnown(t *testing.T) {
 	exact := []float64{0.5, 0.25}

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"netrel/internal/unionfind"
-	"netrel/internal/xfloat"
 )
 
 // Edge is an uncertain edge between vertices U and V existing with
@@ -160,17 +159,20 @@ func (g *Graph) Connected() bool {
 	if g.n == 0 {
 		return true
 	}
-	d := unionfind.New(g.n)
+	d := unionfind.NewArena(g.n)
+	comps := g.n
 	for _, e := range g.edges {
-		d.Union(e.U, e.V)
+		if d.Union(e.U, e.V) {
+			comps--
+		}
 	}
-	return d.Count() == 1
+	return comps == 1
 }
 
-// ComponentOf returns the vertex sets of each connected component (all
+// Components returns the vertex sets of each connected component (all
 // edges existent), sorted by smallest member.
 func (g *Graph) Components() [][]int {
-	d := unionfind.New(g.n)
+	d := unionfind.NewArena(g.n)
 	for _, e := range g.edges {
 		d.Union(e.U, e.V)
 	}
@@ -207,24 +209,6 @@ func (g *Graph) AvgProb() float64 {
 	return s / float64(len(g.edges))
 }
 
-// WorldProb returns the existence probability of the possible world in which
-// exactly the edges with exists[i]==true are present:
-// Π p(e) over existent × Π (1−p(e)) over absent.
-func (g *Graph) WorldProb(exists []bool) xfloat.F {
-	if len(exists) != len(g.edges) {
-		panic("ugraph: WorldProb mask length mismatch")
-	}
-	p := xfloat.One
-	for i, e := range g.edges {
-		if exists[i] {
-			p = p.MulFloat64(e.P)
-		} else {
-			p = p.MulFloat64(1 - e.P)
-		}
-	}
-	return p
-}
-
 // Terminals is a validated set of terminal vertices.
 type Terminals []int
 
@@ -251,12 +235,3 @@ func NewTerminals(g *Graph, ts []int) (Terminals, error) {
 	}
 	return Terminals(out), nil
 }
-
-// Contains reports whether v is a terminal. Terminals are sorted.
-func (ts Terminals) Contains(v int) bool {
-	i := sort.SearchInts(ts, v)
-	return i < len(ts) && ts[i] == v
-}
-
-// K returns the number of terminals.
-func (ts Terminals) K() int { return len(ts) }

@@ -169,11 +169,8 @@ func TestNewTerminalsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts.K() != 3 || ts[0] != 0 || ts[1] != 1 || ts[2] != 2 {
+	if len(ts) != 3 || ts[0] != 0 || ts[1] != 1 || ts[2] != 2 {
 		t.Fatalf("canonicalization wrong: %v", ts)
-	}
-	if !ts.Contains(1) || ts.Contains(7) {
-		t.Fatal("Contains wrong")
 	}
 }
 
@@ -238,9 +235,6 @@ func TestSampleConnectedWithProbIsConsistent(t *testing.T) {
 		want, ok := valid[[3]bool(exists)]
 		if !ok {
 			t.Fatalf("drawn world %v not among enumerated", exists)
-		}
-		if pr := g.WorldProb(exists).String(); pr != want.pr {
-			t.Fatalf("world %v: probability %v, enumerated %v", exists, pr, want.pr)
 		}
 		if TerminalsConnected(g, ts, exists) != want.connected {
 			t.Fatalf("world %v: connectivity disagrees with enumeration", exists)

@@ -12,7 +12,7 @@ func TerminalsConnected(g *Graph, ts Terminals, exists []bool) bool {
 	if len(ts) <= 1 {
 		return true
 	}
-	uf := unionfind.New(g.N())
+	uf := unionfind.NewArena(g.N())
 	for i, e := range g.edges {
 		if exists[i] {
 			uf.Union(e.U, e.V)

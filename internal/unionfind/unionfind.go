@@ -1,80 +1,14 @@
-// Package unionfind provides disjoint-set union structures used for
-// connectivity testing in possible-world sampling and in the extension
-// technique's component analysis.
+// Package unionfind provides the disjoint-set union used for connectivity
+// testing in possible-world sampling, the exact solvers and graph
+// component analysis.
 //
-// Two variants are provided: DSU, a straightforward allocate-per-use
-// structure, and Arena, a reusable structure with O(touched) reset designed
-// for the hot sampling loop where millions of connectivity checks run on the
-// same vertex universe. Arena.Attach hangs one root beneath another without
-// a Find, so a caller can pre-seed a known partition (the S2BDD completer
+// Arena's Reset costs O(touched), for the hot sampling loop where millions
+// of connectivity checks run on the same vertex universe; one-shot callers
+// never reset it. Arena.Attach hangs one root beneath another without a
+// Find, so a caller can pre-seed a known partition (the S2BDD completer
 // attaches each frontier vertex to its component's element) or link roots
 // it has already found; Reset undoes attachments like unions.
 package unionfind
-
-// DSU is a disjoint-set union with union by rank and path halving.
-type DSU struct {
-	parent []int32
-	rank   []int8
-	count  int // number of disjoint sets
-}
-
-// New returns a DSU over n singleton elements 0..n-1.
-func New(n int) *DSU {
-	d := &DSU{
-		parent: make([]int32, n),
-		rank:   make([]int8, n),
-		count:  n,
-	}
-	for i := range d.parent {
-		d.parent[i] = int32(i)
-	}
-	return d
-}
-
-// Len returns the number of elements.
-func (d *DSU) Len() int { return len(d.parent) }
-
-// Count returns the current number of disjoint sets.
-func (d *DSU) Count() int { return d.count }
-
-// Find returns the representative of x's set, halving paths as it goes.
-func (d *DSU) Find(x int) int {
-	p := d.parent
-	for p[x] != int32(x) {
-		p[x] = p[p[x]]
-		x = int(p[x])
-	}
-	return x
-}
-
-// Union merges the sets of x and y, returning true if they were distinct.
-func (d *DSU) Union(x, y int) bool {
-	rx, ry := d.Find(x), d.Find(y)
-	if rx == ry {
-		return false
-	}
-	if d.rank[rx] < d.rank[ry] {
-		rx, ry = ry, rx
-	}
-	d.parent[ry] = int32(rx)
-	if d.rank[rx] == d.rank[ry] {
-		d.rank[rx]++
-	}
-	d.count--
-	return true
-}
-
-// Same reports whether x and y are in the same set.
-func (d *DSU) Same(x, y int) bool { return d.Find(x) == d.Find(y) }
-
-// Reset returns every element to a singleton set.
-func (d *DSU) Reset() {
-	for i := range d.parent {
-		d.parent[i] = int32(i)
-		d.rank[i] = 0
-	}
-	d.count = len(d.parent)
-}
 
 // Arena is a union-find whose Reset cost is proportional to the number of
 // elements touched since the last reset rather than to the universe size.
@@ -102,9 +36,6 @@ func NewArena(n int) *Arena {
 	}
 	return a
 }
-
-// Len returns the number of elements.
-func (a *Arena) Len() int { return len(a.parent) }
 
 // Find returns the representative of x's set.
 func (a *Arena) Find(x int) int {

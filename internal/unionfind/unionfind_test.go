@@ -6,10 +6,21 @@ import (
 	"testing/quick"
 )
 
+// countSets returns the number of disjoint sets among a's n elements.
+func countSets(a *Arena, n int) int {
+	c := 0
+	for i := 0; i < n; i++ {
+		if a.Find(i) == i {
+			c++
+		}
+	}
+	return c
+}
+
 func TestDSUBasic(t *testing.T) {
-	d := New(5)
-	if d.Count() != 5 {
-		t.Fatalf("Count = %d, want 5", d.Count())
+	d := NewArena(5)
+	if c := countSets(d, 5); c != 5 {
+		t.Fatalf("sets = %d, want 5", c)
 	}
 	if !d.Union(0, 1) {
 		t.Fatal("first union must merge")
@@ -22,8 +33,8 @@ func TestDSUBasic(t *testing.T) {
 	}
 	d.Union(2, 3)
 	d.Union(0, 3)
-	if d.Count() != 2 {
-		t.Fatalf("Count = %d, want 2", d.Count())
+	if c := countSets(d, 5); c != 2 {
+		t.Fatalf("sets = %d, want 2", c)
 	}
 	if !d.Same(1, 2) {
 		t.Fatal("transitive connectivity broken")
@@ -31,19 +42,19 @@ func TestDSUBasic(t *testing.T) {
 }
 
 func TestDSUReset(t *testing.T) {
-	d := New(4)
+	d := NewArena(4)
 	d.Union(0, 1)
 	d.Union(2, 3)
 	d.Reset()
-	if d.Count() != 4 || d.Same(0, 1) || d.Same(2, 3) {
+	if countSets(d, 4) != 4 || d.Same(0, 1) || d.Same(2, 3) {
 		t.Fatal("Reset did not restore singletons")
 	}
 }
 
 func TestDSUSingleElement(t *testing.T) {
-	d := New(1)
-	if d.Find(0) != 0 || d.Count() != 1 {
-		t.Fatal("single-element DSU broken")
+	d := NewArena(1)
+	if d.Find(0) != 0 || countSets(d, 1) != 1 {
+		t.Fatal("single-element union-find broken")
 	}
 }
 
@@ -65,19 +76,26 @@ func TestArenaBasic(t *testing.T) {
 func TestArenaRepeatedResetCycles(t *testing.T) {
 	a := NewArena(50)
 	r := rand.New(rand.NewPCG(42, 0))
+	label := make([]int, 50) // reference: relabel one set on every merge
 	for cycle := 0; cycle < 100; cycle++ {
-		d := New(50) // reference
+		for i := range label {
+			label[i] = i
+		}
 		for i := 0; i < 80; i++ {
 			x, y := r.IntN(50), r.IntN(50)
-			ga := a.Union(x, y)
-			gd := d.Union(x, y)
-			if ga != gd {
-				t.Fatalf("cycle %d: Union(%d,%d) arena=%v dsu=%v", cycle, x, y, ga, gd)
+			lx, ly := label[x], label[y]
+			if got := a.Union(x, y); got != (lx != ly) {
+				t.Fatalf("cycle %d: Union(%d,%d) = %v, reference %v", cycle, x, y, got, lx != ly)
+			}
+			for v := range label {
+				if label[v] == ly {
+					label[v] = lx
+				}
 			}
 		}
 		for i := 0; i < 50; i++ {
 			for j := i + 1; j < 50; j += 7 {
-				if a.Same(i, j) != d.Same(i, j) {
+				if a.Same(i, j) != (label[i] == label[j]) {
 					t.Fatalf("cycle %d: Same(%d,%d) differs", cycle, i, j)
 				}
 			}
@@ -86,13 +104,14 @@ func TestArenaRepeatedResetCycles(t *testing.T) {
 	}
 }
 
-// TestPropertyDSUEquivalentToNaive checks DSU connectivity against a naive
-// adjacency-matrix transitive closure on random union sequences.
+// TestPropertyDSUEquivalentToNaive checks the union-find's connectivity
+// against a naive adjacency-matrix transitive closure on random union
+// sequences.
 func TestPropertyDSUEquivalentToNaive(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 7))
 	f := func(_ int) bool {
 		n := 2 + r.IntN(12)
-		d := New(n)
+		d := NewArena(n)
 		reach := make([][]bool, n)
 		for i := range reach {
 			reach[i] = make([]bool, n)
@@ -139,14 +158,17 @@ func TestPropertyDSUEquivalentToNaive(t *testing.T) {
 }
 
 func TestDSUCountMatchesComponents(t *testing.T) {
-	d := New(10)
+	d := NewArena(10)
 	edges := [][2]int{{0, 1}, {1, 2}, {3, 4}, {5, 6}, {6, 7}, {7, 5}}
+	merges := 0
 	for _, e := range edges {
-		d.Union(e[0], e[1])
+		if d.Union(e[0], e[1]) {
+			merges++
+		}
 	}
 	// components: {0,1,2} {3,4} {5,6,7} {8} {9} = 5
-	if d.Count() != 5 {
-		t.Fatalf("Count = %d, want 5", d.Count())
+	if c := countSets(d, 10); c != 5 || 10-merges != 5 {
+		t.Fatalf("sets = %d, 10 - merges = %d, want 5", c, 10-merges)
 	}
 }
 
@@ -163,21 +185,5 @@ func BenchmarkArenaUnionReset(b *testing.B) {
 			a.Union(p[0], p[1])
 		}
 		a.Reset()
-	}
-}
-
-func BenchmarkDSUUnionFullReset(b *testing.B) {
-	d := New(1000)
-	r := rand.New(rand.NewPCG(1, 1))
-	pairs := make([][2]int, 500)
-	for i := range pairs {
-		pairs[i] = [2]int{r.IntN(1000), r.IntN(1000)}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range pairs {
-			d.Union(p[0], p[1])
-		}
-		d.Reset()
 	}
 }

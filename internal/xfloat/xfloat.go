@@ -193,9 +193,6 @@ func (a F) Cmp(b F) int {
 	}
 }
 
-// Less reports a < b.
-func (a F) Less(b F) bool { return a.Cmp(b) < 0 }
-
 // Log returns the natural logarithm of a as a float64. It requires a > 0 and
 // never overflows because it works on the exponent directly.
 func (a F) Log() float64 {
@@ -215,24 +212,6 @@ func (a F) Log10() float64 {
 	return a.Log() / math.Ln10
 }
 
-// Exp returns e^x as an F, for float64 x of any magnitude representable in
-// the exponent range. Useful for converting log-space values back.
-func Exp(x float64) F {
-	if math.IsNaN(x) {
-		panic("xfloat: Exp of NaN")
-	}
-	// x = k·ln2 + r with r in [0, ln2); e^x = e^r × 2^k.
-	k := math.Floor(x / math.Ln2)
-	r := x - k*math.Ln2
-	if k > 4e18 || k < -4e18 {
-		if k < 0 {
-			return F{}
-		}
-		panic("xfloat: Exp overflow")
-	}
-	return FromParts(math.Exp(r), int64(k))
-}
-
 // Pow returns a^n for integer n ≥ 0 by binary exponentiation.
 func (a F) Pow(n int) F {
 	if n < 0 {
@@ -249,16 +228,6 @@ func (a F) Pow(n int) F {
 	}
 	return result
 }
-
-// Complement returns 1−a. It is exact-shaped for probabilities: values
-// outside [0,1] are still handled but the name documents intent.
-func (a F) Complement() F {
-	return One.Sub(a)
-}
-
-// Mantissa returns the normalized mantissa in [0.5,1) (or negated range),
-// zero for the zero value.
-func (a F) Mantissa() float64 { return a.m }
 
 // Exp2 returns the binary exponent. Meaningless for the zero value.
 func (a F) Exp2() int64 { return a.e }
@@ -293,22 +262,6 @@ func Sum(xs []F) F {
 	}
 	mid := len(xs) / 2
 	return Sum(xs[:mid]).Add(Sum(xs[mid:]))
-}
-
-// Max returns the larger of a and b.
-func Max(a, b F) F {
-	if a.Cmp(b) >= 0 {
-		return a
-	}
-	return b
-}
-
-// Min returns the smaller of a and b.
-func Min(a, b F) F {
-	if a.Cmp(b) <= 0 {
-		return a
-	}
-	return b
 }
 
 // Clamp01 clamps a into [0,1]; used to tidy bounds before reporting, where

@@ -135,33 +135,6 @@ func TestPow(t *testing.T) {
 	}
 }
 
-func TestExpMatchesMathExp(t *testing.T) {
-	for _, x := range []float64{0, 1, -1, 10, -10, 100, -100, 0.001} {
-		got := Exp(x).Float64()
-		want := math.Exp(x)
-		if math.Abs(got-want) > 1e-9*want {
-			t.Errorf("Exp(%v) = %v, want %v", x, got, want)
-		}
-	}
-}
-
-func TestExpExtremeNegative(t *testing.T) {
-	v := Exp(-1e6)
-	if v.IsZero() {
-		t.Fatal("Exp(-1e6) should be a tiny nonzero value")
-	}
-	if got := v.Log(); math.Abs(got+1e6) > 1 {
-		t.Fatalf("Log(Exp(-1e6)) = %v", got)
-	}
-}
-
-func TestComplement(t *testing.T) {
-	p := FromFloat64(0.3)
-	if got := p.Complement().Float64(); math.Abs(got-0.7) > 1e-15 {
-		t.Fatalf("1-0.3 = %v", got)
-	}
-}
-
 func TestStringExtremeValues(t *testing.T) {
 	v := FromFloat64(0.2).Pow(100000)
 	s := v.String()
@@ -194,16 +167,6 @@ func TestClamp01(t *testing.T) {
 	p := FromFloat64(0.25)
 	if got := p.Clamp01(); got.Cmp(p) != 0 {
 		t.Fatalf("Clamp01(0.25) = %v", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	a, b := FromFloat64(0.25), FromFloat64(0.75)
-	if Max(a, b).Cmp(b) != 0 || Max(b, a).Cmp(b) != 0 {
-		t.Fatal("Max broken")
-	}
-	if Min(a, b).Cmp(a) != 0 || Min(b, a).Cmp(a) != 0 {
-		t.Fatal("Min broken")
 	}
 }
 

@@ -56,24 +56,22 @@ func (o Ordering) strategy() order.Strategy {
 
 // options collects the configuration of a reliability computation.
 type options struct {
-	samples        int
-	maxWidth       int
-	est            Estimator
-	seed           uint64
-	workers        int
-	ordering       Ordering
-	noExtension    bool
-	noEarlyTerm    bool
-	noHeuristic    bool
-	noStall        bool
-	noReduction    bool
-	stallWindow    int
-	stallThreshold float64
-	bddBudget      int
-	trace          bool
-	rounds         int
-	targetWidth    float64
-	progress       func(Progress)
+	samples     int
+	maxWidth    int
+	est         Estimator
+	seed        uint64
+	workers     int
+	ordering    Ordering
+	noExtension bool
+	noEarlyTerm bool
+	noHeuristic bool
+	noStall     bool
+	noReduction bool
+	bddBudget   int
+	trace       bool
+	rounds      int
+	targetWidth float64
+	progress    func(Progress)
 }
 
 func defaultOptions() options {
@@ -170,6 +168,9 @@ func WithTrace() Option {
 // WithOrdering selects the edge processing order (default BFS).
 func WithOrdering(ord Ordering) Option {
 	return func(o *options) error {
+		if ord < OrderBFS || ord > OrderRCM {
+			return fmt.Errorf("netrel: unknown ordering %d", ord)
+		}
 		o.ordering = ord
 		return nil
 	}
@@ -205,20 +206,6 @@ func WithoutStall() Option {
 // WithoutSampleReduction ignores Theorem 1 and always draws s samples.
 func WithoutSampleReduction() Option {
 	return func(o *options) error { o.noReduction = true; return nil }
-}
-
-// WithStall tunes the construction early-exit: if the resolved probability
-// mass grows by less than threshold over window layers, the S2BDD stops
-// constructing and samples the remaining nodes.
-func WithStall(window int, threshold float64) Option {
-	return func(o *options) error {
-		if window <= 0 || threshold <= 0 {
-			return fmt.Errorf("netrel: stall parameters must be positive")
-		}
-		o.stallWindow = window
-		o.stallThreshold = threshold
-		return nil
-	}
 }
 
 // WithBDDNodeBudget caps the exact BDD baseline's total node count, after
@@ -326,8 +313,6 @@ func (o *options) fingerprint(exactOnly bool) uint64 {
 		b2u(o.noHeuristic),
 		b2u(o.noStall),
 		b2u(o.noReduction),
-		uint64(o.stallWindow),
-		math.Float64bits(o.stallThreshold),
 		b2u(exactOnly),
 	)
 }

@@ -383,8 +383,6 @@ func jobConfig(exec sampling.Executor, j batch.Job, o options, exactOnly bool, w
 		DisableHeuristic:        o.noHeuristic,
 		DisableStall:            o.noStall,
 		DisableReduction:        o.noReduction,
-		StallWindow:             o.stallWindow,
-		StallThreshold:          o.stallThreshold,
 	}
 }
 

@@ -150,8 +150,8 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := Reliability(g, []int{0, 5}, WithEstimator(Estimator(99))); err == nil {
 		t.Error("bogus estimator accepted")
 	}
-	if _, err := Reliability(g, []int{0, 5}, WithStall(0, 0)); err == nil {
-		t.Error("bad stall params accepted")
+	if _, err := Reliability(g, []int{0, 5}, WithOrdering(Ordering(99))); err == nil {
+		t.Error("bogus ordering accepted")
 	}
 	if _, err := Reliability(g, nil); err == nil {
 		t.Error("empty terminal set accepted")
