@@ -212,6 +212,35 @@ func TestExactErrorMentionsWidth(t *testing.T) {
 	}
 }
 
+func TestStallOptionAffectsRun(t *testing.T) {
+	// With the stall rule on (the default) or off (WithoutStall) the
+	// pipeline must still produce an in-bounds estimate.
+	g := NewGraph(60)
+	for v := 1; v < 60; v++ {
+		if err := g.AddEdge((v*3)%v, v, 0.6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		u, v := (i*11)%60, (i*17+5)%60
+		if u != v {
+			if err := g.AddEdge(u, v, 0.6); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, extra := range [][]Option{nil, {WithoutStall()}} {
+		opts := append([]Option{WithSamples(2000), WithSeed(8)}, extra...)
+		res, err := Reliability(g, []int{0, 30, 59}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Reliability < res.Lower-1e-9 || res.Reliability > res.Upper+1e-9 {
+			t.Fatalf("estimate outside bounds (%d extra options): %+v", len(extra), res)
+		}
+	}
+}
+
 func TestResultDurationsPopulated(t *testing.T) {
 	g := bridgeOfTriangles(t)
 	res, err := Reliability(g, []int{0, 5}, WithSamples(100), WithSeed(1))

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"netrel/internal/frontier"
 	"netrel/internal/ugraph"
 )
 
@@ -156,6 +157,36 @@ func TestMaxFrontierBounds(t *testing.T) {
 				t.Fatalf("strategy %v: frontier %d out of [1,%d]", st, got, g.N())
 			}
 		}
+	}
+}
+
+// TestValidateRejects: the permutation check that guards every order a
+// plan is built from (frontier.NewPlan) accepts what each strategy
+// computes and rejects short, duplicated and out-of-range orders.
+func TestValidateRejects(t *testing.T) {
+	g := ugraph.New(3)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
+		if _, err := g.AddEdge(e[0], e[1], 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts, err := ugraph.NewTerminals(g, []int{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range allStrategies() {
+		if _, err := frontier.NewPlan(g, ts, Compute(g, st, -1)); err != nil {
+			t.Errorf("strategy %v: order rejected: %v", st, err)
+		}
+	}
+	if _, err := frontier.NewPlan(g, ts, []int{0, 1}); err == nil {
+		t.Error("short order accepted")
+	}
+	if _, err := frontier.NewPlan(g, ts, []int{0, 1, 1}); err == nil {
+		t.Error("duplicate accepted")
+	}
+	if _, err := frontier.NewPlan(g, ts, []int{0, 1, 3}); err == nil {
+		t.Error("out of range accepted")
 	}
 }
 
