@@ -8,6 +8,7 @@ import (
 	"netrel/internal/batch"
 	"netrel/internal/core"
 	"netrel/internal/preprocess"
+	"netrel/internal/sampling"
 	"netrel/internal/telemetry"
 )
 
@@ -55,31 +56,33 @@ func (s *Session) BatchReliability(queries []Query, opts ...Option) ([]*Result, 
 }
 
 // BatchReliabilityContext is BatchReliability with cancellation and
-// admission. The batch is one admission unit admitted in two phases (see
-// EngineConfig.MaxCost): first at its planning cost — one
-// sample-draw-equivalent unit per distinct spec, checked against
-// MaxCost before any planning and queued like a single query when the
-// engine is saturated — then, with the admission slot still held, repriced
-// at the post-dedup solve cost: unique subproblems (capped at the
-// distinct-spec count, so N duplicates of one query cost what the
-// query costs alone), not raw query count. Heavily-shared batches
-// are therefore billed for the work they actually cause instead of
-// tripping MaxCost limits sized for unshared traffic; an over-cost batch
-// fails with ErrOverCost either before planning (planning cost alone
-// exceeds the cap) or directly after it (solve cost does). Cancellation
-// propagates into the parallel planning phase and every subproblem's chunk
-// schedule; a cancelled batch caches nothing, so retrying yields results
-// bit-identical to an uninterrupted run.
+// admission. The batch is one admission unit, admitted in two phases like
+// every S2BDD request (see EngineConfig.MaxCost): at its planning cost
+// before any planning, then at its post-dedup solve cost directly after
+// it — unique subproblems capped at the distinct-spec count, so N
+// duplicates of one query cost what the query costs alone and
+// heavily-shared batches do not trip MaxCost limits sized for unshared
+// traffic. Cancellation propagates into the parallel planning phase and
+// every subproblem's chunk schedule; a cancelled batch caches nothing, so
+// retrying yields results bit-identical to an uninterrupted run.
 func (s *Session) BatchReliabilityContext(ctx context.Context, queries []Query, opts ...Option) ([]*Result, error) {
-	return s.batchOn(ctx, s.state.Load(), queries, opts)
+	return s.query(ctx, s.state.Load(), queries, opts, solveCall{batch: true})
 }
 
-// batchOn resolves a batch against the graph state it runs on — the
-// session's current snapshot for BatchReliability, an ephemeral delta state
-// for WhatIfBatch — and solves it as one counted batch. The whole batch
-// runs on the one state loaded by the caller, so a concurrent Mutate never
-// splits a batch across snapshots.
-func (s *Session) batchOn(ctx context.Context, st *graphState, queries []Query, opts []Option) ([]*Result, error) {
+// query is the one entry point of every S2BDD request: it resolves the
+// queries against the graph state they run on — the session's current
+// snapshot, or an ephemeral what-if state — and solves them as one call.
+// Single-result methods pass one query and take its result (see first).
+// The whole call runs on the one state loaded by the caller, so a
+// concurrent Mutate never splits it across snapshots.
+//
+// Every query is resolved up front: validation plus canonicalization is
+// cheap (conditioning is one O(|E|) graph rewrite), it is what plan-level
+// dedup keys on, and it fails invalid queries before the call occupies an
+// admission slot. Conditional specs' evidence rewrites are recorded as one
+// aggregate PhaseCondition span (terminal-set resolution is a validation
+// pass, too cheap to be a phase).
+func (s *Session) query(ctx context.Context, st *graphState, queries []Query, opts []Option, c solveCall) ([]*Result, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
 		return nil, err
@@ -91,21 +94,6 @@ func (s *Session) batchOn(ctx context.Context, st *graphState, queries []Query, 
 		return []*Result{}, nil
 	}
 	ctx, tr := ensureTrace(ctx, o)
-	specs, err := resolveQueries(st.g, queries, tr, true)
-	if err != nil {
-		return nil, err
-	}
-	return s.solve(ctx, st, specs, o, solveCall{counted: true})
-}
-
-// resolveQueries resolves every query up front — validation plus
-// canonicalization is cheap (conditioning is one O(|E|) graph rewrite), it
-// is what plan-level dedup keys on, and it fails invalid queries before
-// the call occupies an admission slot. Conditional specs' evidence
-// rewrites are recorded as one aggregate PhaseCondition span (terminal-set
-// resolution is a validation pass, too cheap to be a phase). In a batch
-// the error names the offending query.
-func resolveQueries(g *Graph, queries []Query, tr *telemetry.Trace, inBatch bool) ([]*resolvedSpec, error) {
 	var start time.Time
 	if tr != nil {
 		start = time.Now()
@@ -113,12 +101,9 @@ func resolveQueries(g *Graph, queries []Query, tr *telemetry.Trace, inBatch bool
 	specs := make([]*resolvedSpec, len(queries))
 	conditioned := false
 	for i, q := range queries {
-		rs, err := resolveSpec(g, q)
+		rs, err := resolveSpec(st.g, q)
 		if err != nil {
-			if inBatch {
-				return nil, fmt.Errorf("netrel: batch query %d: %w", i, err)
-			}
-			return nil, err
+			return nil, c.blame(i, err)
 		}
 		specs[i] = rs
 		conditioned = conditioned || rs.conditioned
@@ -126,29 +111,43 @@ func resolveQueries(g *Graph, queries []Query, tr *telemetry.Trace, inBatch bool
 	if tr != nil && conditioned {
 		tr.Add(telemetry.PhaseCondition, time.Since(start))
 	}
-	return specs, nil
+	return s.solve(ctx, st, specs, o, c)
 }
 
-// solveCall says how one pass through solve is admitted and accounted.
+// first returns the one result of a one-query call.
+func first(out []*Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// solveCall says how one pass through solve runs and is accounted.
 type solveCall struct {
 	// exactOnly disables sampling: a subproblem the S2BDD cannot resolve
 	// within the width limit fails the call with ErrNotExact.
 	exactOnly bool
-	// single marks one query from a single-result entry point. It is
-	// admitted once, before planning, at its full queryCost; its errors are
-	// returned bare; its trace carries no batch dedup counters. Every other
-	// call is admitted in two phases (see BatchReliabilityContext).
-	single bool
-	// counted adds the call to PlanStats.
-	counted bool
+	// batch marks calls from the batch entry points (BatchReliability,
+	// WhatIfBatch, TopKReliable): PlanStats counts them, and their errors
+	// name the offending query.
+	batch bool
 }
 
-// solve is the pipeline body behind every S2BDD entry point, single
-// queries included: dedup the resolved specs by plan signature, admit,
-// plan each distinct spec once, dedup the decomposed subproblems across
-// the plans, solve each unique subproblem once against the session cache,
-// and recombine every query's answer from the shared solutions. The call
-// runs entirely on st, whose index and cover tags its specs plan with.
+// blame attributes a non-nil err to query i when the call is a batch.
+func (c solveCall) blame(i int, err error) error {
+	if err == nil || !c.batch {
+		return err
+	}
+	return fmt.Errorf("netrel: batch query %d: %w", i, err)
+}
+
+// solve is the pipeline body behind every S2BDD entry point: dedup the
+// resolved specs by plan signature, admit at the planning cost, plan each
+// distinct spec once, dedup the decomposed subproblems across the plans,
+// reprice at the solve cost, solve each unique subproblem once against the
+// session cache, and recombine every query's answer from the shared
+// solutions. The call runs entirely on st, whose index and cover tags its
+// specs plan with.
 func (s *Session) solve(ctx context.Context, st *graphState, specs []*resolvedSpec, o options, c solveCall) ([]*Result, error) {
 	tr := telemetry.FromContext(ctx)
 	sigs := make([]preprocess.Signature, len(specs))
@@ -159,12 +158,8 @@ func (s *Session) solve(ctx context.Context, st *graphState, specs []*resolvedSp
 	}
 	dd := batch.DedupSpecs(sigs)
 
-	// Admission: a single query at its full cost; anything else first at
-	// its planning cost, repriced once dedup has sized the solve.
+	// Admission phase 1: the planning cost, before any planning.
 	admittedCost := planCost(dd.Distinct())
-	if c.single {
-		admittedCost = queryCost(o, 1, c.exactOnly)
-	}
 	release, err := s.eng.admit(ctx, admittedCost)
 	if err != nil {
 		return nil, err
@@ -189,14 +184,11 @@ func (s *Session) solve(ctx context.Context, st *graphState, specs []*resolvedSp
 	// the resolved spec, so the worker count never changes them, and errors
 	// are attributed to the first query using the slot.
 	plans := make([]*queryPlan, dd.Distinct())
-	if err := batch.PlanAll(ctx, s.eng.exec(), dd.Distinct(), o.workers, func(d int) error {
+	if err := sampling.ForEachCtx(ctx, s.eng.exec(), dd.Distinct(), o.workers, func(d int) error {
 		rs := specs[dd.First[d]]
 		p, err := planTerminals(ctx, rs.g, rs.ts, o, rs.planIndex(idx), st.coverScope(rs))
-		if err != nil && !c.single {
-			err = fmt.Errorf("netrel: batch query %d: %w", dd.First[d], err)
-		}
 		plans[d] = p
-		return err
+		return c.blame(dd.First[d], err)
 	}); err != nil {
 		return nil, err
 	}
@@ -210,29 +202,25 @@ func (s *Session) solve(ctx context.Context, st *graphState, specs []*resolvedSp
 	}
 	plan := batch.Build(jobLists)
 
-	if !c.single {
-		totalJobs := 0
-		for _, d := range dd.Slot {
-			totalJobs += len(plan.Refs[d])
-		}
-		if c.counted {
-			s.planBatches.Add(1)
-			s.planQueries.Add(uint64(len(specs)))
-			s.planPlanned.Add(uint64(dd.Distinct()))
-			s.planUnique.Add(uint64(len(plan.Unique)))
-			s.planTotal.Add(uint64(totalJobs))
-		}
-		if tr != nil {
-			tr.Annotate(telemetry.AnnotQueriesPlanned, int64(dd.Distinct()))
-			tr.Annotate(telemetry.AnnotQueriesDeduped, int64(dd.Deduped()))
-			tr.Annotate(telemetry.AnnotSubproblems, int64(totalJobs))
-			tr.Annotate(telemetry.AnnotSubproblemsDeduped, int64(totalJobs-len(plan.Unique)))
-		}
-		// Admission phase 2: reprice at the post-dedup solve cost now that
-		// the unique-subproblem count is known. The slot is kept either way.
-		if err := s.eng.reprice(ctx, admittedCost, batchSolveCost(o, len(plan.Unique), dd.Distinct())); err != nil {
-			return nil, err
-		}
+	totalJobs := 0
+	for _, d := range dd.Slot {
+		totalJobs += len(plan.Refs[d])
+	}
+	if c.batch {
+		s.planBatches.Add(1)
+		s.planQueries.Add(uint64(len(specs)))
+		s.planPlanned.Add(uint64(dd.Distinct()))
+		s.planUnique.Add(uint64(len(plan.Unique)))
+		s.planTotal.Add(uint64(totalJobs))
+	}
+	tr.Annotate(telemetry.AnnotQueriesPlanned, int64(dd.Distinct()))
+	tr.Annotate(telemetry.AnnotQueriesDeduped, int64(dd.Deduped()))
+	tr.Annotate(telemetry.AnnotSubproblems, int64(totalJobs))
+	tr.Annotate(telemetry.AnnotSubproblemsDeduped, int64(totalJobs-len(plan.Unique)))
+	// Admission phase 2: reprice at the post-dedup solve cost now that the
+	// unique-subproblem count is known. The slot is kept either way.
+	if err := s.eng.reprice(ctx, admittedCost, solveCost(o, len(plan.Unique), dd.Distinct(), c.exactOnly)); err != nil {
+		return nil, err
 	}
 
 	// Each unique subproblem's fan-in — how many plans its refinement

@@ -526,7 +526,7 @@ func TestBatchTwoPhaseAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	per := queryCost(o, 1, false)
+	per := solveCost(o, 1, 1, false)
 
 	// Cap at twice one query's cost: 3 duplicates (1 unique subproblem)
 	// must pass, 3 distinct terminal sets (3 unique) must not.
@@ -581,66 +581,105 @@ func TestBatchTwoPhaseAdmission(t *testing.T) {
 	}
 }
 
-// TestSingleQueryOnePhaseAdmission pins single-query admission: a single
-// query is admitted once, before planning, at its full queryCost — never at
-// a batch's planning cost and then repriced. An engine capped one unit
-// below that cost rejects the query before it plans or touches the cache,
-// while an exact query on the same engine is billed its own (here smaller)
-// exact-mode cost and admitted.
-func TestSingleQueryOnePhaseAdmission(t *testing.T) {
-	g, err := FromEdges(4, []Edge{{0, 1, 0.9}, {1, 2, 0.8}, {2, 3, 0.9}, {3, 0, 0.7}})
+// TestSingleQueryIsABatchOfOne pins that a single query is admitted
+// exactly like a one-query batch: both run the two admission phases and
+// return bit-identical answers with identical engine counters, both fail
+// with ErrOverCost after planning under a cap one unit below the solve
+// cost — before touching the cache and without leaking their slot — and
+// SolveExact is billed its own exact-mode cost.
+func TestSingleQueryIsABatchOfOne(t *testing.T) {
+	// A 3×3 grid: width 2 forces sampling, width 64 resolves it exactly.
+	var edges []Edge
+	for v := 0; v < 9; v++ {
+		if v%3 < 2 {
+			edges = append(edges, Edge{v, v + 1, 0.8})
+		}
+		if v < 6 {
+			edges = append(edges, Edge{v, v + 3, 0.7})
+		}
+	}
+	g, err := FromEdges(9, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []Option{WithSamples(1000), WithSeed(6), WithMaxWidth(64)}
+	spec := QuerySpec{Terminals: []int{0, 4, 8}}
+	opts := []Option{WithSamples(1000), WithSeed(6), WithMaxWidth(2)}
 	o, err := buildOptions(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, exact := queryCost(o, 1, false), queryCost(o, 1, true)
-	if exact >= sampled {
-		t.Fatalf("exact cost %d not below sampled cost %d; the case is not exercised", exact, sampled)
-	}
-	eng := NewEngine(EngineConfig{MaxCost: sampled - 1})
-	t.Cleanup(eng.Close)
-	s := NewSession(g)
-	s.SetEngine(eng)
+	sampled := solveCost(o, 1, 1, false)
 
-	spec := QuerySpec{Terminals: []int{0, 2}}
-	if _, err := s.Solve(spec, opts...); !errors.Is(err, ErrOverCost) {
-		t.Fatalf("over-cost single query error = %v, want ErrOverCost", err)
-	}
-	if st := s.CacheStats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
-		t.Fatalf("rejected query touched the cache: %+v", st)
-	}
-	if ps := s.PlanStats(); ps != (PlanStats{}) {
-		t.Fatalf("rejected query reached planning: %+v", ps)
-	}
-	if st := eng.Stats(); st.RejectedOverCost != 1 || st.Repriced != 0 || st.InFlight != 0 {
-		t.Fatalf("rejected/repriced/in-flight = %d/%d/%d, want 1/0/0",
-			st.RejectedOverCost, st.Repriced, st.InFlight)
+	type admission struct{ admitted, repriced, rejected uint64 }
+	run := func(maxCost int64, batched bool) (*Result, *Session, admission, error) {
+		eng := NewEngine(EngineConfig{MaxCost: maxCost})
+		t.Cleanup(eng.Close)
+		s := NewSession(g)
+		s.SetEngine(eng)
+		var res *Result
+		var err error
+		if batched {
+			res, err = first(s.BatchReliability([]Query{spec}, opts...))
+		} else {
+			res, err = s.Solve(spec, opts...)
+		}
+		st := eng.Stats()
+		if st.InFlight != 0 {
+			t.Fatalf("batched=%v: in_flight = %d after the call", batched, st.InFlight)
+		}
+		return res, s, admission{st.Admitted, st.Repriced, st.RejectedOverCost}, err
 	}
 
-	res, err := s.SolveExact(spec, opts...)
+	single, _, singleAdm, err := run(sampled, false)
 	if err != nil {
-		t.Fatalf("exact query (cost %d) rejected under cap %d: %v", exact, sampled-1, err)
+		t.Fatal(err)
 	}
-	if !res.Exact {
-		t.Fatal("SolveExact returned an estimate")
+	if single.Exact {
+		t.Fatal("query resolved exactly; the sampled cost is not exercised")
 	}
-	if st := eng.Stats(); st.RejectedOverCost != 1 || st.Repriced != 0 {
-		t.Fatalf("after exact query rejected/repriced = %d/%d, want 1/0", st.RejectedOverCost, st.Repriced)
+	batched, _, batchAdm, err := run(sampled, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ps := s.PlanStats(); ps != (PlanStats{}) {
-		t.Fatalf("single query counted in PlanStats: %+v", ps)
+	assertSameResult(t, "Solve vs batch of one", single, batched)
+	if singleAdm != batchAdm || singleAdm != (admission{1, 1, 0}) {
+		t.Fatalf("admission single/batch = %+v/%+v, want both {1 1 0}", singleAdm, batchAdm)
 	}
 
-	// The exact query is billed exactly its exact-mode cost.
-	tight := NewEngine(EngineConfig{MaxCost: exact - 1})
-	t.Cleanup(tight.Close)
-	s.SetEngine(tight)
-	if _, err := s.SolveExact(spec, opts...); !errors.Is(err, ErrOverCost) {
-		t.Fatalf("exact query over its cap error = %v, want ErrOverCost", err)
+	for _, batched := range []bool{false, true} {
+		_, s, adm, err := run(sampled-1, batched)
+		if !errors.Is(err, ErrOverCost) {
+			t.Fatalf("batched=%v: over-cost error = %v, want ErrOverCost", batched, err)
+		}
+		if st := s.CacheStats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
+			t.Fatalf("batched=%v: rejected query touched the cache: %+v", batched, st)
+		}
+		if adm != (admission{1, 0, 1}) {
+			t.Fatalf("batched=%v: rejected admission = %+v, want {1 0 1}", batched, adm)
+		}
+	}
+
+	// SolveExact is billed its exact-mode cost: construction at 2·MaxWidth.
+	exactOpts := []Option{WithSamples(1000), WithSeed(6), WithMaxWidth(64)}
+	eo, err := buildOptions(exactOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := solveCost(eo, 1, 1, true)
+	for _, limit := range []int64{exact - 1, exact} {
+		eng := NewEngine(EngineConfig{MaxCost: limit})
+		t.Cleanup(eng.Close)
+		s := NewSession(g)
+		s.SetEngine(eng)
+		res, err := s.SolveExact(spec, exactOpts...)
+		switch {
+		case limit < exact && !errors.Is(err, ErrOverCost):
+			t.Fatalf("exact query under cap %d (cost %d): error = %v, want ErrOverCost", limit, exact, err)
+		case limit == exact && err != nil:
+			t.Fatalf("exact query rejected at its own cost %d: %v", exact, err)
+		case limit == exact && !res.Exact:
+			t.Fatal("SolveExact returned an estimate")
+		}
 	}
 }
 

@@ -197,7 +197,8 @@ func contractCases() []contractCase {
 			body:   `{"mode":"conditional","terminals":[1,3],"evidence":[{"edge":0,"up":true}],"samples":2000,"seed":7,"trace":true}`,
 			status: http.StatusOK,
 			keys: keySet(reliabilityKeys, []string{"result.phases", "result.phases.cache_hits",
-				"result.phases.cache_misses", "result.phases.spans", "result.phases.spans[].count",
+				"result.phases.cache_misses", "result.phases.queries_planned", "result.phases.subproblems",
+				"result.phases.spans", "result.phases.spans[].count",
 				"result.phases.spans[].duration_ms", "result.phases.spans[].phase"}),
 			check: func(t *testing.T, g *netrel.Graph, b map[string]any) {
 				want, err := netrel.NewSession(g).Solve(netrel.QuerySpec{Mode: netrel.ModeConditional,
@@ -261,7 +262,7 @@ func contractCases() []contractCase {
 			status: http.StatusRequestEntityTooLarge, err: "request body exceeds the 2048-byte limit"},
 		{name: "reliability over quota", path: "/v1/reliability", body: `{"graph":"limited","terminals":[0,2],"samples":1000}`,
 			status: http.StatusTooManyRequests,
-			err:    `engine: tenant cost quota exhausted: tenant "limited" cost 1500 exceeds the bucket (rate 1e-06/s, burst 5)`},
+			err:    `engine: tenant cost quota exhausted: tenant "limited" post-planning cost 1500 exceeds the bucket (rate 1e-06/s, burst 5)`},
 		{name: "reliability draining", srv: srvDrained, path: "/v1/reliability", body: `{"terminals":[0,2]}`,
 			status: http.StatusServiceUnavailable, err: "server is draining"},
 		{name: "reliability stream", srv: srvGrid, path: "/v1/reliability",
@@ -379,9 +380,12 @@ func contractCases() []contractCase {
 			status: http.StatusNotFound, err: `netrel: graph not registered: "nope"`},
 		{name: "topk too large", path: "/v1/topk", body: `{"terminals":[0],"k":2,` + over + pad + `}`,
 			status: http.StatusRequestEntityTooLarge, err: "request body exceeds the 2048-byte limit"},
+		// The over-quota rows before this one keep their one-unit-per-spec
+		// planning debits, leaving two units: the three-candidate scan fails
+		// its planning debit.
 		{name: "topk over quota", path: "/v1/topk", body: `{"graph":"limited","terminals":[0],"k":2}`,
 			status: http.StatusTooManyRequests,
-			err:    `engine: tenant cost quota exhausted: tenant "limited" post-planning cost 4500 exceeds the bucket (rate 1e-06/s, burst 5)`},
+			err:    `engine: tenant cost quota exhausted: tenant "limited" cost 3 exceeds the bucket (rate 1e-06/s, burst 5)`},
 		{name: "topk draining", srv: srvDrained, path: "/v1/topk", body: `{"terminals":[0],"k":2}`,
 			status: http.StatusServiceUnavailable, err: "server is draining"},
 
@@ -419,7 +423,7 @@ func contractCases() []contractCase {
 			status: http.StatusRequestEntityTooLarge, err: "request body exceeds the 2048-byte limit"},
 		{name: "whatif over quota", path: "/v1/whatif", body: `{"graph":"limited","delta":{"set_prob":[{"edge":1,"p":0.3}]},"terminals":[0,2]}`,
 			status: http.StatusTooManyRequests,
-			err:    `engine: tenant cost quota exhausted: tenant "limited" cost 1500 exceeds the bucket (rate 1e-06/s, burst 5)`},
+			err:    `engine: tenant cost quota exhausted: tenant "limited" post-planning cost 1500 exceeds the bucket (rate 1e-06/s, burst 5)`},
 		{name: "whatif draining", srv: srvDrained, path: "/v1/whatif", body: `{"delta":{},"terminals":[0,2]}`,
 			status: http.StatusServiceUnavailable, err: "server is draining"},
 

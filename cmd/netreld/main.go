@@ -8,10 +8,10 @@
 // oversubscribe the host (goroutines stay bounded by pool + in-flight
 // requests, not requests × workers), saturation queues up to -queue
 // requests and 503s the rest, and a per-request cost cap rejects oversized
-// work: single queries before any planning, batches in two phases — their
-// (small) planning cost before planning and their deduplicated solve cost
-// directly after it, so a batch of near-identical queries is billed for
-// the unique work it causes, not its raw query count.
+// work in two phases — every query's (small) planning cost before planning
+// and its deduplicated solve cost directly after it, so a batch of
+// near-identical queries is billed for the unique work it causes, not its
+// raw query count.
 //
 // Usage:
 //
@@ -125,7 +125,7 @@ func main() {
 		pool         = flag.Int("pool", 0, "engine worker-pool size (0 = GOMAXPROCS)")
 		inFlight     = flag.Int("inflight", 8, "max concurrently solving requests (0 = unlimited)")
 		queue        = flag.Int("queue", 64, "admission queue depth beyond -inflight")
-		maxCost      = flag.Int64("maxcost", 100_000_000, "per-request cost cap in sample-draw-equivalent units: samples+construction budget per query; batches are checked pre-planning at planning cost and post-planning at their deduped solve cost (0 = no cap)")
+		maxCost      = flag.Int64("maxcost", 100_000_000, "per-request cost cap in sample-draw-equivalent units: every request is checked pre-planning at its planning cost and post-planning at its deduped solve cost, samples+construction budget per unique subproblem (0 = no cap)")
 		maxBody      = flag.Int64("maxbody", 8<<20, "request body size cap in bytes")
 		maxGraphs    = flag.Int("maxgraphs", 64, "max registered graphs (0 = no cap)")
 		maxBytes     = flag.Int64("maxbytes", 0, "registry retained-memory ceiling in bytes: under pressure the least-recently-queried graphs' indexes and result caches are released and lazily rebuilt on their next query (0 = unlimited)")
@@ -1384,7 +1384,12 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("topk query needs k > 0, got %d", req.K))
 		return
 	}
-	if candidates := g.N() - len(req.Terminals); s.def.maxQueries > 0 && candidates > s.def.maxQueries {
+	// The scan skips every base terminal once, however often it is listed.
+	distinct := make(map[int]bool, len(req.Terminals))
+	for _, t := range req.Terminals {
+		distinct[t] = true
+	}
+	if candidates := g.N() - len(distinct); s.def.maxQueries > 0 && candidates > s.def.maxQueries {
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("topk scan of %d candidate vertices exceeds the daemon batch cap %d", candidates, s.def.maxQueries))
 		return

@@ -614,6 +614,9 @@ func TestRequestCostCaps(t *testing.T) {
 		{"/v1/reliability", `{"terminals":[0,2],"samples":5000,"width":2000}`, http.StatusOK},
 		{"/v1/batch", `{"queries":[{"terminals":[0,2]},{"terminals":[1,3]},{"terminals":[0,3]}]}`, http.StatusBadRequest},
 		{"/v1/batch", `{"queries":[{"terminals":[0,2]},{"terminals":[1,3]}]}`, http.StatusOK},
+		// A duplicated terminal is one base terminal: three candidates.
+		{"/v1/topk", `{"terminals":[0,0],"k":1}`, http.StatusBadRequest},
+		{"/v1/topk", `{"terminals":[0,1],"k":1}`, http.StatusOK},
 	}
 	for _, c := range cases {
 		if code := postJSON(t, ts.URL+c.url, c.body, nil); code != c.want {

@@ -105,7 +105,7 @@ func (s *server) initMetrics() {
 		"Requests whose context ended while queued for admission.", nil,
 		func() float64 { return float64(eng.Stats().CanceledWaiting) })
 	reg.CounterFunc("netrel_engine_repriced_total",
-		"Batches whose post-dedup solve cost passed second-phase admission.", nil,
+		"S2BDD requests whose post-dedup solve cost passed second-phase admission.", nil,
 		func() float64 { return float64(eng.Stats().Repriced) })
 	reg.CounterFunc("netrel_engine_admission_waits_total",
 		"Admissions that queued for a token.", nil,

@@ -146,14 +146,14 @@ func (s *Session) WhatIf(delta GraphDelta, spec QuerySpec, opts ...Option) (*Res
 // for any worker count — but the session is untouched and subproblems the
 // delta does not cover are answered from the shared result cache. A
 // probability-only delta shares the session's 2ECC index outright; a
-// topology delta builds a private one (PhaseReindex in traces). Costs
-// admission like a single query.
+// topology delta builds a private one (PhaseReindex in traces). Admission
+// is two-phase, like every S2BDD request (see EngineConfig.MaxCost).
 func (s *Session) WhatIfContext(ctx context.Context, delta GraphDelta, spec QuerySpec, opts ...Option) (*Result, error) {
 	st, err := s.whatIfState(ctx, delta)
 	if err != nil {
 		return nil, err
 	}
-	return s.solveSpec(ctx, st, spec, opts, false)
+	return first(s.query(ctx, st, []Query{spec}, opts, solveCall{}))
 }
 
 // WhatIfBatch is BatchReliability against an ephemeral delta. See
@@ -171,7 +171,7 @@ func (s *Session) WhatIfBatchContext(ctx context.Context, delta GraphDelta, quer
 	if err != nil {
 		return nil, err
 	}
-	return s.batchOn(ctx, st, queries, opts)
+	return s.query(ctx, st, queries, opts, solveCall{batch: true})
 }
 
 // whatIfState builds the ephemeral graph state a what-if runs on. For

@@ -45,17 +45,19 @@ type EngineConfig struct {
 	// MaxInFlight ≤ 0.
 	QueueDepth int
 	// MaxCost caps a single request's cost, measured in
-	// sample-draw-equivalent units. A single query is billed samples + its
-	// construction budget (⌈DefaultWorkFactor·samples⌉ — construction
-	// effort is bounded by that multiple of the sampling cost, so it is
-	// billed like the extra draws it replaces) and over-cost queries fail with
-	// ErrOverCost before any planning. Batches admit in two phases: a small
-	// planning cost (one unit per distinct terminal set) checked before any
-	// planning, then the post-dedup solve cost — unique subproblems, not
-	// raw query count, capped at the distinct-terminal-set count so no
-	// batch is billed more than its queries issued one at a time —
-	// re-checked after planning, so heavily-shared batches are billed for
-	// the work they actually cause. ≤0 disables the cap.
+	// sample-draw-equivalent units. Every S2BDD request — a single query
+	// or a batch — admits in two phases: a small planning cost (one unit
+	// per distinct terminal set) checked before any planning, then the
+	// post-dedup solve cost re-checked after planning. The solve cost bills
+	// each unique subproblem samples + its construction budget
+	// (⌈DefaultWorkFactor·samples⌉ — construction effort is bounded by that
+	// multiple of the sampling cost, so it is billed like the extra draws
+	// it replaces), capped at the distinct-terminal-set count so no request
+	// is billed more than its queries issued one at a time: heavily-shared
+	// batches are billed for the work they actually cause. Over-cost
+	// requests fail with ErrOverCost. The MonteCarlo, BDDExact and
+	// Factoring baselines have no planning phase and admit once at their
+	// full cost. ≤0 disables the cap.
 	MaxCost int64
 }
 
@@ -73,16 +75,18 @@ type EngineStats struct {
 	// Admitted, RejectedQueueFull, RejectedOverCost, RejectedOverQuota,
 	// RejectedDraining and CanceledWaiting count admission outcomes since
 	// the engine was created. RejectedOverCost and RejectedOverQuota
-	// include both admission phases: requests over the cap (or quota) up
-	// front and batches repriced over it after planning.
+	// include both admission phases: requests over the cap (or quota) at
+	// their planning cost and S2BDD requests repriced over it after
+	// planning.
 	Admitted          uint64
 	RejectedQueueFull uint64
 	RejectedOverCost  uint64
 	RejectedOverQuota uint64
 	RejectedDraining  uint64
 	CanceledWaiting   uint64
-	// Repriced counts second-phase admission checks that passed: batches
-	// whose post-dedup solve cost was accepted after planning.
+	// Repriced counts second-phase admission checks that passed: S2BDD
+	// requests, single or batch, whose post-dedup solve cost was accepted
+	// after planning.
 	Repriced uint64
 	// Waited counts admissions that queued for a token; WaitedNanos is
 	// their summed queue wait. Together they give mean admission latency
@@ -251,7 +255,7 @@ func (e *Engine) admit(ctx context.Context, cost int64) (release func(), err err
 	return e.e.Admit(ctx, cost)
 }
 
-// reprice is the second phase of batch admission: re-check an admitted
+// reprice is the second phase of S2BDD admission: re-check an admitted
 // request against the cost cap and its tenant's quota with its
 // post-planning cost. admittedCost is what Admit already billed; only the
 // increase is debited from the quota. The nil (standalone) engine accepts
@@ -263,65 +267,46 @@ func (e *Engine) reprice(ctx context.Context, admittedCost, cost int64) error {
 	return e.e.Reprice(ctx, admittedCost, cost)
 }
 
-// queryCost is the admission cost of a request in sample-draw-equivalent
-// units (one unit ≈ one completion draw ≈ |E| node-slot operations). Each
-// query is billed its sample budget plus its construction budget:
+// planCost is the first-phase admission cost of an S2BDD call: one unit
+// per distinct spec. Planning a spec is one preprocess pass over the shared
+// index — O(|E|) work, about what one completion draw costs — so the
+// planning phase is billed like the handful of draws it resembles, and
+// only the second phase (see solveCost) carries the real weight.
+func planCost(distinct int) int64 {
+	return int64(max(distinct, 1))
+}
+
+// solveCost is the second-phase admission cost of a planned S2BDD call in
+// sample-draw-equivalent units (one unit ≈ one completion draw ≈ |E|
+// node-slot operations). Every unique post-dedup subproblem is billed one
+// query's solve budget — its samples plus its construction budget:
 //
 //   - when the construction work budget is active (sampling run with the
 //     stall rule on), construction is capped at DefaultWorkFactor·s·|E|
 //     node-slot operations — the cost of about DefaultWorkFactor·s draws —
-//     so the query costs ⌈(1+DefaultWorkFactor)·s⌉ units;
+//     so a subproblem costs ⌈(1+DefaultWorkFactor)·s⌉ units;
 //   - otherwise (exactOnly, bounds-only s=0, or the stall rule disabled)
 //     construction sweeps every layer unbudgeted, bounded only by
 //     2·MaxWidth·|E| slot operations ≈ 2·MaxWidth draw-equivalents, and is
 //     billed that upper bound — so construction-heaviest requests cannot
 //     slip under a cost cap as one or two units.
-func queryCost(o options, queries int, exactOnly bool) int64 {
-	s := o.samples
-	if s < 1 {
-		s = 1
+//
+// The count is capped at the distinct-spec count, so decomposition never
+// makes a call dearer than its distinct queries issued one at a time (one
+// query can decompose into many small subproblems, each far cheaper than
+// the per-query bound): N duplicates of one decomposing query cost exactly
+// what that query costs alone.
+func solveCost(o options, unique, distinct int, exactOnly bool) int64 {
+	n := min(unique, distinct)
+	if n < 1 {
+		return 0 // every query answered by preprocessing alone
 	}
-	if queries < 1 {
-		queries = 1
-	}
+	s := max(o.samples, 1)
 	construction := int64(math.Ceil(core.DefaultWorkFactor * float64(s)))
 	if exactOnly || o.samples == 0 || o.noStall {
 		construction = 2 * int64(o.maxWidth)
 	}
-	return (int64(s) + construction) * int64(queries)
-}
-
-// planCost is the first-phase admission cost of a batch: one unit per
-// distinct terminal set. Planning a query is one preprocess pass over the
-// shared index — O(|E|) work, about what one completion draw costs — so a
-// batch's planning phase is billed like the handful of draws it resembles,
-// and only the second phase (see batchSolveCost) carries the real weight.
-func planCost(distinct int) int64 {
-	if distinct < 1 {
-		distinct = 1
-	}
-	return int64(distinct)
-}
-
-// batchSolveCost is the second-phase admission cost of a planned batch:
-// every unique post-dedup subproblem billed like one query's solve
-// (samples + construction budget), capped at the distinct-terminal-set
-// count — what the deduplicated batch actually solves like. The cap keeps
-// decomposition from ever making a batch dearer than its queries issued
-// one at a time (one query can decompose into many small subproblems, each
-// far cheaper than the per-query bound it would otherwise be billed at):
-// a batch of N duplicates of one decomposing query costs exactly what that
-// query costs alone, and distinct ≤ queries keeps every batch at or under
-// the old queries × per-query bound.
-func batchSolveCost(o options, uniqueJobs, distinct int) int64 {
-	n := uniqueJobs
-	if n > distinct {
-		n = distinct
-	}
-	if n < 1 {
-		return 0 // every query answered by preprocessing alone
-	}
-	return queryCost(o, n, false)
+	return (int64(s) + construction) * int64(n)
 }
 
 // factoringCost is the admission cost of the Factoring exact solver, whose

@@ -1,12 +1,6 @@
 package batch
 
-import (
-	"context"
-	"sync/atomic"
-
-	"netrel/internal/preprocess"
-	"netrel/internal/sampling"
-)
+import "netrel/internal/preprocess"
 
 // SpecDedup is the plan-level deduplication of a batch: queries grouped by
 // canonical spec signature — mode, terminal set, and evidence — so each
@@ -52,46 +46,3 @@ func (td *SpecDedup) Distinct() int { return len(td.First) }
 
 // Deduped returns the number of queries answered by another query's plan.
 func (td *SpecDedup) Deduped() int { return len(td.Slot) - len(td.First) }
-
-// PlanAll runs plan(d) for every distinct slot in [0, distinct),
-// chunk-parallel on the shared engine pool via sampling.ForEachChunkCtx:
-// the caller's goroutine always runs one slot and idle pool workers pick up
-// the rest, claiming plan indices from an atomic counter. Plans must write
-// their outputs into per-slot storage; because every plan's content depends
-// only on its slot (never on scheduling), the worker count changes how fast
-// the plans arrive, not what they say.
-//
-// Error handling mirrors the solve scheduler: once any plan fails,
-// remaining slots are skipped rather than planned into the void (which
-// slots were skipped is schedule-dependent, but only the error path can
-// observe that), and the recorded errors are folded in slot order — so the
-// error the batch reports is attributed deterministically to the
-// lowest-numbered failing slot among those that ran. Cancellation is
-// plan-granular: a cancelled ctx stops slot claiming and PlanAll returns
-// ctx.Err().
-func PlanAll(ctx context.Context, exec sampling.Executor, distinct, workers int, plan func(d int) error) error {
-	if distinct == 0 {
-		return ctx.Err()
-	}
-	errs := make([]error, distinct)
-	var failed atomic.Bool
-	if err := sampling.ForEachChunkCtx(ctx, exec, distinct, workers, func() func(int) {
-		return func(d int) {
-			if failed.Load() {
-				return
-			}
-			if err := plan(d); err != nil {
-				errs[d] = err
-				failed.Store(true)
-			}
-		}
-	}); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -1,10 +1,7 @@
 package batch
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"netrel/internal/preprocess"
@@ -29,67 +26,5 @@ func TestDedupSpecsGroupsInFirstUseOrder(t *testing.T) {
 	empty := DedupSpecs(nil)
 	if empty.Distinct() != 0 || empty.Deduped() != 0 || len(empty.Slot) != 0 {
 		t.Fatalf("empty dedup: %+v", empty)
-	}
-}
-
-func TestPlanAllRunsEverySlotForAnyWorkerCount(t *testing.T) {
-	for _, workers := range []int{1, 3, 16} {
-		const n = 11
-		var ran [n]atomic.Int32
-		err := PlanAll(context.Background(), nil, n, workers, func(d int) error {
-			ran[d].Add(1)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for d := range ran {
-			if ran[d].Load() != 1 {
-				t.Fatalf("workers=%d: slot %d planned %d times", workers, d, ran[d].Load())
-			}
-		}
-	}
-	if err := PlanAll(context.Background(), nil, 0, 4, func(int) error {
-		t.Fatal("planned a slot of an empty batch")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPlanAllPropagatesFailuresAndSkipsRemainder(t *testing.T) {
-	boom := errors.New("boom")
-	var after atomic.Int32
-	err := PlanAll(context.Background(), nil, 8, 1, func(d int) error {
-		if d == 2 {
-			return boom
-		}
-		if d > 2 {
-			after.Add(1)
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	// Sequential slot claiming: nothing after the failing slot may plan.
-	if after.Load() != 0 {
-		t.Fatalf("%d slots planned after the failure with one worker", after.Load())
-	}
-}
-
-func TestPlanAllCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Int32
-	err := PlanAll(ctx, nil, 5, 2, func(int) error {
-		ran.Add(1)
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran.Load() != 0 {
-		t.Fatalf("cancelled plan ran %d slots", ran.Load())
 	}
 }

@@ -117,11 +117,15 @@ func TestStatesDoNotAliasAfterPooling(t *testing.T) {
 	// than base, after deleting nodes.
 	flush := base
 	flush.Samples = 100
+	// Without the stall rule nothing flushes: the run deletes nodes and
+	// then runs out of live nodes before the last layer.
+	noFlush := base
+	noFlush.DisableStall = true
 	for _, kind := range []estimator.Kind{estimator.MonteCarlo, estimator.HorvitzThompson} {
 		for _, c := range []struct {
 			name string
 			cfg  Config
-		}{{"deleted", base}, {"flush", flush}} {
+		}{{"deleted", base}, {"flush", flush}, {"noflush", noFlush}} {
 			cfg := c.cfg
 			cfg.Estimator = kind
 			label := kind.String() + "/" + c.name
@@ -130,7 +134,8 @@ func TestStatesDoNotAliasAfterPooling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.NodesDeleted == 0 || a.Strata < 2 || (c.name == "flush" && !a.Flushed) {
+			if a.NodesDeleted == 0 || a.Strata < 2 || (c.name == "flush" && !a.Flushed) ||
+				(c.name == "noflush" && a.Flushed) {
 				t.Fatalf("%s: workload deleted %d nodes in %d strata, flushed %v",
 					label, a.NodesDeleted, a.Strata, a.Flushed)
 			}

@@ -30,10 +30,10 @@
 // may hold admission tokens, QueueDepth more may wait for one, and the
 // rest are rejected immediately with ErrQueueFull. A per-request cost cap
 // (MaxCost, in caller-priced sample-draw-equivalent units) rejects
-// oversized requests before any planning happens. Waiting is
-// context-aware: a cancelled request leaves the queue promptly, and Drain
-// fails all current and future waiters so a shutting-down server can 503
-// its queue while admitted work finishes.
+// oversized requests at Admit, or at Reprice for two-phase requests.
+// Waiting is context-aware: a cancelled request leaves the queue promptly,
+// and Drain fails all current and future waiters so a shutting-down server
+// can 503 its queue while admitted work finishes.
 //
 // # Fair-share scheduling and tenant quotas
 //
@@ -57,7 +57,7 @@
 // capacity signal). Quotas apply in the unlimited-admission mode too.
 //
 // Requests whose true cost is only known after some cheap preparatory work
-// (batch planning: the post-dedup solve cost is a planning output) use
+// (S2BDD planning: the post-dedup solve cost is a planning output) use
 // two-phase admission: Admit with the small preparatory cost first, then
 // Reprice with the real cost once it is known. Reprice re-checks the cost
 // cap and debits the tenant's quota for the cost increase — the request
@@ -127,10 +127,9 @@ type Config struct {
 	QueueDepth int
 	// MaxCost is the per-request cost cap in sample-draw-equivalent
 	// units; callers price each request with their own cost model (the
-	// netrel layer bills a single query samples + construction budget, a
-	// batch its planning cost at Admit and its post-dedup solve cost at
-	// Reprice, and the baselines their draw or node budgets). ≤0 disables
-	// the cap.
+	// netrel layer bills an S2BDD request its planning cost at Admit and
+	// its post-dedup solve cost at Reprice, and the baselines their draw or
+	// node budgets at Admit). ≤0 disables the cap.
 	MaxCost int64
 }
 
@@ -157,7 +156,8 @@ type Stats struct {
 	RejectedDraining  uint64
 	CanceledWaiting   uint64
 	// Repriced counts successful second-phase cost checks (Reprice calls
-	// that passed the cap and quota).
+	// that passed the cap and quota — in the netrel layer, every S2BDD
+	// request that reached its solve).
 	Repriced uint64
 	// Waited counts admissions that had to queue for a token, and
 	// WaitedNanos their summed queue wait — the saturation signal a load

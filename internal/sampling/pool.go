@@ -44,21 +44,6 @@ type Executor interface {
 //
 // newWorker is always invoked on the calling goroutine (implementations
 // hand out pre-built per-slot state without synchronization).
-// ForEachChunkRangeCtx is ForEachChunkCtx over the half-open global chunk
-// range [first, first+n): chunks are claimed exactly as ForEachChunkCtx
-// claims [0, n), and fn receives the global chunk index. Resumable schedules
-// use it to execute a mid-stream window of a stratum's chunks with the same
-// per-chunk streams a full run would derive for those indices.
-func ForEachChunkRangeCtx(ctx context.Context, exec Executor, first, n, workers int, newWorker func() func(chunk int)) error {
-	if first == 0 {
-		return ForEachChunkCtx(ctx, exec, n, workers, newWorker)
-	}
-	return ForEachChunkCtx(ctx, exec, n, workers, func() func(int) {
-		fn := newWorker()
-		return func(c int) { fn(first + c) }
-	})
-}
-
 func ForEachChunkCtx(ctx context.Context, exec Executor, n, workers int, newWorker func() func(chunk int)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -110,4 +95,54 @@ func ForEachChunkCtx(ctx context.Context, exec Executor, n, workers int, newWork
 	runSlot(newWorker())
 	wg.Wait()
 	return ctx.Err()
+}
+
+// ForEachChunkRangeCtx is ForEachChunkCtx over the half-open global chunk
+// range [first, first+n): chunks are claimed exactly as ForEachChunkCtx
+// claims [0, n), and fn receives the global chunk index. Resumable schedules
+// use it to execute a mid-stream window of a stratum's chunks with the same
+// per-chunk streams a full run would derive for those indices.
+func ForEachChunkRangeCtx(ctx context.Context, exec Executor, first, n, workers int, newWorker func() func(chunk int)) error {
+	if first == 0 {
+		return ForEachChunkCtx(ctx, exec, n, workers, newWorker)
+	}
+	return ForEachChunkCtx(ctx, exec, n, workers, func() func(int) {
+		fn := newWorker()
+		return func(c int) { fn(first + c) }
+	})
+}
+
+// ForEachCtx runs fn(i) for every item i in [0, n) that can fail, on
+// ForEachChunkCtx's schedule (one item per chunk). Once any item fails,
+// slots stop running the remaining items rather than working into the void
+// — which items were skipped is schedule-dependent, but only the error path
+// can observe that — and the recorded errors are folded in index order, so
+// the error returned is deterministically the lowest-index failure among
+// the items that ran. Cancellation is item-granular: a cancelled ctx stops
+// item claiming and ForEachCtx returns ctx.Err().
+func ForEachCtx(ctx context.Context, exec Executor, n, workers int, fn func(i int) error) error {
+	if n <= 0 {
+		return ctx.Err()
+	}
+	errs := make([]error, n)
+	var failed atomic.Bool
+	if err := ForEachChunkCtx(ctx, exec, n, workers, func() func(int) {
+		return func(i int) {
+			if failed.Load() {
+				return
+			}
+			if err := fn(i); err != nil {
+				errs[i] = err
+				failed.Store(true)
+			}
+		}
+	}); err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -89,7 +89,7 @@ func (s *Session) MaximizeReliabilityContext(ctx context.Context, spec QuerySpec
 	}
 	ctx, _ = ensureTrace(ctx, o)
 
-	base, err := s.solveSpec(ctx, st, spec, opts, false)
+	base, err := first(s.query(ctx, st, []Query{spec}, opts, solveCall{}))
 	if err != nil {
 		return nil, err
 	}

@@ -36,15 +36,13 @@ type PhaseBreakdown struct {
 	// CacheHits and CacheMisses count the request's subproblem lookups
 	// against the session result cache.
 	CacheHits, CacheMisses int64
-	// QueriesPlanned counts a batch's distinct planned specs;
-	// QueriesDeduped the queries answered by another query's plan. Zero
-	// for single queries.
+	// QueriesPlanned counts the call's distinct planned specs (1 for a
+	// single query); QueriesDeduped the queries answered by another
+	// query's plan.
 	QueriesPlanned, QueriesDeduped int64
-	// Subproblems counts a batch's subproblem references across all
+	// Subproblems counts the call's subproblem references across all
 	// queries; SubproblemsDeduped those answered by a shared solve (the
-	// schedule solved Subproblems − SubproblemsDeduped jobs). For single
-	// queries both are zero — Result.Subproblems already reports the
-	// decomposition.
+	// schedule solved Subproblems − SubproblemsDeduped jobs).
 	Subproblems, SubproblemsDeduped int64
 	// SamplesDrawn counts completion draws actually made; EarlyStops the
 	// subproblems halted by WithTargetWidth before exhausting their

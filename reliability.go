@@ -53,7 +53,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"netrel/internal/batch"
@@ -433,41 +432,26 @@ func solveJobs(ctx context.Context, exec sampling.Executor, jobs []batch.Job, fa
 
 	samplers := make([]*core.Sampler, len(jobs))
 	total := sampling.ClampWorkers(o.workers, 0)
-	errs := make([]error, len(jobs))
-	var failed atomic.Bool
-	if err := sampling.ForEachChunkCtx(ctx, exec, len(miss), min(total, len(miss)), func() func(int) {
-		return func(k int) {
-			// Skip remaining jobs once any job failed (e.g. ErrNotExact from
-			// a tiny component under exactOnly) rather than solving large
-			// subproblems whose result will be discarded. Which jobs were
-			// skipped is schedule-dependent, but only the error path can
-			// observe that.
-			if failed.Load() {
-				return
-			}
-			i := miss[k]
-			j := jobs[i]
-			// The edge order is part of construction; jobConfig computes it.
-			var t0 time.Time
-			if tr != nil {
-				t0 = time.Now()
-			}
-			cfg := jobConfig(exec, j, o, exactOnly, total)
-			if tr != nil {
-				tr.Extend(telemetry.PhaseConstruct, time.Since(t0))
-			}
-			samplers[i], errs[i] = core.NewSampler(ctx, j.G, j.Ts, cfg)
-			if errs[i] != nil {
-				failed.Store(true)
-			}
+	// Once any job fails (e.g. ErrNotExact from a tiny component under
+	// exactOnly), ForEachCtx skips the rest rather than solving large
+	// subproblems whose result will be discarded.
+	if err := sampling.ForEachCtx(ctx, exec, len(miss), min(total, len(miss)), func(k int) error {
+		i := miss[k]
+		j := jobs[i]
+		// The edge order is part of construction; jobConfig computes it.
+		var t0 time.Time
+		if tr != nil {
+			t0 = time.Now()
 		}
+		cfg := jobConfig(exec, j, o, exactOnly, total)
+		if tr != nil {
+			tr.Extend(telemetry.PhaseConstruct, time.Since(t0))
+		}
+		var err error
+		samplers[i], err = core.NewSampler(ctx, j.G, j.Ts, cfg)
+		return err
 	}); err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	refresh := func() {
 		for _, i := range miss {
@@ -519,24 +503,14 @@ func solveJobs(ctx context.Context, exec sampling.Executor, jobs []batch.Job, fa
 			}
 			share = batch.Allocate(pool, weights, caps)
 		}
-		if err := sampling.ForEachChunkCtx(ctx, exec, len(active), min(total, len(active)), func() func(int) {
-			return func(k int) {
-				if failed.Load() || share[k] == 0 {
-					return
-				}
-				i := active[k]
-				if _, err := samplers[i].Resume(ctx, share[k]); err != nil {
-					errs[i] = err
-					failed.Store(true)
-				}
+		if err := sampling.ForEachCtx(ctx, exec, len(active), min(total, len(active)), func(k int) error {
+			if share[k] == 0 {
+				return nil
 			}
+			_, err := samplers[active[k]].Resume(ctx, share[k])
+			return err
 		}); err != nil {
 			return nil, err
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
 		}
 		refresh()
 		if report != nil {

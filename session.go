@@ -277,11 +277,13 @@ func (s *Session) Reliability(terminals []int, opts ...Option) (*Result, error) 
 }
 
 // ReliabilityContext is Reliability with cancellation and admission: the
-// request first acquires an engine slot (waiting in the bounded admission
-// queue if the engine is saturated, failing fast with ErrQueueFull or
-// ErrOverCost when it cannot), then solves under ctx — cancellation and
-// deadlines propagate to chunk granularity, and a cancelled request frees
-// its slot promptly. ctx never affects the computed value.
+// request first acquires an engine slot at its planning cost (waiting in
+// the bounded admission queue if the engine is saturated, failing fast
+// with ErrQueueFull or ErrOverCost when it cannot), is repriced at its
+// solve cost once planned (see EngineConfig.MaxCost), then solves under
+// ctx — cancellation and deadlines propagate to chunk granularity, and a
+// cancelled request frees its slot promptly. ctx never affects the
+// computed value.
 func (s *Session) ReliabilityContext(ctx context.Context, terminals []int, opts ...Option) (*Result, error) {
 	return s.SolveContext(ctx, QuerySpec{Terminals: terminals}, opts...)
 }
@@ -314,7 +316,7 @@ func (s *Session) Solve(spec QuerySpec, opts ...Option) (*Result, error) {
 // SolveContext is Solve with cancellation and admission (see
 // ReliabilityContext).
 func (s *Session) SolveContext(ctx context.Context, spec QuerySpec, opts ...Option) (*Result, error) {
-	return s.solveSpec(ctx, s.state.Load(), spec, opts, false)
+	return first(s.query(ctx, s.state.Load(), []Query{spec}, opts, solveCall{}))
 }
 
 // SolveExact is Solve with sampling disabled: the S2BDD must resolve every
@@ -327,28 +329,7 @@ func (s *Session) SolveExact(spec QuerySpec, opts ...Option) (*Result, error) {
 // SolveExactContext is SolveExact with cancellation and admission (see
 // ReliabilityContext).
 func (s *Session) SolveExactContext(ctx context.Context, spec QuerySpec, opts ...Option) (*Result, error) {
-	return s.solveSpec(ctx, s.state.Load(), spec, opts, true)
-}
-
-// solveSpec answers one query against a graph state — the session's
-// current snapshot, or an ephemeral what-if state — as a batch of one.
-// The query runs entirely on st, so a concurrent Mutate never changes a
-// result mid-flight.
-func (s *Session) solveSpec(ctx context.Context, st *graphState, spec QuerySpec, opts []Option, exactOnly bool) (*Result, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	ctx, tr := ensureTrace(ctx, o)
-	specs, err := resolveQueries(st.g, []Query{spec}, tr, false)
-	if err != nil {
-		return nil, err
-	}
-	out, err := s.solve(ctx, st, specs, o, solveCall{exactOnly: exactOnly, single: true})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
+	return first(s.query(ctx, s.state.Load(), []Query{spec}, opts, solveCall{exactOnly: true}))
 }
 
 // queryPlan is one query after preprocessing: the jobs still to solve, the
