@@ -22,7 +22,7 @@ import (
 
 // contract servers, indexed by contractCase.srv.
 const (
-	srvMain     = iota // the 4-cycle as "default", plus "limited" (starved quota) and "karate"
+	srvMain     = iota // the 4-cycle as "default", plus "limited" and "topk-limited" (starved quotas) and "karate"
 	srvDrained         // srvMain's configuration, draining
 	srvGrid            // the 5x5 grid at width 4, so streamed queries sample
 	srvTimedOut        // the 4-cycle under a 1ns query deadline
@@ -66,6 +66,10 @@ func contractServers(t *testing.T) ([numContractServers]*httptest.Server, [numCo
 		if i == srvMain {
 			if err := srv.register("limited", "test", quickstartGraph(t),
 				graphQoS{quotaRate: 0.000001, quotaBurst: 5}); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.register("topk-limited", "test", quickstartGraph(t),
+				graphQoS{quotaRate: 0.000001, quotaBurst: 10}); err != nil {
 				t.Fatal(err)
 			}
 			karate, _, err := loadGraph("", "Karate", "small", 1)
@@ -386,6 +390,12 @@ func contractCases() []contractCase {
 		{name: "topk over quota", path: "/v1/topk", body: `{"graph":"limited","terminals":[0],"k":2}`,
 			status: http.StatusTooManyRequests,
 			err:    `engine: tenant cost quota exhausted: tenant "limited" cost 3 exceeds the bucket (rate 1e-06/s, burst 5)`},
+		// No other row debits "topk-limited": its ten-unit bucket covers the
+		// three-unit planning debit, and the scan fails when Reprice debits
+		// its solve cost.
+		{name: "topk over post-planning quota", path: "/v1/topk", body: `{"graph":"topk-limited","terminals":[0],"k":2}`,
+			status: http.StatusTooManyRequests,
+			err:    `engine: tenant cost quota exhausted: tenant "topk-limited" post-planning cost 4500 exceeds the bucket (rate 1e-06/s, burst 10)`},
 		{name: "topk draining", srv: srvDrained, path: "/v1/topk", body: `{"terminals":[0],"k":2}`,
 			status: http.StatusServiceUnavailable, err: "server is draining"},
 

@@ -10,8 +10,10 @@ import (
 // one layer has the same frontier width f, so state i's component labels
 // sit at comp[i·f:(i+1)·f], and its first ncomp[i] flag and count entries
 // at the same offset of flag and tcnt. hash[i] is the state's key hash.
-// The rows are ncomp's entries; comp, flag and tcnt may run past them, as
-// room the expansion kernel writes children into before keeping them.
+// The rows are ncomp's entries. An arena filled by push holds exactly the
+// rows pushed; a layer's child arena is laid out by resize, and each
+// expansion chunk sets the rows of its own window (set), so only the rows
+// some chunk kept hold a state.
 type stateArena struct {
 	f     int
 	comp  []uint16
@@ -26,7 +28,8 @@ func (a *stateArena) reset(f int) {
 	a.f, a.ncomp, a.hash = f, a.ncomp[:0], a.hash[:0]
 }
 
-// room makes comp, flag and tcnt long enough for n rows past the last.
+// room makes comp, flag and tcnt long enough, and ncomp and hash roomy
+// enough, for n rows past the last.
 func (a *stateArena) room(n int) {
 	need := (len(a.ncomp) + n) * a.f
 	if len(a.comp) < need {
@@ -34,22 +37,32 @@ func (a *stateArena) room(n int) {
 		a.flag = slices.Grow(a.flag, need-len(a.flag))[:need]
 		a.tcnt = slices.Grow(a.tcnt, need-len(a.tcnt))[:need]
 	}
+	a.ncomp = slices.Grow(a.ncomp, n)
+	a.hash = slices.Grow(a.hash, n)
+}
+
+// resize empties the arena and lays it out as rows rows of width f, none
+// holding a state yet, keeping its storage. After it, nothing grows the
+// arena's slices, so goroutines may set disjoint rows concurrently.
+func (a *stateArena) resize(f, rows int) {
+	a.reset(f)
+	a.room(rows)
+	a.ncomp, a.hash = a.ncomp[:rows], a.hash[:rows]
 }
 
 // pending returns row, of ncomp components, as a State whose slices point
-// into the arena. The row may lie past the last one: the expansion kernel
-// writes a child there before keeping it.
+// into the arena. The expansion kernel writes a child there before
+// keeping it.
 func (a *stateArena) pending(row int32, ncomp int) frontier.State {
 	lo := int(row) * a.f
 	hi, n := lo+a.f, lo+ncomp
 	return frontier.State{Comp: a.comp[lo:hi:hi], Flag: a.flag[lo:n:n], Tcnt: a.tcnt[lo:n:n]}
 }
 
-// commit keeps the row after the last, which holds a state of ncomp
-// components whose key hash is h.
-func (a *stateArena) commit(ncomp int, h uint64) {
-	a.ncomp = append(a.ncomp, uint16(ncomp))
-	a.hash = append(a.hash, h)
+// set keeps row, which holds a state of ncomp components whose key hash
+// is h.
+func (a *stateArena) set(row int32, ncomp int, h uint64) {
+	a.ncomp[row], a.hash[row] = uint16(ncomp), h
 }
 
 // push copies s, whose key hash is h, into a new row and returns its index.
@@ -60,7 +73,8 @@ func (a *stateArena) push(s *frontier.State, h uint64) int32 {
 	copy(a.comp[at:at+a.f], s.Comp)
 	copy(a.flag[at:], s.Flag)
 	copy(a.tcnt[at:], s.Tcnt)
-	a.commit(len(s.Flag), h)
+	a.ncomp = append(a.ncomp, uint16(len(s.Flag)))
+	a.hash = append(a.hash, h)
 	return int32(i)
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -127,14 +128,14 @@ func TestStateTableCollisions(t *testing.T) {
 // sequential sweep (which indexes no deleted node) would. Under ExactOnly
 // the first overflow fails the run.
 func TestReplayRepeatedDeletion(t *testing.T) {
-	var slot stateArena
-	slot.reset(2)
+	var kids stateArena
+	kids.reset(2)
 	a := frontier.State{Comp: []uint16{0, 0}, Flag: []bool{true}, Tcnt: []uint16{1}}
 	b := frontier.State{Comp: []uint16{0, 1}, Flag: []bool{true, false}, Tcnt: []uint16{1, 0}}
-	slot.push(&a, hashKey(&a))
-	slot.push(&b, hashKey(&b))
+	kids.push(&a, hashKey(&a))
+	kids.push(&b, hashKey(&b))
 	p := []xfloat.F{xfloat.FromFloat64(0.1), xfloat.FromFloat64(0.2), xfloat.FromFloat64(0.3), xfloat.FromFloat64(0.4)}
-	ch := expandResult{arena: &slot, entries: 2, events: []expandEvent{
+	ch := expandResult{entries: 2, events: []expandEvent{
 		{kind: expandLive, entry: 0, p: p[0]},
 		{kind: expandLive, entry: 1, p: p[1]},
 		{kind: expandLive, entry: 1, p: p[2]},
@@ -142,9 +143,9 @@ func TestReplayRepeatedDeletion(t *testing.T) {
 	}}
 	replay := func(exactOnly bool) (*run, *layerTable, error) {
 		r := &run{cfg: Config{MaxWidth: 1, ExactOnly: exactOnly}}
-		t := &layerTable{arena: &stateArena{f: 2}, index: &stateTable{}}
+		t := &layerTable{arena: &kids, index: &stateTable{}, resolve: []int32{entryUnresolved, entryUnresolved}}
 		t.index.reset(1)
-		return r, t, r.replayChunk(&ch, t, []int32{entryUnresolved, entryUnresolved})
+		return r, t, r.replayChunk(&ch, 0, t)
 	}
 	r, tab, err := replay(false)
 	if err != nil {
@@ -169,19 +170,39 @@ func TestReplayRepeatedDeletion(t *testing.T) {
 	}
 }
 
-// TestByPriorityMatchesSortSlice checks that slices.SortFunc with
-// byPriority permutes a layer exactly as sort.Slice with the comparison
-// hLog[a] > hLog[b] did, ties and zero-mass (−∞) nodes included: both
-// run the same generated pdqsort, which only ever asks whether one
-// element orders before another.
+// byPriority is the reference order of a layer's ranks, as a
+// slices.SortFunc comparator: descending deletion priority.
+func byPriority(a, b rank) int { return cmp.Compare(b.hLog, a.hLog) }
+
+// TestByPriorityMatchesSortSlice checks that sortRanks, slices.SortFunc
+// with byPriority, and sort.Slice with the comparison hLog[a] > hLog[b]
+// permute a layer identically, ties and zero-mass (−∞) nodes included:
+// all three run the same pdqsort, which only ever asks whether one
+// element orders before another. The layers have random or few distinct
+// priorities, sorted and reversed runs, and lengths on both sides of
+// pdqsort's insertion-sort (12) and ninther (50) thresholds.
 func TestByPriorityMatchesSortSlice(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 4))
-	for trial := 0; trial < 300; trial++ {
-		n := r.IntN(3000)
+	for trial := 0; trial < 600; trial++ {
+		var n int
+		switch trial % 4 {
+		case 0:
+			n = r.IntN(3000)
+		case 1:
+			n = 8 + r.IntN(10) // around 12
+		case 2:
+			n = 40 + r.IntN(20) // around 50
+		default:
+			n = r.IntN(200)
+		}
 		levels := 1 + r.IntN(50)
-		a := make([]node, n)
+		distinct := r.IntN(2) == 0
+		a := make([]rank, n)
 		for i := range a {
-			a[i] = node{idx: int32(i), hLog: float64(r.IntN(levels))}
+			a[i] = rank{pos: int32(i), hLog: float64(r.IntN(levels))}
+			if distinct {
+				a[i].hLog = r.NormFloat64() * 30
+			}
 			if r.IntN(20) == 0 {
 				a[i].hLog = math.Inf(-1)
 			}
@@ -190,14 +211,22 @@ func TestByPriorityMatchesSortSlice(t *testing.T) {
 		case 1: // sorted runs, which pdqsort treats specially
 			slices.SortFunc(a, byPriority)
 		case 2:
-			slices.SortFunc(a, func(x, y node) int { return byPriority(y, x) })
+			slices.SortFunc(a, func(x, y rank) int { return byPriority(y, x) })
 		}
-		b := slices.Clone(a)
+		if trial%3 != 0 && trial%5 == 4 && n > 1 { // a sorted run with a few out of place
+			for range 3 {
+				i, j := r.IntN(n), r.IntN(n)
+				a[i], a[j] = a[j], a[i]
+			}
+		}
+		b, c := slices.Clone(a), slices.Clone(a)
 		sort.Slice(a, func(i, j int) bool { return a[i].hLog > a[j].hLog })
 		slices.SortFunc(b, byPriority)
+		sortRanks(c)
 		for i := range a {
-			if a[i].idx != b[i].idx {
-				t.Fatalf("trial %d (n=%d): permutations differ at %d", trial, n, i)
+			if a[i].pos != b[i].pos || a[i].pos != c[i].pos {
+				t.Fatalf("trial %d (n=%d): permutations differ at %d: sort.Slice %d, SortFunc %d, sortRanks %d",
+					trial, n, i, a[i].pos, b[i].pos, c[i].pos)
 			}
 		}
 	}

@@ -21,19 +21,25 @@
 //
 // The child kernel (expand) reads the layer's frontier.Step and makes both
 // children of a parent in one relabel pass, writing them straight into
-// the worker slot's arena and hashing their keys as it writes; it computes
+// the layer's child arena and hashing their keys as it writes; it computes
 // exactly what frontier.Plan.Apply does, which stays as its test
 // reference. Once the replay is done, the new layer's deletion priorities
 // are scored in fixed node chunks on the same workers (score, s2bdd.go),
-// and only the sort that orders the layer runs on the driver.
+// and only the sort that orders the layer runs on the driver. It sorts
+// 16-byte ranks (priority and position) with a copy of the standard
+// library's pdqsort specialized to their order (zsortrank.go), then
+// gathers the nodes once in the sorted order.
 //
-// No node owns heap storage. A layer's states are rows of a stateArena
-// (arena.go): every chunk reads the parents' arena, each worker slot
-// writes its chunks' distinct children into an arena of its own, and the
-// replay copies each new node into the next layer's arena and each deleted
-// child into the arena its stratum keeps. Keys are 64-bit hashes checked
-// against the rows in open-addressing stateTables, so construction
-// allocates per layer and per stratum, never per node.
+// No node owns heap storage, and each child is written once. A layer's
+// states are rows of a stateArena (arena.go): every chunk reads the
+// parents' arena, and writes its distinct children into its own fixed
+// window of one child arena, laid out for two rows per parent before the
+// fan-out, so no goroutine grows storage another one reads. The replay
+// makes a new node of the row where its state already lies and copies
+// only deleted children, into the arena their stratum keeps; the child
+// arena then holds the next layer's parents. Keys are 64-bit hashes
+// checked against the rows in open-addressing stateTables, so
+// construction allocates per layer and per stratum, never per node.
 package core
 
 import (
@@ -70,23 +76,23 @@ type expandEvent struct {
 	kind  expandKind
 }
 
-// expandResult is a chunk's output log. The chunk's entries distinct live
-// children are rows base, base+1, … of arena, the producing slot's; an
-// event's entry is its row less base. Which event of an entry comes first
-// is fixed by the event order, not by the row order.
+// expandResult is a chunk's output log. Chunk c's entries distinct live
+// children are rows chunkBase(c), chunkBase(c)+1, … of the layer's child
+// arena; an event's entry is its row less that base. Which event of an
+// entry comes first is fixed by the event order, not by the row order.
 type expandResult struct {
 	events  []expandEvent
-	arena   *stateArena
-	base    int32
 	entries int32
 }
 
+// chunkBase is the first child-arena row of expansion chunk c's window:
+// two rows for each parent of the chunks before it.
+func chunkBase(c int) int32 { return int32(2 * expandChunk * c) }
+
 // expandSlot is the per-worker scratch of the construction phase: the
-// arena holding the distinct children of the slot's chunks in the current
-// layer, the within-chunk dedup table, the kernel's relabel map and the
-// heuristic's per-component scratch.
+// within-chunk dedup table, the kernel's relabel map and the heuristic's
+// per-component scratch.
 type expandSlot struct {
-	arena stateArena
 	local stateTable
 	canon []uint16 // parent component (or entering endpoint) → child label + 1, 0 if no slot
 	hbuf  []int32
@@ -103,29 +109,29 @@ func (r *run) expandSlotFor(slot int) *expandSlot {
 }
 
 // expandLayer expands the parents of the layer whose transition is r.step,
-// whose states are rows of from, chunk-parallel and returns the per-chunk
-// logs in chunk order. The log
-// storage (the chunk slice, each chunk's event array and each slot's
-// arena) is owned by the run and reused across layers — the driver fully
-// consumes every log before the next expansion starts — so steady-state
-// construction allocates nothing per node. On cancellation the partial
-// logs are garbage and the caller must propagate the error.
-func (r *run) expandLayer(from *stateArena, parents []node) ([]expandResult, error) {
+// whose states are rows of from, chunk-parallel into the child arena to,
+// and returns the per-chunk logs in chunk order. The log storage (the
+// chunk slice and each chunk's event array) is owned by the run and reused
+// across layers — the driver fully consumes every log before the next
+// expansion starts — so steady-state construction allocates nothing per
+// node. On cancellation the partial logs are garbage and the caller must
+// propagate the error.
+func (r *run) expandLayer(from, to *stateArena, parents []node) ([]expandResult, error) {
 	nchunks := (len(parents) + expandChunk - 1) / expandChunk
 	for len(r.chunkBuf) < nchunks {
 		r.chunkBuf = append(r.chunkBuf, expandResult{})
 	}
 	out := r.chunkBuf[:nchunks]
+	to.resize(r.step.Width, 2*len(parents))
 	earlyTerm := !r.cfg.DisableEarlyTermination
 	slot := 0
 	err := sampling.ForEachChunkCtx(r.ctx, r.cfg.Exec, nchunks, r.workers, func() func(int) {
 		es := r.expandSlotFor(slot)
 		slot++
-		es.arena.reset(r.step.Width)
 		return func(c int) {
 			lo := c * expandChunk
 			hi := min(lo+expandChunk, len(parents))
-			es.expand(&r.step, earlyTerm, from, parents[lo:hi], &out[c])
+			es.expand(&r.step, earlyTerm, from, parents[lo:hi], to, chunkBase(c), &out[c])
 		}
 	})
 	return out, err
@@ -133,70 +139,71 @@ func (r *run) expandLayer(from *stateArena, parents []node) ([]expandResult, err
 
 // expand processes one contiguous slice of a layer's parent nodes,
 // recording every produced child as an event into out (reusing its
-// storage). Within-chunk dedup keeps one arena row per distinct key; the
-// per-child masses stay separate events so the replay can reproduce the
-// sequential table bookkeeping exactly.
+// storage). Its distinct children go to rows base, base+1, … of the child
+// arena to, at most two per parent. Within-chunk dedup keeps one arena row
+// per distinct key; the per-child masses stay separate events so the
+// replay can reproduce the sequential table bookkeeping exactly.
 //
 // Each parent costs one relabel pass. The absent-edge child is written
-// straight into a row of the slot's arena, hashing its labels as it goes.
+// straight into the chunk's next free row, hashing its labels as it goes.
 // The present-edge child differs from it only by the merge of the edge's
 // endpoint components cu and cv: when cu == cv it is the same state with
 // the same outcome, so it becomes a second event on the same entry, and
 // otherwise its row is the absent child's with the merged label folded in.
 // Sink rows and within-chunk duplicates are not kept. The outcomes follow
 // frontier.Plan.Apply, which is the test reference.
-func (es *expandSlot) expand(st *frontier.Step, earlyTerm bool, from *stateArena, parents []node, out *expandResult) {
+func (es *expandSlot) expand(st *frontier.Step, earlyTerm bool, from *stateArena, parents []node, to *stateArena, base int32, out *expandResult) {
 	out.events = slices.Grow(out.events[:0], 2*len(parents))
-	a := &es.arena
-	out.arena, out.base = a, int32(len(a.ncomp))
 	es.local.reset(2 * expandChunk)
 	pIn, pOut := st.Edge.P, 1-st.Edge.P
+	next := base // the chunk's next free row
 	var abs absent
 	for i := range parents {
 		n := &parents[i]
 		ps := from.view(n.idx)
-		a.room(2)
-		src := int32(len(a.ncomp))
-		es.absentChild(st, &ps, &abs)
+		src := next
+		es.absentChild(st, &ps, to, src, &abs)
 		kAbs := abs.counts().kind(st.Unseen, earlyTerm)
-		entAbs := es.keep(kAbs, src, abs.ncomp, abs.hash)
+		entAbs := es.keep(to, kAbs, &next, abs.ncomp, abs.hash)
 		kPre, entPre := kAbs, entAbs
 		if abs.cu != abs.cv {
 			pre := abs.present()
 			if kPre = pre.kind(st.Unseen, earlyTerm); kPre == expandLive {
-				// The present child goes to the row after the last: the
-				// absent child's own, unless that was kept.
-				dst := int32(len(a.ncomp))
-				entPre = es.keep(kPre, dst, pre.ncomp, a.derive(&abs, src, dst))
+				// The present child goes to the next free row: the absent
+				// child's own, unless that was kept.
+				dst := next
+				entPre = es.keep(to, kPre, &next, pre.ncomp, to.derive(&abs, src, dst))
 			}
 		}
 		out.events = append(out.events,
-			expandEvent{kind: kPre, entry: entPre - out.base, p: n.p.MulFloat64(pIn)},
-			expandEvent{kind: kAbs, entry: entAbs - out.base, p: n.p.MulFloat64(pOut)})
+			expandEvent{kind: kPre, entry: entPre - base, p: n.p.MulFloat64(pIn)},
+			expandEvent{kind: kAbs, entry: entAbs - base, p: n.p.MulFloat64(pOut)})
 	}
-	out.entries = int32(len(a.ncomp)) - out.base
+	out.entries = next - base
 }
 
-// keep resolves a child of kind k written at the arena's next row, row,
-// with ncomp components and key hash h: a live child that repeats a key
-// of the chunk returns that key's row; a new one is committed and indexed.
-// A sink's row is not kept (its event carries no entry).
-func (es *expandSlot) keep(k expandKind, row int32, ncomp int, h uint64) int32 {
+// keep resolves a child of kind k written at the chunk's next free row,
+// *next, with ncomp components and key hash h: a live child that repeats a
+// key of the chunk returns that key's row; a new one is kept, indexed and
+// returned, and *next moves past it. A sink's row is not kept (its event
+// carries no entry).
+func (es *expandSlot) keep(a *stateArena, k expandKind, next *int32, ncomp int, h uint64) int32 {
 	if k != expandLive {
 		return 0
 	}
-	a := &es.arena
+	row := *next
 	s := a.pending(row, ncomp)
 	if j := es.local.find(a, &s, h); j >= 0 {
 		return j
 	}
-	a.commit(ncomp, h)
+	a.set(row, ncomp, h)
 	es.local.add(a, row)
+	*next++
 	return row
 }
 
-// absent is the absent-edge child of a parent, written into the arena's
-// next row, with what its present-edge sibling needs: the endpoints'
+// absent is the absent-edge child of a parent, written into a row of the
+// child arena, with what its present-edge sibling needs: the endpoints'
 // components cu and cv in the parent's extended universe (entering
 // endpoints numbered after its components), their child labels a and b
 // (-1 when the component keeps no slot), flags and terminal counts.
@@ -227,9 +234,9 @@ func (c childCounts) kind(unseen int, earlyTerm bool) expandKind {
 	return expandLive
 }
 
-// absentChild writes the absent-edge child of parent s into the arena's
-// next row (room for it must exist) and describes it in c.
-func (es *expandSlot) absentChild(st *frontier.Step, s *frontier.State, c *absent) {
+// absentChild writes the absent-edge child of parent s into row of the
+// child arena a and describes it in c.
+func (es *expandSlot) absentChild(st *frontier.Step, s *frontier.State, a *stateArena, row int32, c *absent) {
 	*c = absent{}
 	nOld := int32(len(s.Flag))
 	ext := nOld
@@ -262,8 +269,7 @@ func (es *expandSlot) absentChild(st *frontier.Step, s *frontier.State, c *absen
 	c.fa, c.ta = componentFlag(s, extFlag, c.cu)
 	c.fb, c.tb = componentFlag(s, extFlag, c.cv)
 
-	a := &es.arena
-	at := len(a.ncomp) * a.f
+	at := int(row) * a.f
 	comp, flag, tcnt := a.comp[at:at+a.f], a.flag[at:at+a.f], a.tcnt[at:at+a.f]
 	canon := es.canon[:ext]
 	clear(canon)
@@ -408,33 +414,41 @@ func (c *absent) present() childCounts {
 	return n
 }
 
-// Entry resolutions of the replay. Non-negative values are layer-table
-// slots; the first event of an entry resolves it, later events reuse the
-// resolution without touching the key index.
+// Row resolutions of the replay. Non-negative values are indices into the
+// layer's nodes; the first event of a row resolves it, later events reuse
+// the resolution without touching the key index.
 const (
 	entryUnresolved int32 = -1
 	entryDeleted    int32 = -2
 )
 
 // layerTable is the replay's view of one layer under construction: the
-// live children, whose states are rows of arena indexed by index (a node's
-// slot is its row), and the deleted ones, copied into del, the arena their
-// stratum will own.
+// live children, whose states are rows of the child arena indexed by
+// index, and the deleted ones, copied into del, the arena their stratum
+// will own. resolve maps a child-arena row to its resolution; for a row
+// that became a node, that is the node's index, so a key found in index
+// leads to its node.
 type layerTable struct {
 	arena       *stateArena
 	index       *stateTable
+	resolve     []int32
 	next        []node
 	del         *stateArena
 	deleted     []snapshot
 	deletedMass xfloat.F
 }
 
-// replayChunk applies one chunk's event log to the layer table, performing
-// exactly the additions, appends, and deletions — in exactly the order — a
-// sequential sweep over the chunk's parents would. Returns ErrNotExact when
-// an overflow occurs under ExactOnly.
-func (r *run) replayChunk(ch *expandResult, t *layerTable, resolve []int32) error {
+// replayChunk applies the event log of the chunk whose window starts at
+// row base to the layer table, performing exactly the additions, appends,
+// and deletions — in exactly the order — a sequential sweep over the
+// chunk's parents would. Returns ErrNotExact when an overflow occurs under
+// ExactOnly.
+func (r *run) replayChunk(ch *expandResult, base int32, t *layerTable) error {
 	cfg := &r.cfg
+	resolve := t.resolve
+	for row := base; row < base+ch.entries; row++ {
+		resolve[row] = entryUnresolved
+	}
 	for i := range ch.events {
 		ev := &ch.events[i]
 		switch ev.kind {
@@ -445,35 +459,34 @@ func (r *run) replayChunk(ch *expandResult, t *layerTable, resolve []int32) erro
 			r.pd = r.pd.Add(ev.p)
 			continue
 		}
-		row := ch.base + ev.entry
-		s := ch.arena.view(row)
-		switch res := resolve[ev.entry]; {
+		row := base + ev.entry
+		switch res := resolve[row]; {
 		case res >= 0:
 			t.next[res].p = t.next[res].p.Add(ev.p)
 			r.res.NodesMerged++
 		case res == entryDeleted:
 			// Repeated overflow of one key: the sequential sweep snapshots
 			// each occurrence separately (deleted nodes are not indexed).
-			t.delete(&s, ev.p)
+			t.delete(row, ev.p)
 			r.res.NodesDeleted++
-		default: // first event of this entry
-			h := ch.arena.hash[row]
-			if j := t.index.find(t.arena, &s, h); j >= 0 {
-				resolve[ev.entry] = j
+		default: // first event of this row
+			s := t.arena.view(row)
+			if j := t.index.find(t.arena, &s, t.arena.hash[row]); j >= 0 {
+				j = resolve[j]
+				resolve[row] = j
 				t.next[j].p = t.next[j].p.Add(ev.p)
 				r.res.NodesMerged++
 			} else if len(t.next) < cfg.MaxWidth {
-				j := t.arena.push(&s, h)
-				t.index.add(t.arena, j)
-				resolve[ev.entry] = j
-				t.next = append(t.next, node{idx: j, p: ev.p})
+				t.index.add(t.arena, row)
+				resolve[row] = int32(len(t.next))
+				t.next = append(t.next, node{idx: row, p: ev.p})
 				r.res.NodesCreated++
 			} else {
 				if cfg.ExactOnly {
 					return ErrNotExact
 				}
-				resolve[ev.entry] = entryDeleted
-				t.delete(&s, ev.p)
+				resolve[row] = entryDeleted
+				t.delete(row, ev.p)
 				r.res.NodesDeleted++
 			}
 		}
@@ -481,14 +494,16 @@ func (r *run) replayChunk(ch *expandResult, t *layerTable, resolve []int32) erro
 	return nil
 }
 
-// delete snapshots a deleted child of mass p into the layer's stratum.
-func (t *layerTable) delete(s *frontier.State, p xfloat.F) {
+// delete snapshots the deleted child at row, of mass p, into the layer's
+// stratum.
+func (t *layerTable) delete(row int32, p xfloat.F) {
+	s := t.arena.view(row)
 	if len(t.deleted) == 0 {
 		if t.del == nil {
 			t.del = &stateArena{}
 		}
 		t.del.reset(len(s.Comp))
 	}
-	t.deleted = append(t.deleted, snapshot{idx: t.del.push(s, 0), p: p})
+	t.deleted = append(t.deleted, snapshot{idx: t.del.push(&s, 0), p: p})
 	t.deletedMass = t.deletedMass.Add(p)
 }

@@ -34,13 +34,15 @@ func checkExpandMatchesApply(t testing.TB, r *rand.Rand, plan *frontier.Plan, ma
 			for i := range layer {
 				parents[i] = node{idx: from.push(&layer[i], 0), p: xfloat.One}
 			}
-			es.arena.reset(st.Width)
+			var to stateArena
+			to.resize(st.Width, 2*len(parents))
 			seen := map[string]frontier.State{}
 			var next []frontier.State
 			for lo := 0; lo < len(parents); lo += expandChunk {
 				hi := min(lo+expandChunk, len(parents))
 				var out expandResult
-				es.expand(&st, earlyTerm, &from, parents[lo:hi], &out)
+				base := chunkBase(lo / expandChunk)
+				es.expand(&st, earlyTerm, &from, parents[lo:hi], &to, base, &out)
 				if len(out.events) != 2*(hi-lo) {
 					t.Fatalf("layer %d: %d events for %d parents", l, len(out.events), hi-lo)
 				}
@@ -64,17 +66,17 @@ func checkExpandMatchesApply(t testing.TB, r *rand.Rand, plan *frontier.Plan, ma
 						if ev.entry < 0 || ev.entry >= out.entries {
 							t.Fatalf("layer %d, parent %d: entry %d of %d", l, i, ev.entry, out.entries)
 						}
-						row := out.base + ev.entry
+						row := base + ev.entry
 						// Counts are not part of the key: a row holds those
 						// of its first child, as the sequential sweep's did.
-						got := es.arena.view(row)
+						got := to.view(row)
 						if !slices.Equal(got.Comp, kids[j].Comp) || !slices.Equal(got.Flag, kids[j].Flag) ||
 							!used[ev.entry] && !slices.Equal(got.Tcnt, kids[j].Tcnt) {
 							t.Fatalf("layer %d, parent %+v, exists %v: row %+v, Apply gives %+v", l, layer[i], exists, got, kids[j])
 						}
 						used[ev.entry] = true
-						if h := hashKey(&kids[j]); es.arena.hash[row] != h {
-							t.Fatalf("layer %d: row hash %x, hashKey %x", l, es.arena.hash[row], h)
+						if h := hashKey(&kids[j]); to.hash[row] != h {
+							t.Fatalf("layer %d: row hash %x, hashKey %x", l, to.hash[row], h)
 						}
 						key := string(kids[j].Key(nil))
 						if prev, ok := rowOf[key]; ok && prev != row {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"runtime"
 	"testing"
@@ -78,6 +79,50 @@ func TestChunkStreamsDiffer(t *testing.T) {
 					t.Fatalf("stream collision at (%d,%d,%d)", layer, stratum, chunk)
 				}
 				seen[v] = true
+			}
+		}
+	}
+}
+
+// TestWideLayersDeterministicAcrossWorkers sweeps worker counts over a
+// construction whose layers span many expansion chunks (expandChunk
+// parents each) and several scoring chunks (scoreChunk nodes each), and
+// which deletes nodes and then flushes: each chunk writes its children
+// into its own window of the child arena, and the replay, the scores and
+// the rank sort must still reproduce the one-worker run field by field.
+func TestWideLayersDeterministicAcrossWorkers(t *testing.T) {
+	r := rand.New(rand.NewPCG(31, 7))
+	g := randConnected(r, 60, 120)
+	ts, err := ugraph.NewTerminals(g, []int{0, 15, 30, 45, 59})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{MaxWidth: 600, Samples: 2000, Seed: 11, Order: bfsOrder(g, ts)}
+	for _, kind := range []estimator.Kind{estimator.MonteCarlo, estimator.HorvitzThompson} {
+		cfg.Estimator = kind
+		cfg.Workers = 1
+		base, err := compute(g, ts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%v: peak width %d, %d layers, created %d, merged %d, deleted %d, %d strata, flushed %v",
+			kind, base.PeakWidth, base.LayersProcessed, base.NodesCreated, base.NodesMerged, base.NodesDeleted, base.Strata, base.Flushed)
+		if base.PeakWidth <= 2*scoreChunk || base.NodesDeleted == 0 || !base.Flushed || base.SamplesUsed == 0 {
+			t.Fatalf("%v: workload does not span several chunks, delete and flush: %+v", kind, base)
+		}
+		for _, w := range []int{2, 4, 13} {
+			cfg.Workers = w
+			res, err := compute(g, ts, cfg)
+			if err != nil {
+				t.Fatalf("%v workers=%d: %v", kind, w, err)
+			}
+			label := fmt.Sprintf("%v workers=%d", kind, w)
+			sameResult(t, label, res, base)
+			if res.NodesCreated != base.NodesCreated || res.NodesMerged != base.NodesMerged ||
+				res.NodesDeleted != base.NodesDeleted || res.PeakWidth != base.PeakWidth || res.Strata != base.Strata {
+				t.Fatalf("%s: created/merged/deleted %d/%d/%d, peak %d, strata %d; one worker gives %d/%d/%d, %d, %d",
+					label, res.NodesCreated, res.NodesMerged, res.NodesDeleted, res.PeakWidth, res.Strata,
+					base.NodesCreated, base.NodesMerged, base.NodesDeleted, base.PeakWidth, base.Strata)
 			}
 		}
 	}

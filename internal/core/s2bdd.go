@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -17,14 +16,19 @@ import (
 	"netrel/internal/xfloat"
 )
 
-// node is a live S2BDD node: the arena row of its frontier state, its
-// probability mass and its cached deletion priority (log-space h(n) of
-// Equation 10). It holds no pointers, so a layer of nodes is one flat
+// node is a live S2BDD node: the arena row of its frontier state and its
+// probability mass. It holds no pointers, so a layer of nodes is one flat
 // slice the garbage collector need not scan.
 type node struct {
-	idx  int32
-	p    xfloat.F
+	idx int32
+	p   xfloat.F
+}
+
+// rank is a node's deletion priority (log-space h(n) of Equation 10) and
+// its position in its layer; a layer is ordered by sorting its ranks.
+type rank struct {
 	hLog float64
+	pos  int32
 }
 
 // snapshot is a deleted node retained for stratified sampling: a row of
@@ -76,8 +80,9 @@ type run struct {
 
 	// chunkBuf is the reusable per-layer chunk-log storage (see
 	// expandLayer); stale entries are overwritten before ever being read
-	// again.
+	// again. ranks is the reusable priority-sort storage.
 	chunkBuf []expandResult
+	ranks    []rank
 
 	// strata are the recorded stratum schedules (allocation, weight, pick
 	// table, frontier copy) in formation order, drawn later by the Sampler
@@ -103,11 +108,12 @@ func (r *run) execute(t0 time.Time) error {
 
 	// Each layer's states live in an arena: the parents' in cur, the
 	// children's in next, swapped every layer, as are the node slices.
-	// index finds a child's node by key; it and the arenas only grow. del
-	// and deleted take a layer's deleted children; a stratum that records
-	// draws keeps them, else the next layer reuses them.
+	// index finds a child's node by key; it, resolve and the arenas only
+	// grow. del and deleted take a layer's deleted children; a stratum that
+	// records draws keeps them, else the next layer reuses them.
 	cur, next := &stateArena{}, &stateArena{}
 	var index stateTable
+	var resolve []int32
 	root := r.plan.Root()
 	nodes := []node{{idx: cur.push(&root, 0), p: xfloat.One}}
 	var spare []node
@@ -134,7 +140,6 @@ func (r *run) execute(t0 time.Time) error {
 	}
 
 	flushed := false
-	var resolve []int32
 	for l := 0; l < m && len(nodes) > 0; l++ {
 		// Cancellation is checked per layer here and per expansion chunk
 		// inside expandLayer (the sampling phase additionally checks at
@@ -147,24 +152,19 @@ func (r *run) execute(t0 time.Time) error {
 		r.step = r.plan.Step(l)
 		e := r.step.Edge
 
-		// Expand the layer's parents chunk-parallel, then replay the chunk
-		// logs in chunk order against the width-bounded table — the replay
-		// reproduces the sequential sweep's bookkeeping exactly (see
-		// expand.go).
-		chunks, err := r.expandLayer(cur, nodes)
+		// Expand the layer's parents chunk-parallel into next, then replay
+		// the chunk logs in chunk order against the width-bounded table —
+		// the replay reproduces the sequential sweep's bookkeeping exactly
+		// (see expand.go).
+		chunks, err := r.expandLayer(cur, next, nodes)
 		if err != nil {
 			return err
 		}
-		next.reset(r.step.Width)
 		index.reset(min(2*len(nodes), cfg.MaxWidth))
-		table := layerTable{arena: next, index: &index, next: spare[:0], del: del, deleted: deleted[:0]}
+		resolve = slices.Grow(resolve[:0], len(next.ncomp))[:len(next.ncomp)]
+		table := layerTable{arena: next, index: &index, resolve: resolve, next: spare[:0], del: del, deleted: deleted[:0]}
 		for ci := range chunks {
-			ch := &chunks[ci]
-			resolve = slices.Grow(resolve[:0], int(ch.entries))[:ch.entries]
-			for i := range resolve {
-				resolve[i] = entryUnresolved
-			}
-			if err := r.replayChunk(ch, &table, resolve); err != nil {
+			if err := r.replayChunk(&chunks[ci], chunkBase(ci), &table); err != nil {
 				return err
 			}
 		}
@@ -190,12 +190,19 @@ func (r *run) execute(t0 time.Time) error {
 		nodes, spare = table.next, nodes
 
 		// Priority-sort the next layer so that, when it overflows, the
-		// lowest-h children are the ones deleted (Algorithm 2 line 34).
+		// lowest-h children are the ones deleted (Algorithm 2 line 34):
+		// sort the ranks, then gather the nodes in their order.
 		if !cfg.DisableHeuristic {
-			if err := r.score(cur, curF, nodes); err != nil {
+			r.ranks = slices.Grow(r.ranks[:0], len(nodes))[:len(nodes)]
+			if err := r.score(cur, curF, nodes, r.ranks); err != nil {
 				return err
 			}
-			slices.SortFunc(nodes, byPriority)
+			sortRanks(r.ranks)
+			spare = slices.Grow(spare[:0], len(nodes))[:len(nodes)]
+			for i, rk := range r.ranks {
+				spare[i] = nodes[rk.pos]
+			}
+			nodes, spare = spare, nodes
 		}
 		if len(nodes) > r.res.PeakWidth {
 			r.res.PeakWidth = len(nodes)
@@ -213,15 +220,20 @@ func (r *run) execute(t0 time.Time) error {
 			old := progress[slot]
 			progress[slot] = prog
 			if (old >= 0 && prog-old < stallThreshold) || work > workBudget {
+				// The stratum keeps its states until drawn, so they move
+				// out of the child arena, which also holds merged and
+				// deleted children's rows, into one of their own.
+				live := &stateArena{}
+				live.reset(cur.f)
+				live.room(len(nodes))
 				liveMass := xfloat.Zero
-				for i := range nodes {
-					liveMass = liveMass.Add(nodes[i].p)
-				}
 				flush := make([]snapshot, len(nodes))
 				for i := range nodes {
-					flush[i] = snapshot{idx: nodes[i].idx, p: nodes[i].p}
+					s := cur.view(nodes[i].idx)
+					liveMass = liveMass.Add(nodes[i].p)
+					flush[i] = snapshot{idx: live.push(&s, 0), p: nodes[i].p}
 				}
-				r.sampleStratum(l+1, curF, cur, flush, liveMass)
+				r.sampleStratum(l+1, curF, live, flush, liveMass)
 				nodes = nil
 				flushed = true
 				break
@@ -242,13 +254,6 @@ func (r *run) execute(t0 time.Time) error {
 	}
 	return nil
 }
-
-// byPriority orders nodes by descending deletion priority hLog. The
-// layer's permutation is part of the answer (it fixes node order, hence
-// which nodes a full layer deletes), and slices.SortFunc with byPriority
-// permutes exactly as sort.Slice with hLog[a] > hLog[b]: both run one
-// generated pdqsort (TestByPriorityMatchesSortSlice).
-func byPriority(a, b node) int { return cmp.Compare(b.hLog, a.hLog) }
 
 // sPrime returns the current Theorem 1 sample budget.
 func (r *run) sPrime() int {
@@ -278,13 +283,13 @@ func clamp01(x float64) float64 {
 // boundaries cannot change a score; a layer of one chunk is scored inline.
 const scoreChunk = 256
 
-// score sets the deletion priority hLog of every node of a layer whose
-// states are rows of arena over the frontier f, in node chunks on the
-// run's workers.
-func (r *run) score(arena *stateArena, f []int32, nodes []node) error {
+// score sets ranks[i] to the deletion priority and position of nodes[i],
+// a node of a layer whose states are rows of arena over the frontier f,
+// in node chunks on the run's workers.
+func (r *run) score(arena *stateArena, f []int32, nodes []node, ranks []rank) error {
 	nchunks := (len(nodes) + scoreChunk - 1) / scoreChunk
 	if nchunks <= 1 || r.workers <= 1 {
-		r.scoreNodes(r.expandSlotFor(0), arena, f, nodes)
+		r.scoreNodes(r.expandSlotFor(0), arena, f, nodes, ranks, 0)
 		return nil
 	}
 	slot := 0
@@ -292,16 +297,18 @@ func (r *run) score(arena *stateArena, f []int32, nodes []node) error {
 		es := r.expandSlotFor(slot)
 		slot++
 		return func(c int) {
-			r.scoreNodes(es, arena, f, nodes[c*scoreChunk:min((c+1)*scoreChunk, len(nodes))])
+			lo, hi := c*scoreChunk, min((c+1)*scoreChunk, len(nodes))
+			r.scoreNodes(es, arena, f, nodes[lo:hi], ranks[lo:hi], lo)
 		}
 	})
 }
 
-// scoreNodes scores nodes with es's scratch.
-func (r *run) scoreNodes(es *expandSlot, arena *stateArena, f []int32, nodes []node) {
+// scoreNodes ranks nodes, which start at position lo of their layer, with
+// es's scratch.
+func (r *run) scoreNodes(es *expandSlot, arena *stateArena, f []int32, nodes []node, ranks []rank, lo int) {
 	for i := range nodes {
 		st := arena.view(nodes[i].idx)
-		nodes[i].hLog = r.heuristic(f, &st, nodes[i].p, &es.hbuf)
+		ranks[i] = rank{hLog: r.heuristic(f, &st, nodes[i].p, &es.hbuf), pos: int32(lo + i)}
 	}
 }
 

@@ -282,6 +282,11 @@ type Engine struct {
 	arrival     uint64  // waiter sequence numbers
 	vclock      float64 // stride virtual clock: pass of the last grant
 
+	// quotas counts the tenants with an active quota; it changes only
+	// under mu, and while it is zero Reprice has no bucket to debit and
+	// skips mu.
+	quotas atomic.Int64
+
 	draining  atomic.Bool
 	drainCh   chan struct{} // closed by Drain; fails waiting admissions
 	drainOnce sync.Once
@@ -392,13 +397,25 @@ func (e *Engine) SetTenantQuota(tenant string, rate, burst float64) {
 	defer e.mu.Unlock()
 	ts := e.tenantLocked(tenant)
 	if rate <= 0 {
-		ts.quota = quotaBucket{}
+		e.setQuotaLocked(ts, quotaBucket{})
 		return
 	}
 	if burst <= 0 {
 		burst = rate
 	}
-	ts.quota = quotaBucket{rate: rate, burst: burst, tokens: burst, last: time.Now()}
+	e.setQuotaLocked(ts, quotaBucket{rate: rate, burst: burst, tokens: burst, last: time.Now()})
+}
+
+// setQuotaLocked replaces ts's quota with q and keeps e.quotas in step.
+// Callers hold e.mu.
+func (e *Engine) setQuotaLocked(ts *tenantState, q quotaBucket) {
+	switch {
+	case q.active() && !ts.quota.active():
+		e.quotas.Add(1)
+	case !q.active() && ts.quota.active():
+		e.quotas.Add(-1)
+	}
+	ts.quota = q
 }
 
 // RemoveTenant forgets a tenant's weight, quota, and counters — a serving
@@ -412,9 +429,9 @@ func (e *Engine) RemoveTenant(tenant string) {
 	if !ok {
 		return
 	}
+	e.setQuotaLocked(ts, quotaBucket{})
 	if len(ts.waiters) > 0 {
 		ts.weight = 1
-		ts.quota = quotaBucket{}
 		ts.admitted, ts.waited, ts.waitNanos, ts.rejQuota = 0, 0, 0, 0
 		return
 	}
@@ -640,11 +657,15 @@ func (e *Engine) releaseToken() {
 // the admission token it holds either way — Reprice never queues and never
 // blocks — so the only failures are ErrOverCost and ErrOverQuota, after
 // which the caller must abandon the request and call its release function
-// as usual.
+// as usual. While no tenant has a quota, Reprice takes no lock.
 func (e *Engine) Reprice(ctx context.Context, admittedCost, cost int64) error {
 	if e.maxCost > 0 && cost > e.maxCost {
 		e.rejCost.Add(1)
 		return fmt.Errorf("%w: post-planning cost %d > limit %d", ErrOverCost, cost, e.maxCost)
+	}
+	if e.quotas.Load() == 0 {
+		e.repriced.Add(1)
+		return nil
 	}
 	tenant := TenantFromContext(ctx)
 	e.mu.Lock()

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -393,4 +394,58 @@ func TestTenantWeightAndRemove(t *testing.T) {
 		t.Fatalf("TenantStats after RemoveTenant = %+v, want fresh", ts)
 	}
 	e.RemoveTenant("never-seen") // no-op
+}
+
+// TestRepriceQuotaWhileQuotasChange runs Reprice while another goroutine
+// keeps adding and removing a quota: a quota set before a Reprice is
+// enforced by it, a tenant without one is never limited, and once every
+// quota is gone Reprice limits nobody.
+func TestRepriceQuotaWhileQuotasChange(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	free := WithTenant(context.Background(), "free")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e.SetTenantQuota("other", float64(i%2), 5) // rate 0 removes it
+		}
+	}()
+	const tenants = 500
+	for i := 0; i < tenants; i++ {
+		name := fmt.Sprintf("t%d", i)
+		e.SetTenantQuota(name, 1e-9, 10)
+		ctx := WithTenant(context.Background(), name)
+		if err := e.Reprice(ctx, 0, 11); !errors.Is(err, ErrOverQuota) {
+			t.Fatalf("tenant %s: Reprice beyond its quota: err = %v, want ErrOverQuota", name, err)
+		}
+		if err := e.Reprice(free, 0, 1<<40); err != nil {
+			t.Fatalf("quota-free tenant: Reprice: %v", err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if n := e.TenantStats("t0").RejectedOverQuota; n != 1 {
+		t.Fatalf("t0 rejected %d reprices, want 1", n)
+	}
+	e.SetTenantQuota("other", 0, 0)
+	for i := 0; i < tenants; i++ {
+		e.RemoveTenant(fmt.Sprintf("t%d", i))
+	}
+	if n := e.quotas.Load(); n != 0 {
+		t.Fatalf("%d tenants counted with a quota after all were removed", n)
+	}
+	if err := e.Reprice(WithTenant(context.Background(), "t0"), 0, 11); err != nil {
+		t.Fatalf("Reprice after the quota was removed: %v", err)
+	}
+	if st := e.Stats(); st.Repriced != tenants+1 || st.RejectedOverQuota != tenants {
+		t.Fatalf("repriced/rejected = %d/%d, want %d/%d", st.Repriced, st.RejectedOverQuota, tenants+1, tenants)
+	}
 }
