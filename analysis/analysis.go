@@ -1,26 +1,29 @@
 // Package analysis implements the uncertain-graph analyses that the paper
 // names as consumers of network reliability (Section 2): reliability search
-// (Khan et al., EDBT 2014), s-t reliability queries (Jin et al., PVLDB
-// 2011), and reliability-based clustering (Ceccarello et al., PVLDB 2017).
+// (Khan et al., EDBT 2014), its top-k form, and reliability-based
+// clustering (Ceccarello et al., PVLDB 2017); s-t queries (Jin et al.,
+// PVLDB 2011) are netrel.Reliability with two terminals.
 //
-// All three are classically driven by plain Monte Carlo estimates. The
-// paper's point — "our approach can be used to improve their performances
-// in terms of both accuracy and efficiency" — is realized here by a hybrid
-// scheme: a shared sampling pass screens candidates cheaply, and decisions
-// that fall inside the sampling noise band are re-evaluated with the
-// bound-driven S2BDD estimator.
+// All three are classically driven by plain Monte Carlo estimates. Here one
+// sampling pass screens every candidate on the worlds of netrel.MonteCarlo,
+// so a vertex's estimate is MonteCarlo's for {source, v} with the same seed
+// and sample count, bit for bit. The paper's point — "our approach can be
+// used to improve their performances in terms of both accuracy and
+// efficiency" — is realized by a hybrid scheme: Search re-decides the
+// vertices inside the sampling noise band with the S2BDD estimator.
 package analysis
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"netrel"
-	"netrel/internal/sampling"
+	"netrel/internal/core"
+	"netrel/internal/ugraph"
 )
 
 // ErrBadThreshold reports a threshold outside (0,1).
@@ -67,80 +70,47 @@ type VertexReliability struct {
 	Refined bool
 }
 
-// reachFrequencies samples possible worlds and counts, for every vertex,
-// how often it is connected to source (single-source). Worlds are shared
-// across all vertices — the standard trick that makes whole-graph
-// reliability search tractable. Like every sampler in the module, the
-// budget is cut into fixed chunks of sampling.ChunkSize worlds, each drawn
-// from its own sampling.SeedStream(Seed, chunk), so the counts are the
-// same for any Workers value.
-func reachFrequencies(g *netrel.Graph, source int, opt Options) []int {
-	n := g.N()
-	edges := g.Edges()
-	adj := make([][]int32, n)
-	for i, e := range edges {
-		adj[e.U] = append(adj[e.U], int32(i))
-		adj[e.V] = append(adj[e.V], int32(i))
-	}
-	chunks := (opt.Samples + sampling.ChunkSize - 1) / sampling.ChunkSize
-	var slots [][]int
-	// A Background context is never cancelled, so there is no error.
-	_ = sampling.ForEachChunkCtx(context.Background(), nil, chunks, opt.Workers, func() func(int) {
-		local := make([]int, n)
-		slots = append(slots, local)
-		parent := make([]int32, n)
-		stack := make([]int32, 0, 64)
-		exists := make([]bool, len(edges))
-		return func(c int) {
-			rng := rand.New(rand.NewPCG(sampling.SeedStream(opt.Seed, uint64(c)), 0x2545f4914f6cdd1d))
-			runs := min(sampling.ChunkSize, opt.Samples-c*sampling.ChunkSize)
-			for r := 0; r < runs; r++ {
-				for i, e := range edges {
-					exists[i] = rng.Float64() < e.P
-				}
-				// DFS from source over existent edges.
-				for i := range parent {
-					parent[i] = -1
-				}
-				parent[source] = int32(source)
-				stack = append(stack[:0], int32(source))
-				local[source]++
-				for len(stack) > 0 {
-					v := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					for _, ei := range adj[v] {
-						if !exists[ei] {
-							continue
-						}
-						e := edges[ei]
-						o := e.U
-						if o == int(v) {
-							o = e.V
-						}
-						if parent[o] == -1 {
-							parent[o] = v
-							local[o]++
-							stack = append(stack, int32(o))
-						}
-					}
-				}
-			}
-		}
-	})
-	counts := make([]int, n)
-	for _, local := range slots {
-		for v, c := range local {
-			counts[v] += c
-		}
-	}
+// reachFrequencies counts, for every vertex, the worlds out of
+// opt.Samples in which it is connected to source. One pass serves every
+// vertex: core.ReachCounts draws the worlds of netrel.MonteCarlo, so
+// counts[v]/Samples is MonteCarlo's estimate for {source, v} with the same
+// Seed and Samples, bit for bit, for any Workers value.
+func reachFrequencies(g *ugraph.Graph, source int, opt Options) []int {
+	// toUgraph's graph is valid, callers check the source, the budget is
+	// positive and Background is never cancelled, so there is no error.
+	counts, _ := core.ReachCounts(context.Background(), g, source,
+		core.Config{Samples: opt.Samples, Seed: opt.Seed, Workers: opt.Workers})
 	return counts
+}
+
+// toUgraph returns g in the form reachFrequencies draws on, edge for edge
+// but for self-loops, which join nothing (MonteCarlo rejects them). Each
+// analysis converts its graph once.
+func toUgraph(g *netrel.Graph) *ugraph.Graph {
+	ug := ugraph.New(g.N())
+	for i := 0; i < g.M(); i++ {
+		if e := g.Edge(i); e.U != e.V {
+			_, _ = ug.AddEdge(e.U, e.V, e.P) // valid: g checked it
+		}
+	}
+	return ug
+}
+
+// byReliability orders vr by reliability, highest first, ties by vertex.
+func byReliability(vr []VertexReliability) {
+	slices.SortFunc(vr, func(a, b VertexReliability) int {
+		if c := cmp.Compare(b.Reliability, a.Reliability); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Vertex, b.Vertex)
+	})
 }
 
 // Search returns every vertex whose reliability of being connected to the
 // source is at least threshold — the reliability-search query of Khan et
 // al. With Refine enabled, vertices whose sampled estimate falls within
 // RefineBand standard errors of the threshold are re-decided by the S2BDD
-// pipeline.
+// pipeline, all of them as one batch on one session.
 func Search(g *netrel.Graph, source int, threshold float64, opt Options) ([]VertexReliability, error) {
 	if source < 0 || source >= g.N() {
 		return nil, fmt.Errorf("analysis: source %d out of range", source)
@@ -149,39 +119,38 @@ func Search(g *netrel.Graph, source int, threshold float64, opt Options) ([]Vert
 		return nil, ErrBadThreshold
 	}
 	opt = opt.withDefaults()
-	counts := reachFrequencies(g, source, opt)
+	counts := reachFrequencies(toUgraph(g), source, opt)
 	s := float64(opt.Samples)
 	se := math.Sqrt(threshold*(1-threshold)/s) + 1e-12
 
 	var out []VertexReliability
+	var refine []netrel.Query
 	for v, c := range counts {
 		if v == source {
 			continue
 		}
 		est := float64(c) / s
-		borderline := math.Abs(est-threshold) < opt.RefineBand*se
-		if opt.Refine && borderline {
-			res, err := netrel.Reliability(g, []int{source, v},
-				netrel.WithSamples(opt.RefineSamples),
-				netrel.WithSeed(opt.Seed^uint64(v)))
-			if err != nil {
-				return nil, err
-			}
-			if res.Reliability >= threshold {
-				out = append(out, VertexReliability{Vertex: v, Reliability: res.Reliability, Refined: true})
-			}
+		if opt.Refine && math.Abs(est-threshold) < opt.RefineBand*se {
+			refine = append(refine, netrel.Query{Terminals: []int{source, v}})
 			continue
 		}
 		if est >= threshold {
 			out = append(out, VertexReliability{Vertex: v, Reliability: est})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Reliability != out[j].Reliability {
-			return out[i].Reliability > out[j].Reliability
+	if len(refine) > 0 {
+		res, err := netrel.NewSession(g).BatchReliability(refine,
+			netrel.WithSamples(opt.RefineSamples), netrel.WithSeed(opt.Seed), netrel.WithWorkers(opt.Workers))
+		if err != nil {
+			return nil, err
 		}
-		return out[i].Vertex < out[j].Vertex
-	})
+		for i, r := range res {
+			if r.Reliability >= threshold {
+				out = append(out, VertexReliability{Vertex: refine[i].Terminals[1], Reliability: r.Reliability, Refined: true})
+			}
+		}
+	}
+	byReliability(out)
 	return out, nil
 }
 
@@ -195,7 +164,7 @@ func TopK(g *netrel.Graph, source, k int, opt Options) ([]VertexReliability, err
 		return nil, fmt.Errorf("analysis: k must be positive, got %d", k)
 	}
 	opt = opt.withDefaults()
-	counts := reachFrequencies(g, source, opt)
+	counts := reachFrequencies(toUgraph(g), source, opt)
 	s := float64(opt.Samples)
 	all := make([]VertexReliability, 0, g.N()-1)
 	for v, c := range counts {
@@ -204,20 +173,6 @@ func TopK(g *netrel.Graph, source, k int, opt Options) ([]VertexReliability, err
 		}
 		all = append(all, VertexReliability{Vertex: v, Reliability: float64(c) / s})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Reliability != all[j].Reliability {
-			return all[i].Reliability > all[j].Reliability
-		}
-		return all[i].Vertex < all[j].Vertex
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k], nil
-}
-
-// STReliability is the two-terminal (s-t) reliability — the reachability
-// probability of Jin et al. — computed with the paper's full pipeline.
-func STReliability(g *netrel.Graph, s, t int, opts ...netrel.Option) (*netrel.Result, error) {
-	return netrel.Reliability(g, []int{s, t}, opts...)
+	byReliability(all)
+	return all[:min(k, len(all))], nil
 }

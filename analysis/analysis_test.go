@@ -126,21 +126,6 @@ func TestTopKOrdering(t *testing.T) {
 	}
 }
 
-func TestSTReliabilityMatchesExact(t *testing.T) {
-	g := chain(t, 5, 0.9)
-	res, err := STReliability(g, 0, 4, netrel.WithSamples(1000), netrel.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Pow(0.9, 4)
-	if math.Abs(res.Reliability-want) > 1e-9 {
-		t.Fatalf("s-t reliability %v, want %v (chain decomposes exactly)", res.Reliability, want)
-	}
-	if !res.Exact {
-		t.Fatal("chain s-t query should be exact via bridge decomposition")
-	}
-}
-
 func TestClusterTwoCommunities(t *testing.T) {
 	// Two dense 6-cliques joined by one feeble edge: k=2 clustering must
 	// split along the communities.
@@ -269,5 +254,123 @@ func TestWorkerCountInvariance(t *testing.T) {
 		if !reflect.DeepEqual(cl, cl1) {
 			t.Errorf("Cluster with %d workers = %+v, with 1 = %+v", w, cl, cl1)
 		}
+	}
+}
+
+// TestSearchRefineMatchesSoloQueries holds Search's batched refinement to
+// the solo answers: on Karate at a threshold with several borderline
+// vertices, each refined entry is bit-identical to Session.Reliability
+// with the same options, and exactly the borderline vertices whose solo
+// answer reaches the threshold are admitted as refined.
+func TestSearchRefineMatchesSoloQueries(t *testing.T) {
+	g := datasets.Karate(1)
+	const source, threshold = 0, 0.87
+	opt := Options{Samples: 500, Seed: 3, Workers: 2, Refine: true, RefineSamples: 2000}
+	res, err := Search(g, source, threshold, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refined := map[int]float64{}
+	for _, vr := range res {
+		if vr.Refined {
+			refined[vr.Vertex] = vr.Reliability
+		}
+	}
+
+	// The borderline band, recomputed from the shared pass.
+	opt = opt.withDefaults()
+	counts := reachFrequencies(toUgraph(g), source, opt)
+	s := float64(opt.Samples)
+	se := math.Sqrt(threshold*(1-threshold)/s) + 1e-12
+	solo := netrel.NewSession(g)
+	borderline, admitted := 0, 0
+	for v, c := range counts {
+		if v == source || math.Abs(float64(c)/s-threshold) >= opt.RefineBand*se {
+			continue
+		}
+		borderline++
+		want, err := solo.Reliability([]int{source, v},
+			netrel.WithSamples(opt.RefineSamples), netrel.WithSeed(opt.Seed), netrel.WithWorkers(opt.Workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := refined[v]
+		if ok != (want.Reliability >= threshold) || ok && got != want.Reliability {
+			t.Fatalf("vertex %d: refined %v (admitted %v), solo query %v", v, got, ok, want.Reliability)
+		}
+		if ok {
+			admitted++
+		}
+	}
+	if admitted != len(refined) {
+		t.Fatalf("%d refined entries, %d borderline vertices admitted", len(refined), admitted)
+	}
+	if admitted < 2 {
+		t.Fatalf("threshold %v admits %d of %d borderline vertices; the test needs at least two", threshold, admitted, borderline)
+	}
+	t.Logf("%d borderline vertices, %d admitted", borderline, admitted)
+}
+
+// FuzzReachMatchesMonteCarlo checks the shared sampling pass against the
+// baseline: on a graph of up to 12 vertices read from the input, each
+// vertex's count over s ≤ 300 worlds is netrel.MonteCarlo's estimate for
+// {source, v} at the same seed, bit for bit, on 1, 2 or 5 workers.
+func FuzzReachMatchesMonteCarlo(f *testing.F) {
+	f.Add([]byte{9, 0, 0, 1, 200, 1, 2, 200, 2, 3, 200, 3, 4, 0, 4, 5, 255, 0, 5, 100}, uint64(1), uint16(299), uint8(0))
+	f.Add([]byte{12, 7, 7, 8, 128, 7, 8, 128, 0, 1, 30, 2, 3, 255}, uint64(9), uint16(129), uint8(2))
+	f.Add([]byte{1, 0}, uint64(3), uint16(5), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64, samples uint16, pick uint8) {
+		if len(data) < 2 {
+			return
+		}
+		n := 1 + int(data[0])%12
+		source := int(data[1]) % n
+		s := 1 + int(samples)%300
+		workers := []int{1, 2, 5}[int(pick)%3]
+		g := netrel.NewGraph(n)
+		for rest := data[2:]; len(rest) >= 3; rest = rest[3:] {
+			u, v := int(rest[0])%n, int(rest[1])%n
+			if u == v {
+				continue
+			}
+			p := float64(rest[2]) / 255
+			if p == 0 {
+				p = math.Ldexp(1, -60)
+			}
+			if err := g.AddEdge(u, v, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		counts := reachFrequencies(toUgraph(g), source, Options{Samples: s, Seed: seed, Workers: workers})
+		for v, c := range counts {
+			mc, err := netrel.MonteCarlo(g, []int{source, v},
+				netrel.WithSamples(s), netrel.WithSeed(seed), netrel.WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := float64(c) / float64(s); got != mc.Reliability {
+				t.Fatalf("n=%d m=%d source %d s=%d workers %d: vertex %d reached in %v of the worlds, MonteCarlo %v",
+					n, g.M(), source, s, workers, v, got, mc.Reliability)
+			}
+		}
+	})
+}
+
+// BenchmarkAnalysisTopK times the shared sampling pass behind TopK: the
+// top 10 from vertex 0 over 2,000 worlds on one worker, Small datasets.
+func BenchmarkAnalysisTopK(b *testing.B) {
+	for _, name := range []string{"Karate", "Tokyo", "DBLP1", "Hit-d"} {
+		g, err := datasets.Generate(name, datasets.Small, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := TopK(g, 0, 10, Options{Samples: 2000, Seed: 1, Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -3,7 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"netrel"
 )
@@ -34,68 +34,38 @@ func Cluster(g *netrel.Graph, k int, opt Options) (*Clustering, error) {
 		return nil, fmt.Errorf("analysis: cannot pick %d centers from %d vertices", k, n)
 	}
 	opt = opt.withDefaults()
+	ug := toUgraph(g)
 	rng := rand.New(rand.NewPCG(opt.Seed, 0xc1057e41))
 
 	cl := &Clustering{
 		Assign:      make([]int, n),
 		Reliability: make([]float64, n),
 	}
-	// best[v] = highest reliability from v to any chosen center.
-	best := make([]float64, n)
-	for i := range best {
-		best[i] = -1
-	}
-
-	first := rng.IntN(n)
+	center := rng.IntN(n)
 	for c := 0; c < k; c++ {
-		var center int
-		if c == 0 {
-			center = first
-		} else {
+		if c > 0 {
 			// Farthest-point: the vertex least reliably covered so far.
-			center = -1
+			// k ≤ n leaves one that is not a center yet.
 			worst := 2.0
 			for v := 0; v < n; v++ {
-				if isCenter(cl.Centers, v) {
-					continue
+				if cl.Reliability[v] < worst && !slices.Contains(cl.Centers, v) {
+					worst, center = cl.Reliability[v], v
 				}
-				if best[v] < worst {
-					worst = best[v]
-					center = v
-				}
-			}
-			if center == -1 {
-				break // every vertex is a center already
 			}
 		}
 		cl.Centers = append(cl.Centers, center)
-		counts := reachFrequencies(g, center, opt)
+		counts := reachFrequencies(ug, center, opt)
 		s := float64(opt.Samples)
 		for v := 0; v < n; v++ {
 			r := float64(counts[v]) / s
-			if r > best[v] {
-				best[v] = r
+			if r > cl.Reliability[v] {
 				cl.Assign[v] = c
 				cl.Reliability[v] = r
 			}
 		}
 	}
-	cl.MinReliability = 2
-	for v := 0; v < n; v++ {
-		if cl.Reliability[v] < cl.MinReliability {
-			cl.MinReliability = cl.Reliability[v]
-		}
-	}
+	cl.MinReliability = slices.Min(cl.Reliability)
 	return cl, nil
-}
-
-func isCenter(centers []int, v int) bool {
-	for _, c := range centers {
-		if c == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Sizes returns the vertex count of each cluster, indexed like Centers.
@@ -115,6 +85,5 @@ func (c *Clustering) Members(i int) []int {
 			out = append(out, v)
 		}
 	}
-	sort.Ints(out)
 	return out
 }

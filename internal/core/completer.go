@@ -58,7 +58,8 @@ type completer struct {
 	unseen []int32 // the terminals no edge before the current layer touches
 	layer  int
 
-	flips int // coins evaluated over all draws, for BenchmarkCompletion
+	flips   int   // coins evaluated over all draws, for BenchmarkCompletion
+	reached []int // per-vertex counts of drawReach, made by its first draw
 
 	_ [64]byte
 }

@@ -143,6 +143,20 @@ func NewSampler(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, cfg C
 // frontier.MaxFrontierWidth. Of cfg it reads only Samples, which must be
 // positive, Estimator, Seed, Workers and Exec.
 func NewRootSampler(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, cfg Config) (*Sampler, error) {
+	r, err := newRootRun(ctx, g, ts, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if len(ts) <= 1 {
+		return singleTerminal(cfg.Samples), nil
+	}
+	return &Sampler{r: r, total: cfg.Samples}, nil
+}
+
+// newRootRun validates and builds the run NewRootSampler and ReachCounts
+// draw on: no diagram, and one stratum, the root state at layer 0 with ts
+// unseen, holding mass 1 and all cfg.Samples draws.
+func newRootRun(ctx context.Context, g *ugraph.Graph, ts []int, cfg Config) (*run, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -151,9 +165,6 @@ func NewRootSampler(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, c
 	}
 	if cfg.Samples <= 0 {
 		return nil, fmt.Errorf("core: root sampler needs a positive sample count, got %d", cfg.Samples)
-	}
-	if len(ts) <= 1 {
-		return singleTerminal(cfg.Samples), nil
 	}
 	r := &run{
 		cfg: Config{
@@ -190,7 +201,7 @@ func NewRootSampler(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, c
 		st.seen = make(map[uint64]bool, st.draws)
 	}
 	r.strata = []*stratumState{st}
-	return &Sampler{r: r, total: st.draws}, nil
+	return r, nil
 }
 
 // singleTerminal is the sampler of a query with fewer than two terminals:

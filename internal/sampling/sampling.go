@@ -6,19 +6,13 @@
 // seed yields bit-identical results for every worker count. The S2BDD in
 // internal/core, whose layer expansion also builds the paper's exact BDD
 // baseline and whose stratum sampler also draws its plain Monte Carlo and
-// Horvitz–Thompson baselines (Section 3.2.2) as its root stratum, and
-// analysis all build on them, so the clamping and seeding rules live in
-// exactly one place.
+// Horvitz–Thompson baselines (Section 3.2.2) and analysis's shared worlds
+// as its root stratum, builds on them, so the clamping and seeding rules
+// live in exactly one place.
 // The package keeps its name, which the benchmark module imports.
 package sampling
 
 import "runtime"
-
-// ChunkSize is the number of possible worlds per deterministic work unit
-// of analysis's shared world sampling. Chunk boundaries depend only on the
-// sample budget — never on the worker count — which is what makes results
-// worker-count independent.
-const ChunkSize = 512
 
 // ClampWorkers normalizes a requested worker count: non-positive values
 // select GOMAXPROCS, and the count never exceeds total (when total > 0), so

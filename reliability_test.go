@@ -43,6 +43,20 @@ func TestExactPipelineWithExtension(t *testing.T) {
 	if res.Lower != res.Upper {
 		t.Fatal("exact bounds must coincide")
 	}
+
+	// A chain of bridges decomposes into certain factors, so even the
+	// sampling entry point answers an s-t query on it exactly.
+	chain, err := FromEdges(5, []Edge{{0, 1, 0.9}, {1, 2, 0.9}, {2, 3, 0.9}, {3, 4, 0.9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = Reliability(chain, []int{0, 4}, WithSamples(1000), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := math.Pow(0.9, 4); !res.Exact || math.Abs(res.Reliability-want) > 1e-9 {
+		t.Fatalf("chain s-t reliability %v (exact %v), want exactly %v", res.Reliability, res.Exact, want)
+	}
 }
 
 func TestExactWithoutExtensionMatches(t *testing.T) {
