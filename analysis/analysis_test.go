@@ -126,6 +126,32 @@ func TestTopKOrdering(t *testing.T) {
 	}
 }
 
+// TestSTReliabilityMatchesExact holds the s-t answers of a refined Search
+// to the exact value: on a chain of bridges the S2BDD pipeline decomposes
+// the s-t query into certain factors, so the borderline end vertex comes
+// back refined with reliability 0.9⁴ exactly, not a sampled estimate.
+func TestSTReliabilityMatchesExact(t *testing.T) {
+	g := chain(t, 5, 0.9)
+	want := math.Pow(0.9, 4)
+	res, err := Search(g, 0, 0.65, Options{Samples: 1000, Seed: 1, Refine: true, RefineSamples: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vr := range res {
+		if vr.Vertex != 4 {
+			continue
+		}
+		if !vr.Refined {
+			t.Fatalf("vertex 4 at %v was not refined; the test needs it in the borderline band", vr.Reliability)
+		}
+		if math.Abs(vr.Reliability-want) > 1e-9 {
+			t.Fatalf("s-t reliability %v, want %v (chain decomposes exactly)", vr.Reliability, want)
+		}
+		return
+	}
+	t.Fatalf("vertex 4 (reliability %v ≥ threshold 0.65) missing from %v", want, res)
+}
+
 func TestClusterTwoCommunities(t *testing.T) {
 	// Two dense 6-cliques joined by one feeble edge: k=2 clustering must
 	// split along the communities.
