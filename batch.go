@@ -237,12 +237,6 @@ func (s *Session) solve(ctx context.Context, st *graphState, specs []*resolvedSp
 		report = func(round int, final bool, bounds []jobBounds) {
 			for i := range specs {
 				p := plans[dd.Slot[i]]
-				if p.done {
-					r := p.out.Reliability
-					o.progress(Progress{Query: i, Round: round, Lower: r,
-						Upper: r, Estimate: r, Done: final})
-					continue
-				}
 				factor := p.factor.Clamp01().Float64()
 				lo, hi, est, drawn := combineBounds(factor, bounds, plan.Refs[dd.Slot[i]])
 				o.progress(Progress{Query: i, Round: round, Lower: lo,
@@ -262,18 +256,15 @@ func (s *Session) solve(ctx context.Context, st *graphState, specs []*resolvedSp
 	// partial result in place.
 	combineDone := tr.Span(telemetry.PhaseCombine)
 	for d, p := range plans {
-		if p.done {
-			continue // p.out is already final (Duration = planDur)
-		}
 		results := make([]core.Result, len(plan.Refs[d]))
 		for j, u := range plan.Refs[d] {
 			results[j] = solved[u]
 		}
 		combineResults(p.out, results, p.factor)
 		if len(results) == 0 {
-			// Answered by preprocessing alone (single terminal, or every
-			// component factored out exactly): like a done plan, the query
-			// never entered the solve phase, so it isn't billed for it.
+			// Answered by preprocessing alone (single terminal, disconnected
+			// terminals, or every component factored out exactly): the
+			// query never entered the solve phase, so it isn't billed for it.
 			p.out.Duration = p.planDur
 		} else {
 			p.out.Duration = p.planDur + solveDur

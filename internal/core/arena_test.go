@@ -24,8 +24,8 @@ func hashKey(s *frontier.State) uint64 {
 }
 
 // TestStateTableMatchesKeyBytes checks the key table against the byte key
-// it replaced: over the Apply children of random plans, layer by layer,
-// sameKey holds exactly when frontier.State.Key bytes are equal, the table
+// it replaced: over the refApply children of random plans, layer by layer,
+// sameKey holds exactly when the stateKey bytes are equal, the table
 // finds a child exactly when an equal-keyed child was added before, and a
 // row reads back the state pushed into it, Tcnt included.
 func TestStateTableMatchesKeyBytes(t *testing.T) {
@@ -36,7 +36,7 @@ func TestStateTableMatchesKeyBytes(t *testing.T) {
 		if plan == nil {
 			continue
 		}
-		sc := frontier.NewScratch(plan)
+		ref := newRefApply(plan.Plan)
 		layer := []frontier.State{plan.Root()}
 		for l := 0; l < plan.M() && len(layer) > 0; l++ {
 			var a stateArena
@@ -47,13 +47,13 @@ func TestStateTableMatchesKeyBytes(t *testing.T) {
 			var out frontier.State
 			for i := range layer {
 				for _, exists := range [2]bool{true, false} {
-					if plan.Apply(l, &layer[i], exists, r.IntN(2) == 0, sc, &out) != frontier.Live {
+					if ref.apply(l, &layer[i], exists, r.IntN(2) == 0, &out) != expandLive {
 						continue
 					}
-					key := string(out.Key(nil))
+					key := string(stateKey(&out, nil))
 					for j := int32(0); j < int32(len(a.ncomp)); j++ {
 						v := a.view(j)
-						if a.sameKey(j, &out) != (string(v.Key(nil)) == key) {
+						if a.sameKey(j, &out) != (string(stateKey(&v, nil)) == key) {
 							t.Fatalf("layer %d: sameKey(%d, %+v) disagrees with the key bytes of %+v", l, j, out, v)
 						}
 						checked++
@@ -78,7 +78,7 @@ func TestStateTableMatchesKeyBytes(t *testing.T) {
 			layer = layer[:0]
 			for j := int32(0); j < int32(len(a.ncomp)) && j < 64; j++ {
 				v := a.view(j)
-				layer = append(layer, v.Clone())
+				layer = append(layer, cloneState(v))
 			}
 		}
 	}

@@ -181,7 +181,7 @@ func bddConfig(ord []int, budget int) Config {
 // cum, where cum[l] is the number of nodes created through layer l (cum[0]
 // counts the root).
 func refNodeCounts(plan *frontier.Plan) []int64 {
-	sc := frontier.NewScratch(plan)
+	ref := newRefApply(plan)
 	layer := []frontier.State{plan.Root()}
 	cum := []int64{1}
 	var out frontier.State
@@ -190,12 +190,12 @@ func refNodeCounts(plan *frontier.Plan) []int64 {
 		var next []frontier.State
 		for i := range layer {
 			for _, exists := range [2]bool{true, false} {
-				if plan.Apply(l, &layer[i], exists, false, sc, &out) != frontier.Live {
+				if ref.apply(l, &layer[i], exists, false, &out) != expandLive {
 					continue
 				}
-				if k := string(out.Key(nil)); !seen[k] {
+				if k := string(stateKey(&out, nil)); !seen[k] {
 					seen[k] = true
-					next = append(next, out.Clone())
+					next = append(next, cloneState(out))
 				}
 			}
 		}
@@ -226,7 +226,7 @@ func TestNodeBudgetDNF(t *testing.T) {
 	if full.NodesCreated != cum[plan.M()] {
 		t.Fatalf("NodesCreated %d, reference BDD has %d nodes", full.NodesCreated, cum[plan.M()])
 	}
-	want, err := exact.Factoring(g, ts, 0)
+	want, err := exact.FactoringContext(context.Background(), g, ts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

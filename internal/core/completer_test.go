@@ -14,7 +14,7 @@ import (
 )
 
 // pathPlan builds a 0-1-2-3 path with terminals {0,3} and natural order.
-func pathPlan(t *testing.T) *frontier.Plan {
+func pathPlan(t *testing.T) *testPlan {
 	t.Helper()
 	g, err := ugraph.FromEdges(4, []ugraph.Edge{
 		{U: 0, V: 1, P: 0.5}, {U: 1, V: 2, P: 0.5}, {U: 2, V: 3, P: 0.5},
@@ -23,20 +23,16 @@ func pathPlan(t *testing.T) *frontier.Plan {
 		t.Fatal(err)
 	}
 	ts, _ := ugraph.NewTerminals(g, []int{0, 3})
-	p, err := frontier.NewPlan(g, ts, []int{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return mustPlan(t, g, ts, []int{0, 1, 2})
 }
 
-func testCompleter(p *frontier.Plan) *completer {
-	return newCompleter(p.Graph().N(), p.MaxFrontier(), planStream(p.Graph(), p.Order()))
+func testCompleter(p *testPlan) *completer {
+	return newCompleter(p.g.N(), p.MaxFrontier(), planStream(p.g, p.ord))
 }
 
 // setPlanLayer switches c to layer l of plan.
-func setPlanLayer(c *completer, plan *frontier.Plan, l int) {
-	c.setLayer(l, plan.FrontierAt(l), plan.UnseenTerms(l))
+func setPlanLayer(c *completer, plan *testPlan, l int) {
+	c.setLayer(l, plan.frontierAt(l), plan.UnseenTerms(l))
 }
 
 func TestCompleterFromRoot(t *testing.T) {
@@ -65,10 +61,9 @@ func TestCompleterMidLayerConditional(t *testing.T) {
 	// flagged (terminal 0 absorbed), frontier = {1}. Completion succeeds
 	// iff edges 1 and 2 both exist: probability 0.25.
 	p := pathPlan(t)
-	sc := frontier.NewScratch(p)
 	root := p.Root()
 	var st frontier.State
-	if out := p.Apply(0, &root, true, true, sc, &st); out != frontier.Live {
+	if out := newRefApply(p.Plan).apply(0, &root, true, true, &st); out != expandLive {
 		t.Fatalf("unexpected outcome %v", out)
 	}
 	c := testCompleter(p)
@@ -117,10 +112,7 @@ func TestCompleterFingerprintsDistinguishWorlds(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts, _ := ugraph.NewTerminals(g, []int{0, 1, 2})
-	p, err := frontier.NewPlan(g, ts, naturalOrder(g.M()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustPlan(t, g, ts, naturalOrder(g.M()))
 	valid := map[xfloat.F]bool{}
 	ugraph.EnumerateWorlds(g, func(_ []bool, pr xfloat.F) { valid[pr] = true })
 	c := testCompleter(p)
@@ -188,11 +180,11 @@ func TestHeuristicPrefersTerminalHeavyNodes(t *testing.T) {
 // is a rand.Float64 flip against its probability, endpoints map through a
 // vertex→slot table to their frontier component's element, and
 // connectivity is checked once the scan ends.
-func refComplete(plan *frontier.Plan, layer int, st *frontier.State, rng *rand.Rand) (connected bool, pr xfloat.F, fp uint64) {
-	g := plan.Graph()
+func refComplete(plan *testPlan, layer int, st *frontier.State, rng *rand.Rand) (connected bool, pr xfloat.F, fp uint64) {
+	g := plan.g
 	n := g.N()
 	vslot := map[int]int{}
-	for slot, v := range plan.FrontierAt(layer) {
+	for slot, v := range plan.frontierAt(layer) {
 		vslot[int(v)] = slot
 	}
 	elem := func(v int) int {
@@ -204,7 +196,7 @@ func refComplete(plan *frontier.Plan, layer int, st *frontier.State, rng *rand.R
 	uf := unionfind.NewArena(n + plan.MaxFrontier() + 2)
 	pr = xfloat.One
 	fp = 0xcbf29ce484222325
-	ord := plan.Order()
+	ord := plan.ord
 	for pos := layer; pos < len(ord); pos++ {
 		e := g.Edge(ord[pos])
 		fp *= 0x100000001b3
@@ -421,14 +413,11 @@ func TestCompleterDrawsMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := frontier.NewPlan(g, ts, r.Perm(g.M()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := mustPlan(t, g, ts, r.Perm(g.M()))
 		mc, ht := testCompleter(plan), testCompleter(plan)
 		for draw := 0; draw < 60; draw++ {
 			l := r.IntN(g.M() + 1)
-			front := plan.FrontierAt(l)
+			front := plan.frontierAt(l)
 			st := randState(r, len(front), 0.4)
 			setPlanLayer(mc, plan, l)
 			setPlanLayer(ht, plan, l)
@@ -451,7 +440,7 @@ func TestCompleterDrawsMatchReference(t *testing.T) {
 // matchReference makes one MC and one HT draw of st at layer l from
 // stream seed and compares each with refComplete: the answer, the HT
 // probability and fingerprint, and the stream position afterwards.
-func matchReference(t *testing.T, plan *frontier.Plan, mc, ht *completer, l int, st *frontier.State, seed uint64) {
+func matchReference(t *testing.T, plan *testPlan, mc, ht *completer, l int, st *frontier.State, seed uint64) {
 	t.Helper()
 	setPlanLayer(mc, plan, l)
 	setPlanLayer(ht, plan, l)
@@ -473,7 +462,7 @@ func matchReference(t *testing.T, plan *frontier.Plan, mc, ht *completer, l int,
 // (0, 1] with the threshold extremes 1 and 2⁻⁶⁰ over-represented, plus k
 // terminals among the vertices that have an edge. It returns a nil plan
 // when no vertex has one.
-func randMultigraph(r *rand.Rand, n, m, k int) *frontier.Plan {
+func randMultigraph(r *rand.Rand, n, m, k int) *testPlan {
 	g := ugraph.New(n)
 	for i := 0; i < m; i++ {
 		u, v := r.IntN(n), r.IntN(n)
@@ -510,11 +499,12 @@ func randMultigraph(r *rand.Rand, n, m, k int) *frontier.Plan {
 	if err != nil {
 		panic(err)
 	}
-	plan, err := frontier.NewPlan(g, ts, r.Perm(g.M()))
+	ord := r.Perm(g.M())
+	plan, err := frontier.NewPlan(g, ts, ord)
 	if err != nil {
 		panic(err)
 	}
-	return plan
+	return &testPlan{plan, g, ord}
 }
 
 // TestCompleterMatchesReferenceEdgeCases adds the shapes
@@ -527,7 +517,7 @@ func TestCompleterMatchesReferenceEdgeCases(t *testing.T) {
 			mc, ht := testCompleter(plan), testCompleter(plan)
 			for draw := 0; draw < 40; draw++ {
 				l := r.IntN(plan.M() + 1)
-				st := randState(r, len(plan.FrontierAt(l)), 0.4)
+				st := randState(r, len(plan.frontierAt(l)), 0.4)
 				matchReference(t, plan, mc, ht, l, &st, r.Uint64())
 			}
 		}
@@ -565,15 +555,12 @@ func TestCompleterMatchesReferenceEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := frontier.NewPlan(g, ts, bfsOrder(g, ts))
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := mustPlan(t, g, ts, bfsOrder(g, ts))
 		mc, ht := testCompleter(plan), testCompleter(plan)
 		early := 0
 		for draw := 0; draw < 200; draw++ {
 			l := r.IntN(plan.M() / 4)
-			st := randState(r, len(plan.FrontierAt(l)), 0.3)
+			st := randState(r, len(plan.frontierAt(l)), 0.3)
 			before := mc.flips
 			matchReference(t, plan, mc, ht, l, &st, r.Uint64())
 			if mc.flips-before < plan.M()-l {
@@ -591,7 +578,7 @@ func TestCompleterMatchesReferenceEdgeCases(t *testing.T) {
 			mc, ht := testCompleter(plan), testCompleter(plan)
 			l := plan.M()
 			for draw := 0; draw < 10; draw++ {
-				st := randState(r, len(plan.FrontierAt(l)), 0.5)
+				st := randState(r, len(plan.frontierAt(l)), 0.5)
 				matchReference(t, plan, mc, ht, l, &st, r.Uint64())
 			}
 		}
@@ -611,7 +598,7 @@ func FuzzCompleterMatchesReference(f *testing.F) {
 			return
 		}
 		l := int(layer) % (plan.M() + 1)
-		st := randState(r, len(plan.FrontierAt(l)), 0.4)
+		st := randState(r, len(plan.frontierAt(l)), 0.4)
 		matchReference(t, plan, testCompleter(plan), testCompleter(plan), l, &st, seed)
 	})
 }
@@ -636,12 +623,9 @@ func BenchmarkCompletion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := frontier.NewPlan(g, ts, bfsOrder(g, ts))
-	if err != nil {
-		b.Fatal(err)
-	}
+	plan := mustPlan(b, g, ts, bfsOrder(g, ts))
 	l := g.M() / 50
-	front := plan.FrontierAt(l)
+	front := plan.frontierAt(l)
 	states := make([]frontier.State, 64)
 	for i := range states {
 		st := randState(r, len(front), 0)
@@ -679,7 +663,7 @@ func BenchmarkCompletion(b *testing.B) {
 	b.Run("table", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			benchStream = planStream(g, plan.Order())
+			benchStream = planStream(g, plan.ord)
 		}
 	})
 }

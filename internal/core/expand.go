@@ -21,14 +21,15 @@
 //
 // The child kernel (expand) reads the layer's frontier.Step and makes both
 // children of a parent in one relabel pass, writing them straight into
-// the layer's child arena and hashing their keys as it writes; it computes
-// exactly what frontier.Plan.Apply does, which stays as its test
-// reference. Once the replay is done, the new layer's deletion priorities
-// are scored in fixed node chunks on the same workers (score, s2bdd.go),
-// and only the sort that orders the layer runs on the driver. It sorts
-// 16-byte ranks (priority and position) with a copy of the standard
-// library's pdqsort specialized to their order (zsortrank.go), then
-// gathers the nodes once in the sorted order.
+// the layer's child arena and hashing their keys as it writes. It
+// computes exactly what its test reference, refApply (reference_test.go),
+// computes by a direct reading of the sink rules. Once the replay is done,
+// the new layer's deletion priorities are scored in fixed node chunks on
+// the same workers (score, s2bdd.go), and only the sort that orders the
+// layer runs on the driver. It sorts 16-byte ranks (priority and
+// position) with a copy of the standard library's pdqsort specialized to
+// their order (zsortrank.go), then gathers the nodes once in the sorted
+// order.
 //
 // No node owns heap storage, and each child is written once. A layer's
 // states are rows of a stateArena (arena.go): every chunk reads the
@@ -151,7 +152,8 @@ func (r *run) expandLayer(from, to *stateArena, parents []node) ([]expandResult,
 // the same outcome, so it becomes a second event on the same entry, and
 // otherwise its row is the absent child's with the merged label folded in.
 // Sink rows and within-chunk duplicates are not kept. The outcomes follow
-// frontier.Plan.Apply, which is the test reference.
+// the sink rules of frontier's package doc, as the test reference refApply
+// (reference_test.go) applies them.
 func (es *expandSlot) expand(st *frontier.Step, earlyTerm bool, from *stateArena, parents []node, to *stateArena, base int32, out *expandResult) {
 	out.events = slices.Grow(out.events[:0], 2*len(parents))
 	es.local.reset(2 * expandChunk)
@@ -220,7 +222,7 @@ type absent struct {
 // alive and retired, from which its outcome follows.
 type childCounts struct{ ncomp, alive, retired int }
 
-// kind classifies a child by the sink rules of frontier.Plan.Apply.
+// kind classifies a child by the sink rules of frontier's package doc.
 func (c childCounts) kind(unseen int, earlyTerm bool) expandKind {
 	switch {
 	case c.retired > 0:

@@ -10,11 +10,12 @@ import (
 )
 
 // checkExpandMatchesApply runs the expansion kernel over every layer of
-// plan, on parent states reached from the root through frontier's Apply
-// (at most maxParents a layer, a random subset), with early termination
-// on and off, and checks each child against Apply: the event's kind is
-// Apply's outcome, a live child's row reads back Apply's state (labels
-// and flags, and the counts of the first child of the row) and carries
+// plan, on parent states reached from the root through the reference
+// transition refApply (at most maxParents a layer, a random subset), with
+// early termination on and off, and checks each child against refApply:
+// the event's kind is refApply's, a live child's row reads back
+// refApply's state (labels and flags, and the counts of the first child
+// of the row) and carries
 // hashKey of it, children of equal keys in
 // one chunk share their row and children of different keys do not, and
 // a parent whose two children are one state (cu == cv) gets one entry
@@ -22,7 +23,7 @@ import (
 func checkExpandMatchesApply(t testing.TB, r *rand.Rand, plan *frontier.Plan, maxParents int) int {
 	t.Helper()
 	checked := 0
-	sc := frontier.NewScratch(plan)
+	ref := newRefApply(plan)
 	for _, earlyTerm := range [2]bool{true, false} {
 		es := &expandSlot{canon: make([]uint16, plan.MaxFrontier()+2)}
 		layer := []frontier.State{plan.Root()}
@@ -53,14 +54,11 @@ func checkExpandMatchesApply(t testing.TB, r *rand.Rand, plan *frontier.Plan, ma
 					var kinds [2]expandKind
 					for j, exists := range [2]bool{true, false} {
 						ev := out.events[2*(i-lo)+j]
-						want := plan.Apply(l, &layer[i], exists, earlyTerm, sc, &kids[j])
-						kinds[j] = [...]expandKind{
-							frontier.Live: expandLive, frontier.ZeroSink: expandZeroSink, frontier.OneSink: expandOneSink,
-						}[want]
+						kinds[j] = ref.apply(l, &layer[i], exists, earlyTerm, &kids[j])
 						if ev.kind != kinds[j] {
-							t.Fatalf("layer %d, parent %d, exists %v: kind %d, Apply gives %d", l, i, exists, ev.kind, kinds[j])
+							t.Fatalf("layer %d, parent %d, exists %v: kind %d, refApply gives %d", l, i, exists, ev.kind, kinds[j])
 						}
-						if want != frontier.Live {
+						if kinds[j] != expandLive {
 							continue
 						}
 						if ev.entry < 0 || ev.entry >= out.entries {
@@ -72,26 +70,26 @@ func checkExpandMatchesApply(t testing.TB, r *rand.Rand, plan *frontier.Plan, ma
 						got := to.view(row)
 						if !slices.Equal(got.Comp, kids[j].Comp) || !slices.Equal(got.Flag, kids[j].Flag) ||
 							!used[ev.entry] && !slices.Equal(got.Tcnt, kids[j].Tcnt) {
-							t.Fatalf("layer %d, parent %+v, exists %v: row %+v, Apply gives %+v", l, layer[i], exists, got, kids[j])
+							t.Fatalf("layer %d, parent %+v, exists %v: row %+v, refApply gives %+v", l, layer[i], exists, got, kids[j])
 						}
 						used[ev.entry] = true
 						if h := hashKey(&kids[j]); to.hash[row] != h {
 							t.Fatalf("layer %d: row hash %x, hashKey %x", l, to.hash[row], h)
 						}
-						key := string(kids[j].Key(nil))
+						key := string(stateKey(&kids[j], nil))
 						if prev, ok := rowOf[key]; ok && prev != row {
 							t.Fatalf("layer %d: one key in rows %d and %d of a chunk", l, prev, row)
 						}
 						rowOf[key] = row
 						if _, ok := seen[key]; !ok {
-							seen[key] = kids[j].Clone()
+							seen[key] = cloneState(kids[j])
 							next = append(next, seen[key])
 						}
 						checked++
 					}
 					pre, abs := out.events[2*(i-lo)], out.events[2*(i-lo)+1]
 					if kinds[0] == expandLive && kinds[0] == kinds[1] && slices.Equal(kids[0].Tcnt, kids[1].Tcnt) &&
-						string(kids[0].Key(nil)) == string(kids[1].Key(nil)) && pre.entry != abs.entry {
+						string(stateKey(&kids[0], nil)) == string(stateKey(&kids[1], nil)) && pre.entry != abs.entry {
 						t.Fatalf("layer %d, parent %d: one child state in entries %d and %d", l, i, pre.entry, abs.entry)
 					}
 				}
@@ -111,7 +109,7 @@ func checkExpandMatchesApply(t testing.TB, r *rand.Rand, plan *frontier.Plan, ma
 	return checked
 }
 
-// TestExpandKernelMatchesApply checks the fused kernel against Apply on
+// TestExpandKernelMatchesApply checks the fused kernel against refApply on
 // random multigraphs (self-loops and parallel edges included), random
 // edge orders and terminal sets.
 func TestExpandKernelMatchesApply(t *testing.T) {
@@ -122,7 +120,7 @@ func TestExpandKernelMatchesApply(t *testing.T) {
 		if plan == nil {
 			continue
 		}
-		checked += checkExpandMatchesApply(t, r, plan, 100)
+		checked += checkExpandMatchesApply(t, r, plan.Plan, 100)
 	}
 	t.Logf("%d live children checked", checked)
 	if checked < 100_000 {
@@ -141,6 +139,6 @@ func FuzzExpandMatchesApply(f *testing.F) {
 		if plan == nil {
 			return
 		}
-		checkExpandMatchesApply(t, r, plan, 100)
+		checkExpandMatchesApply(t, r, plan.Plan, 100)
 	})
 }

@@ -386,7 +386,7 @@ func TestGrid5x5ExactAgainstFactoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exact.Factoring(g, ts, 0)
+	want, err := exact.FactoringContext(context.Background(), g, ts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

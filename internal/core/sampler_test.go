@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"netrel/internal/estimator"
-	"netrel/internal/frontier"
 	"netrel/internal/sampling"
 	"netrel/internal/ugraph"
 )
@@ -179,7 +178,7 @@ func TestSamplerCancelPoisons(t *testing.T) {
 // the root stratum (layer 0, ordinal 1), each draw one pick variate and
 // then one Float64 coin per edge. MC counts the connected draws; HT sums
 // Pr[w]/π over the distinct connected worlds in (chunk, draw) order.
-func refRootFold(plan *frontier.Plan, seed uint64, s int) (hits int, ht estimator.HTEstimate) {
+func refRootFold(plan *testPlan, seed uint64, s int) (hits int, ht estimator.HTEstimate) {
 	seen := map[uint64]bool{}
 	root := plan.Root()
 	for c := 0; c < numChunks(s); c++ {
@@ -214,10 +213,7 @@ func TestRootSamplerMatchesReferenceFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := frontier.NewPlan(g, ts, naturalOrder(g.M()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := mustPlan(t, g, ts, naturalOrder(g.M()))
 		const s = 700
 		seed := r.Uint64()
 		hits, ht := refRootFold(plan, seed, s)

@@ -37,20 +37,17 @@ func BruteForce(g *ugraph.Graph, ts ugraph.Terminals) (xfloat.F, error) {
 // DefaultFactoringBudget bounds the number of recursive factoring calls.
 const DefaultFactoringBudget = 5_000_000
 
-// Factoring computes R[G,T] exactly with the factoring theorem
+// FactoringContext computes R[G,T] exactly with the factoring theorem
 // R = p(e)·R(G·e) + (1−p(e))·R(G−e), applying series, parallel, loop,
 // dangling-vertex and pendant-terminal reductions between branches. budget
 // caps the recursion count (≤0 selects DefaultFactoringBudget); exceeding it
 // returns ErrTooLarge.
-func Factoring(g *ugraph.Graph, ts ugraph.Terminals, budget int) (xfloat.F, error) {
-	return FactoringContext(context.Background(), g, ts, budget)
-}
-
-// FactoringContext is Factoring with cancellation: the recursion re-checks
-// ctx every ctxCheckStride calls, so a cancelled or expired ctx aborts a
-// runaway factoring promptly with ctx.Err(). ctx never affects the computed
-// value — the algorithm is deterministic, so a cancelled-then-retried call
-// returns exactly what an uninterrupted one would.
+//
+// The recursion re-checks ctx every ctxCheckStride calls, so a cancelled or
+// expired ctx aborts a runaway factoring promptly with ctx.Err(). ctx never
+// affects the computed value — the algorithm is deterministic, so a
+// cancelled-then-retried call returns exactly what an uninterrupted one
+// would.
 func FactoringContext(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, budget int) (xfloat.F, error) {
 	if budget <= 0 {
 		budget = DefaultFactoringBudget

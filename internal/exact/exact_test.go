@@ -79,7 +79,7 @@ func engines() map[string]func(*ugraph.Graph, ugraph.Terminals) (v xfloatF, err 
 			return BruteForce(g, ts)
 		},
 		"factoring": func(g *ugraph.Graph, ts ugraph.Terminals) (xfloatF, error) {
-			return Factoring(g, ts, 0)
+			return FactoringContext(context.Background(), g, ts, 0)
 		},
 	}
 }
@@ -219,7 +219,7 @@ func TestFactoringBudgetExhaustion(t *testing.T) {
 	r := rand.New(rand.NewPCG(5, 5))
 	g := randConnected(r, 12, 20)
 	ts := randTerminals(r, g, 4)
-	if _, err := Factoring(g, ts, 3); err == nil {
+	if _, err := FactoringContext(context.Background(), g, ts, 3); err == nil {
 		t.Fatal("expected budget exhaustion error")
 	}
 }
@@ -240,7 +240,7 @@ func TestPropertyFactoringMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fa, err := Factoring(g, ts, 0)
+		fa, err := FactoringContext(context.Background(), g, ts, 0)
 		if err != nil {
 			return false
 		}
@@ -285,7 +285,7 @@ func grid(rows, cols int, p float64) *ugraph.Graph {
 func TestFactoringHandlesModerateGraphs(t *testing.T) {
 	g := grid(3, 4, 0.9)
 	ts := terms(t, g, 0, 11)
-	fa, err := Factoring(g, ts, 0)
+	fa, err := FactoringContext(context.Background(), g, ts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestFactoringHandlesModerateGraphs(t *testing.T) {
 
 	g = grid(4, 4, 0.9)
 	ts = terms(t, g, 0, 15)
-	fa, err = Factoring(g, ts, 0)
+	fa, err = FactoringContext(context.Background(), g, ts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func BenchmarkFactoringGrid4x4(b *testing.B) {
 	ts, _ := ugraph.NewTerminals(g, []int{0, 15})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Factoring(g, ts, 0); err != nil {
+		if _, err := FactoringContext(context.Background(), g, ts, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

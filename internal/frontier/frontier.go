@@ -7,7 +7,10 @@
 // a partition of the frontier into connected components plus, per component,
 // whether it contains a terminal (and, for the deletion heuristic, how many).
 // Processing an edge as existent/non-existent maps a state to a child state
-// or to a sink.
+// or to a sink. This package plans the transitions; the S2BDD's child
+// kernel (internal/core/expand.go) applies them, and core's tests keep a
+// direct reference implementation of the rules below
+// (internal/core/reference_test.go) that the kernel must match.
 //
 // Sink rules (these subsume Lemmas 4.1 and 4.2 of the paper):
 //
@@ -36,18 +39,6 @@ import (
 // MaxFrontierWidth bounds the frontier so component labels fit in uint16.
 const MaxFrontierWidth = 1 << 15
 
-// Outcome classifies the result of applying an edge state to a node state.
-type Outcome int8
-
-const (
-	// Live means the child is a regular node at the next layer.
-	Live Outcome = iota
-	// ZeroSink means the terminals are disconnected in every completion.
-	ZeroSink
-	// OneSink means the terminals are connected in every completion.
-	OneSink
-)
-
 // State is a node state over the frontier of some layer. Comp assigns each
 // frontier slot a canonical component id (first occurrence order); Flag and
 // Tcnt are indexed by component id. Flag is the merge key attribute
@@ -57,42 +48,6 @@ type State struct {
 	Comp []uint16
 	Flag []bool
 	Tcnt []uint16
-}
-
-// Clone deep-copies a state. Construction keeps states in flat arenas and
-// never clones one; tests and reference sweeps do.
-func (s *State) Clone() State {
-	return State{
-		Comp: append([]uint16(nil), s.Comp...),
-		Flag: append([]bool(nil), s.Flag...),
-		Tcnt: append([]uint16(nil), s.Tcnt...),
-	}
-}
-
-// Key appends a canonical byte encoding of the mergeable part of the state
-// (partition + terminal booleans, per Lemma 4.3) to dst and returns it.
-// It is the reference the S2BDD's hashed key tables are tested against.
-func (s *State) Key(dst []byte) []byte {
-	for _, c := range s.Comp {
-		dst = append(dst, byte(c), byte(c>>8))
-	}
-	var cur byte
-	bits := 0
-	for _, f := range s.Flag {
-		cur <<= 1
-		if f {
-			cur |= 1
-		}
-		bits++
-		if bits == 8 {
-			dst = append(dst, cur)
-			cur, bits = 0, 0
-		}
-	}
-	if bits > 0 {
-		dst = append(dst, cur)
-	}
-	return dst
 }
 
 // layerStep holds the frontier transition for one edge position as a diff.
@@ -108,14 +63,7 @@ type layerStep struct {
 
 // Plan precomputes all frontier transitions for a graph and edge order.
 type Plan struct {
-	g      *ugraph.Graph
-	order  []int
-	terms  ugraph.Terminals
-	isTerm []bool
-
-	firstTouch []int32
-	lastTouch  []int32
-
+	isTerm      []bool
 	layers      []layerStep
 	termsSorted []int32 // terminals sorted by firstTouch
 	termStart   []int32 // termStart[l] = first index with firstTouch ≥ l
@@ -135,32 +83,27 @@ func NewPlan(g *ugraph.Graph, ts ugraph.Terminals, ord []int) (*Plan, error) {
 		return nil, err
 	}
 	n := g.N()
-	p := &Plan{
-		g:          g,
-		order:      ord,
-		terms:      ts,
-		isTerm:     make([]bool, n),
-		firstTouch: make([]int32, n),
-		lastTouch:  make([]int32, n),
-	}
+	p := &Plan{isTerm: make([]bool, n)}
+	firstTouch := make([]int32, n)
+	lastTouch := make([]int32, n)
 	for _, t := range ts {
 		p.isTerm[t] = true
 	}
-	for v := range p.firstTouch {
-		p.firstTouch[v] = int32(m) // untouched sentinel: beyond all layers
-		p.lastTouch[v] = -1
+	for v := range firstTouch {
+		firstTouch[v] = int32(m) // untouched sentinel: beyond all layers
+		lastTouch[v] = -1
 	}
 	for pos, ei := range ord {
 		e := g.Edge(ei)
 		for _, v := range [2]int{e.U, e.V} {
-			if p.firstTouch[v] == int32(m) {
-				p.firstTouch[v] = int32(pos)
+			if firstTouch[v] == int32(m) {
+				firstTouch[v] = int32(pos)
 			}
-			p.lastTouch[v] = int32(pos)
+			lastTouch[v] = int32(pos)
 		}
 	}
 	for _, t := range ts {
-		if p.lastTouch[t] == -1 {
+		if lastTouch[t] == -1 {
 			return nil, fmt.Errorf("frontier: terminal %d has no incident edge", t)
 		}
 	}
@@ -173,13 +116,13 @@ func NewPlan(g *ugraph.Graph, ts ugraph.Terminals, ord []int) (*Plan, error) {
 	p.termStart = make([]int32, m+2)
 	p.termsSorted = make([]int32, len(ts))
 	for _, t := range ts {
-		p.termStart[p.firstTouch[t]+2]++
+		p.termStart[firstTouch[t]+2]++
 	}
 	for l := 1; l <= m+1; l++ {
 		p.termStart[l] += p.termStart[l-1]
 	}
 	for _, t := range ts {
-		f := p.firstTouch[t] + 1
+		f := firstTouch[t] + 1
 		p.termsSorted[p.termStart[f]] = int32(t)
 		p.termStart[f]++
 	}
@@ -207,7 +150,7 @@ func NewPlan(g *ugraph.Graph, ts ugraph.Terminals, ord []int) (*Plan, error) {
 	}
 	joined, flen := int32(0), int32(0)
 	move := func(v int, l int32) {
-		switch first, last := p.firstTouch[v], p.lastTouch[v]; {
+		switch first, last := firstTouch[v], lastTouch[v]; {
 		case first == l && last == l: // touched once: never on the frontier
 		case last == l:
 			add(seq[v], -1)
@@ -222,13 +165,13 @@ func NewPlan(g *ugraph.Graph, ts ugraph.Terminals, ord []int) (*Plan, error) {
 	for l := 0; l < m; l++ {
 		e := g.Edge(ord[l])
 		st := layerStep{edge: e, slotU: -1, slotV: -1, flen: flen}
-		st.uRetires = p.lastTouch[e.U] == int32(l)
-		st.vRetires = p.lastTouch[e.V] == int32(l)
+		st.uRetires = lastTouch[e.U] == int32(l)
+		st.vRetires = lastTouch[e.V] == int32(l)
 		// Both slots are read before this layer's joins and leaves.
-		if p.firstTouch[e.U] < int32(l) {
+		if firstTouch[e.U] < int32(l) {
 			st.slotU = rank(seq[e.U])
 		}
-		if p.firstTouch[e.V] < int32(l) {
+		if firstTouch[e.V] < int32(l) {
 			st.slotV = rank(seq[e.V])
 		}
 		move(e.U, int32(l))
@@ -261,20 +204,14 @@ func validatePerm(m int, ord []int) error {
 }
 
 // M returns the number of edges (layers).
-func (p *Plan) M() int { return p.g.M() }
-
-// Graph returns the underlying graph.
-func (p *Plan) Graph() *ugraph.Graph { return p.g }
-
-// Order returns the edge processing order.
-func (p *Plan) Order() []int { return p.order }
+func (p *Plan) M() int { return len(p.layers) }
 
 // MaxFrontier returns the maximum frontier width over all layers.
 func (p *Plan) MaxFrontier() int { return p.maxFrontier }
 
 // UnseenFrom returns the number of terminals with no incident edge processed
 // before position l.
-func (p *Plan) UnseenFrom(l int) int { return len(p.terms) - int(p.termStart[l]) }
+func (p *Plan) UnseenFrom(l int) int { return len(p.termsSorted) - int(p.termStart[l]) }
 
 // UnseenTerms returns the terminals untouched before position l.
 func (p *Plan) UnseenTerms(l int) []int32 {
@@ -286,8 +223,8 @@ func (p *Plan) Root() State { return State{} }
 
 // AdvanceFrontier transforms F_l (in cur, canonical slot order) into F_{l+1},
 // appending into next's storage and returning it. Drivers that process
-// layers sequentially call this once per layer; the slot order matches the
-// canonical order Apply assigns to child states.
+// layers sequentially call this once per layer; the slot order is the
+// slot order of every child state (see Step).
 func (p *Plan) AdvanceFrontier(l int, cur, next []int32) []int32 {
 	st := &p.layers[l]
 	next = next[:0]
@@ -306,21 +243,9 @@ func (p *Plan) AdvanceFrontier(l int, cur, next []int32) []int32 {
 	return next
 }
 
-// FrontierAt reconstructs F_l by simulation in O(l); intended for tests and
-// one-off diagnostics, not hot paths.
-func (p *Plan) FrontierAt(l int) []int32 {
-	cur := []int32{}
-	next := []int32{}
-	for i := 0; i < l; i++ {
-		next = p.AdvanceFrontier(i, cur, next)
-		cur, next = next, cur
-	}
-	return append([]int32(nil), cur...)
-}
-
-// Step is the frontier transition of one layer, for expansion kernels that
-// write child states themselves instead of calling Apply. A child's slots
-// are the parent's slots in order minus the retiring ones, then the
+// Step is the frontier transition of one layer, which core's expansion
+// kernel and its test reference read to write child states. A child's
+// slots are the parent's slots in order minus the retiring ones, then the
 // surviving entering endpoints, U before V.
 type Step struct {
 	Edge ugraph.Edge
@@ -353,165 +278,4 @@ func (p *Plan) Step(l int) Step {
 		Width:  width,
 		Unseen: p.UnseenFrom(l + 1),
 	}
-}
-
-// Scratch holds reusable buffers for Apply, the test reference. One per
-// goroutine.
-type Scratch struct {
-	mapTo []int32 // ext comp id → representative ext comp id (after merge)
-	canon []int32 // ext comp id → canonical new id, or -1
-}
-
-// NewScratch sizes scratch buffers for plan p.
-func NewScratch(p *Plan) *Scratch {
-	c := p.maxFrontier + 3
-	return &Scratch{
-		mapTo: make([]int32, c),
-		canon: make([]int32, c),
-	}
-}
-
-// Apply processes the edge at position l in state s with the given edge
-// existence, writing the child state into out (reusing its capacity). It
-// is the test reference for the S2BDD's fused expansion kernel, which
-// reads the layer's Step and writes both children of a parent in one pass.
-// earlyTerm enables the S2BDD early 1-sink detection; the classic
-// construction passes false. The returned Outcome tells whether out is a
-// live node or the transition hit a sink (out is then undefined). out must
-// not alias s.
-func (p *Plan) Apply(l int, s *State, exists bool, earlyTerm bool, sc *Scratch, out *State) Outcome {
-	st := &p.layers[l]
-	nOld := len(s.Flag)
-
-	// Extended component universe: old comps 0..nOld-1, plus entering U at
-	// id nOld, entering V at id nOld+1 (when applicable).
-	extCount := nOld
-	cu, cv := int32(-1), int32(-1)
-	var extraFlag [2]bool
-	var extraT [2]uint16
-	if st.slotU >= 0 {
-		cu = int32(s.Comp[st.slotU])
-	} else {
-		cu = int32(extCount)
-		extraFlag[extCount-nOld] = p.isTerm[st.edge.U]
-		if p.isTerm[st.edge.U] {
-			extraT[extCount-nOld] = 1
-		}
-		extCount++
-	}
-	if st.slotV >= 0 {
-		cv = int32(s.Comp[st.slotV])
-	} else if st.edge.V == st.edge.U {
-		cv = cu
-	} else {
-		cv = int32(extCount)
-		extraFlag[extCount-nOld] = p.isTerm[st.edge.V]
-		if p.isTerm[st.edge.V] {
-			extraT[extCount-nOld] = 1
-		}
-		extCount++
-	}
-
-	flagOf := func(c int32) bool {
-		if int(c) < nOld {
-			return s.Flag[c]
-		}
-		return extraFlag[int(c)-nOld]
-	}
-	tcntOf := func(c int32) uint16 {
-		if int(c) < nOld {
-			return s.Tcnt[c]
-		}
-		return extraT[int(c)-nOld]
-	}
-
-	mapTo := sc.mapTo[:extCount]
-	for i := range mapTo {
-		mapTo[i] = int32(i)
-	}
-	merged := exists && cu != cv
-	var mergedFlag bool
-	var mergedT uint16
-	if merged {
-		mapTo[cv] = cu
-		mergedFlag = flagOf(cu) || flagOf(cv)
-		mergedT = tcntOf(cu) + tcntOf(cv)
-	}
-	repFlag := func(c int32) bool {
-		if merged && c == cu {
-			return mergedFlag
-		}
-		return flagOf(c)
-	}
-	repT := func(c int32) uint16 {
-		if merged && c == cu {
-			return mergedT
-		}
-		return tcntOf(c)
-	}
-
-	// Canonicalize survivors in F_{l+1} slot order: old slots in order
-	// minus retirees, then entering U, then entering V.
-	canon := sc.canon[:extCount]
-	for i := range canon {
-		canon[i] = -1
-	}
-	out.Comp = out.Comp[:0]
-	out.Flag = out.Flag[:0]
-	out.Tcnt = out.Tcnt[:0]
-	nextID := int32(0)
-	aliveFlagged := 0
-	emit := func(ec int32) {
-		ec = mapTo[ec]
-		if canon[ec] == -1 {
-			canon[ec] = nextID
-			f := repFlag(ec)
-			out.Flag = append(out.Flag, f)
-			out.Tcnt = append(out.Tcnt, repT(ec))
-			if f {
-				aliveFlagged++
-			}
-			nextID++
-		}
-		out.Comp = append(out.Comp, uint16(canon[ec]))
-	}
-	for slot := int32(0); slot < st.flen; slot++ {
-		if (slot == st.slotU && st.uRetires) || (slot == st.slotV && st.vRetires) {
-			continue
-		}
-		emit(int32(s.Comp[slot]))
-	}
-	if st.slotU == -1 && !st.uRetires {
-		emit(cu)
-	}
-	if st.slotV == -1 && !st.vRetires && st.edge.V != st.edge.U {
-		emit(cv)
-	}
-
-	// Retired flagged components: representatives with no surviving slot.
-	retiredFlagged := 0
-	for c := int32(0); c < int32(extCount); c++ {
-		if mapTo[c] != c {
-			continue // absorbed into another component
-		}
-		if canon[c] != -1 {
-			continue // survives
-		}
-		if repFlag(c) {
-			retiredFlagged++
-		}
-	}
-
-	unseen := p.UnseenFrom(l + 1)
-	if retiredFlagged > 0 {
-		if retiredFlagged == 1 && aliveFlagged == 0 && unseen == 0 {
-			return OneSink
-		}
-		return ZeroSink
-	}
-	if earlyTerm && aliveFlagged == 1 && unseen == 0 {
-		// All terminals already in one live component (Lemma 4.1).
-		return OneSink
-	}
-	return Live
 }

@@ -274,41 +274,3 @@ func traversalOrder(g *ugraph.Graph, pos []int) []int {
 	})
 	return ord
 }
-
-// MaxFrontier simulates processing edges in ord and returns the maximum
-// frontier size reached. Used to compare strategies and to size S2BDD node
-// buffers.
-func MaxFrontier(g *ugraph.Graph, ord []int) int {
-	remaining := make([]int, g.N())
-	for _, e := range g.Edges() {
-		remaining[e.U]++
-		remaining[e.V]++
-	}
-	inFrontier := make([]bool, g.N())
-	size, maxSize := 0, 0
-	for _, ei := range ord {
-		e := g.Edge(ei)
-		if !inFrontier[e.U] {
-			inFrontier[e.U] = true
-			size++
-		}
-		if !inFrontier[e.V] {
-			inFrontier[e.V] = true
-			size++
-		}
-		if size > maxSize {
-			maxSize = size
-		}
-		remaining[e.U]--
-		remaining[e.V]--
-		if remaining[e.U] == 0 {
-			inFrontier[e.U] = false
-			size--
-		}
-		if e.V != e.U && remaining[e.V] == 0 {
-			inFrontier[e.V] = false
-			size--
-		}
-	}
-	return maxSize
-}

@@ -76,47 +76,67 @@ func TestUpdateMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 500; iter++ {
 		g := randSparseGraph(rng)
-		idx := BuildIndex(g)
-		d := randDelta(rng, g)
-		ng, oldToNew, err := ugraph.ApplyDelta(g, d)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		up := idx.Update(g, ng, d)
-		want := BuildIndex(ng)
-		got := up.Index
-		if got.NumComps != want.NumComps {
-			t.Fatalf("iter %d: NumComps=%d, want %d (delta %+v)", iter, got.NumComps, want.NumComps, d)
-		}
-		for v := range want.Comp {
-			if got.Comp[v] != want.Comp[v] {
-				t.Fatalf("iter %d: Comp[%d]=%d, want %d (delta %+v)", iter, v, got.Comp[v], want.Comp[v], d)
-			}
-		}
-		for e := range want.IsBridge {
-			if got.IsBridge[e] != want.IsBridge[e] {
-				t.Fatalf("iter %d: IsBridge[%d]=%v, want %v (delta %+v)", iter, e, got.IsBridge[e], want.IsBridge[e], d)
-			}
-		}
-		if len(got.Bridges) != len(want.Bridges) {
-			t.Fatalf("iter %d: %d bridges, want %d", iter, len(got.Bridges), len(want.Bridges))
-		}
-		for i := range want.Bridges {
-			if got.Bridges[i] != want.Bridges[i] {
-				t.Fatalf("iter %d: Bridges[%d]=%d, want %d", iter, i, got.Bridges[i], want.Bridges[i])
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("iter %d: updated index differs from a cold build (delta %+v):\n got %+v\nwant %+v", iter, d, got, want)
-		}
-		if !d.TopologyChanged() && got != idx {
-			t.Fatalf("iter %d: probability-only delta replaced the index", iter)
-		}
-		if len(up.CompMap) != idx.NumComps {
-			t.Fatalf("iter %d: CompMap sized %d, want %d", iter, len(up.CompMap), idx.NumComps)
-		}
-		checkCompMap(t, iter, g, ng, d, oldToNew, idx, want, up.CompMap)
+		checkUpdateMatchesRebuild(t, iter, g, randDelta(rng, g))
 	}
+}
+
+// FuzzIndexUpdateMatchesRebuild is TestUpdateMatchesRebuild on a graph and
+// a delta drawn from fuzzed seeds.
+func FuzzIndexUpdateMatchesRebuild(f *testing.F) {
+	f.Add(int64(7), int64(7))
+	f.Add(int64(1), int64(2))
+	f.Add(int64(33), int64(-5))
+	f.Fuzz(func(t *testing.T, gseed, dseed int64) {
+		g := randSparseGraph(rand.New(rand.NewSource(gseed)))
+		checkUpdateMatchesRebuild(t, 0, g, randDelta(rand.New(rand.NewSource(dseed)), g))
+	})
+}
+
+// checkUpdateMatchesRebuild applies d to g and checks Index.Update
+// against a cold BuildIndex of the result: the same index, the receiver
+// kept for a probability-only delta, and a cover map that holds to
+// checkCompMap's contract.
+func checkUpdateMatchesRebuild(t *testing.T, iter int, g *ugraph.Graph, d ugraph.Delta) {
+	t.Helper()
+	idx := BuildIndex(g)
+	ng, oldToNew, err := ugraph.ApplyDelta(g, d)
+	if err != nil {
+		t.Fatalf("iter %d: %v", iter, err)
+	}
+	up := idx.Update(g, ng, d)
+	want := BuildIndex(ng)
+	got := up.Index
+	if got.NumComps != want.NumComps {
+		t.Fatalf("iter %d: NumComps=%d, want %d (delta %+v)", iter, got.NumComps, want.NumComps, d)
+	}
+	for v := range want.Comp {
+		if got.Comp[v] != want.Comp[v] {
+			t.Fatalf("iter %d: Comp[%d]=%d, want %d (delta %+v)", iter, v, got.Comp[v], want.Comp[v], d)
+		}
+	}
+	for e := range want.IsBridge {
+		if got.IsBridge[e] != want.IsBridge[e] {
+			t.Fatalf("iter %d: IsBridge[%d]=%v, want %v (delta %+v)", iter, e, got.IsBridge[e], want.IsBridge[e], d)
+		}
+	}
+	if len(got.Bridges) != len(want.Bridges) {
+		t.Fatalf("iter %d: %d bridges, want %d", iter, len(got.Bridges), len(want.Bridges))
+	}
+	for i := range want.Bridges {
+		if got.Bridges[i] != want.Bridges[i] {
+			t.Fatalf("iter %d: Bridges[%d]=%d, want %d", iter, i, got.Bridges[i], want.Bridges[i])
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("iter %d: updated index differs from a cold build (delta %+v):\n got %+v\nwant %+v", iter, d, got, want)
+	}
+	if !d.TopologyChanged() && got != idx {
+		t.Fatalf("iter %d: probability-only delta replaced the index", iter)
+	}
+	if len(up.CompMap) != idx.NumComps {
+		t.Fatalf("iter %d: CompMap sized %d, want %d", iter, len(up.CompMap), idx.NumComps)
+	}
+	checkCompMap(t, iter, g, ng, d, oldToNew, idx, want, up.CompMap)
 }
 
 // checkCompMap holds a cover map to its contract against the old index idx

@@ -1,6 +1,7 @@
 package preprocess
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"runtime"
@@ -84,7 +85,7 @@ func TestBridgeForestMatchesNaive(t *testing.T) {
 		}
 		for a := range rep {
 			for b := range rep {
-				same := graphComp.Same(rep[a], rep[b])
+				same := graphComp.Find(rep[a]) == graphComp.Find(rep[b])
 				if same != (idx.tree[a].root == idx.tree[b].root) {
 					t.Fatalf("trial %d: components %d and %d share a graph component %v, roots %d and %d",
 						trial, a, b, same, idx.tree[a].root, idx.tree[b].root)
@@ -181,7 +182,7 @@ func TestRunCostIndependentOfGraphSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		return allocsPerCall(func() {
-			if _, err := Run(g, ts, idx); err != nil {
+			if _, err := RunContext(context.Background(), g, ts, idx); err != nil {
 				t.Fatal(err)
 			}
 		})

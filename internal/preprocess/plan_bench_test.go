@@ -1,6 +1,7 @@
 package preprocess_test
 
 import (
+	"context"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -91,7 +92,7 @@ func benchPlan(b *testing.B, name string, g *ugraph.Graph, sets [][]int) {
 	b.Run(name, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := preprocess.Run(g, tss[i%len(tss)], idx)
+			res, err := preprocess.RunContext(context.Background(), g, tss[i%len(tss)], idx)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -66,15 +66,9 @@ type Result struct {
 // ErrNoTerminals reports an empty terminal set.
 var ErrNoTerminals = errors.New("preprocess: empty terminal set")
 
-// Run applies prune → decompose → transform. idx may be nil, in which case
-// it is built on the fly.
-func Run(g *ugraph.Graph, ts ugraph.Terminals, idx *Index) (*Result, error) {
-	return RunContext(context.Background(), g, ts, idx)
-}
-
-// RunContext is Run with a telemetry hook: when ctx carries a trace and the
-// index is built on the fly (conditioned graphs, index-less callers), the
-// build is recorded under PhaseIndex. ctx carries only the trace — the pass
+// RunContext applies prune → decompose → transform. idx may be nil, in
+// which case it is built on the fly; when ctx carries a trace, that build
+// is recorded under PhaseIndex. ctx carries only the trace — the pass
 // itself is not cancellable (it is cheap relative to solving; callers check
 // ctx around it).
 //

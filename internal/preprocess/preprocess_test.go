@@ -1,6 +1,7 @@
 package preprocess
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -110,7 +111,7 @@ func TestTwoTrianglesBridge(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts, _ := ugraph.NewTerminals(g, []int{0, 5})
-	res, err := Run(g, ts, nil)
+	res, err := RunContext(context.Background(), g, ts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestPruneDropsIrrelevantBranch(t *testing.T) {
 	}
 	g, _ := ugraph.FromEdges(6, edges)
 	ts, _ := ugraph.NewTerminals(g, []int{0, 2})
-	res, err := Run(g, ts, nil)
+	res, err := RunContext(context.Background(), g, ts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestDisconnectedTerminalsDetected(t *testing.T) {
 		{U: 0, V: 1, P: 0.9}, {U: 2, V: 3, P: 0.9},
 	})
 	ts, _ := ugraph.NewTerminals(g, []int{0, 2})
-	res, err := Run(g, ts, nil)
+	res, err := RunContext(context.Background(), g, ts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestDisconnectedTerminalsDetected(t *testing.T) {
 func TestSingleTerminalTrivial(t *testing.T) {
 	g, _ := ugraph.FromEdges(3, []ugraph.Edge{{U: 0, V: 1, P: 0.5}, {U: 1, V: 2, P: 0.5}})
 	ts, _ := ugraph.NewTerminals(g, []int{1})
-	res, err := Run(g, ts, nil)
+	res, err := RunContext(context.Background(), g, ts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestTransformSeries(t *testing.T) {
 		{U: 0, V: 1, P: 0.9}, {U: 1, V: 2, P: 0.8}, {U: 2, V: 3, P: 0.7},
 	})
 	ts, _ := ugraph.NewTerminals(g, []int{0, 3})
-	res, err := Run(g, ts, nil)
+	res, err := RunContext(context.Background(), g, ts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestTransformParallelAndLoop(t *testing.T) {
 		}
 	}
 	ts, _ := ugraph.NewTerminals(g, []int{0, 1})
-	res, err := Run(g, ts, nil)
+	res, err := RunContext(context.Background(), g, ts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestPropertyReliabilityPreserved(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Run(g, ts, nil)
+		res, err := RunContext(context.Background(), g, ts, nil)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -292,7 +293,7 @@ func TestStatsPopulated(t *testing.T) {
 	g := randConnected(r, 30, 10)
 	perm := r.Perm(30)
 	ts, _ := ugraph.NewTerminals(g, perm[:4])
-	res, err := Run(g, ts, nil)
+	res, err := RunContext(context.Background(), g, ts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,18 +311,18 @@ func TestIndexReuse(t *testing.T) {
 	idx := BuildIndex(g)
 	ts1, _ := ugraph.NewTerminals(g, []int{0, 5})
 	ts2, _ := ugraph.NewTerminals(g, []int{3, 9, 12})
-	a, err := Run(g, ts1, idx)
+	a, err := RunContext(context.Background(), g, ts1, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(g, ts1, nil)
+	b, err := RunContext(context.Background(), g, ts1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.PB.Cmp(b.PB) != 0 || len(a.Subproblems) != len(b.Subproblems) {
 		t.Fatal("index reuse changed the result")
 	}
-	if _, err := Run(g, ts2, idx); err != nil {
+	if _, err := RunContext(context.Background(), g, ts2, idx); err != nil {
 		t.Fatal(err)
 	}
 }

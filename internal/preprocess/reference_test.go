@@ -1,6 +1,7 @@
 package preprocess
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
@@ -63,7 +64,7 @@ func TestRunMatchesReference(t *testing.T) {
 				g   *ugraph.Graph
 				idx *Index
 			}{{g, idx}, {g, nil}, {ng, nidx}} {
-				got, err := Run(in.g, ts, in.idx)
+				got, err := RunContext(context.Background(), in.g, ts, in.idx)
 				if err != nil {
 					t.Fatal(err)
 				}

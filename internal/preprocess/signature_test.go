@@ -1,6 +1,7 @@
 package preprocess
 
 import (
+	"context"
 	"testing"
 
 	"netrel/internal/ugraph"
@@ -78,7 +79,7 @@ func TestSharedSubproblemsAcrossQueriesShareSignatures(t *testing.T) {
 	idx := BuildIndex(g)
 
 	run := func(ts []int) *Result {
-		res, err := Run(g, mustTerms(t, g, ts), idx)
+		res, err := RunContext(context.Background(), g, mustTerms(t, g, ts), idx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +114,7 @@ func TestSharedSubproblemsAcrossQueriesShareSignatures(t *testing.T) {
 
 func TestBridgesCounted(t *testing.T) {
 	g := triangleChain(t)
-	res, err := Run(g, mustTerms(t, g, []int{0, 8}), nil)
+	res, err := RunContext(context.Background(), g, mustTerms(t, g, []int{0, 8}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestBridgesCounted(t *testing.T) {
 	}
 
 	// Terminals inside one block keep no bridges.
-	res, err = Run(g, mustTerms(t, g, []int{3, 5}), nil)
+	res, err = RunContext(context.Background(), g, mustTerms(t, g, []int{3, 5}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,6 @@ type Delta struct {
 	Add     []Edge
 }
 
-// Empty reports whether the delta changes nothing.
-func (d Delta) Empty() bool {
-	return len(d.SetProb) == 0 && len(d.Remove) == 0 && len(d.Add) == 0
-}
-
 // TopologyChanged reports whether the delta changes the edge set (as
 // opposed to probabilities only). Probability-only deltas preserve the
 // 2ECC index verbatim; topology deltas rebuild it.

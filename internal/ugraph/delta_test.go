@@ -96,9 +96,6 @@ func TestDeltaValidate(t *testing.T) {
 }
 
 func TestDeltaPredicates(t *testing.T) {
-	if !(Delta{}).Empty() {
-		t.Error("empty delta not Empty")
-	}
 	if (Delta{SetProb: []ProbUpdate{{Edge: 0, P: 0.5}}}).TopologyChanged() {
 		t.Error("prob-only delta reports topology change")
 	}

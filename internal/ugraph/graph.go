@@ -169,26 +169,6 @@ func (g *Graph) Connected() bool {
 	return comps == 1
 }
 
-// Components returns the vertex sets of each connected component (all
-// edges existent), sorted by smallest member.
-func (g *Graph) Components() [][]int {
-	d := unionfind.NewArena(g.n)
-	for _, e := range g.edges {
-		d.Union(e.U, e.V)
-	}
-	byRoot := make(map[int][]int)
-	for v := 0; v < g.n; v++ {
-		r := d.Find(v)
-		byRoot[r] = append(byRoot[r], v)
-	}
-	comps := make([][]int, 0, len(byRoot))
-	for _, c := range byRoot {
-		comps = append(comps, c)
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
-	return comps
-}
-
 // AvgDegree returns 2|E|/|V|, the statistic reported in the paper's Table 2.
 func (g *Graph) AvgDegree() float64 {
 	if g.n == 0 {

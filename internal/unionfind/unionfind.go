@@ -70,9 +70,6 @@ func (a *Arena) Attach(x, r int) {
 	a.touched = append(a.touched, int32(x))
 }
 
-// Same reports whether x and y are in the same set.
-func (a *Arena) Same(x, y int) bool { return a.Find(x) == a.Find(y) }
-
 // Reset undoes all unions and attachments since the previous Reset in
 // O(touched) time.
 // A node's parent pointer first deviates from itself only inside Attach,

@@ -28,7 +28,7 @@ func TestDSUBasic(t *testing.T) {
 	if d.Union(1, 0) {
 		t.Fatal("repeat union must not merge")
 	}
-	if !d.Same(0, 1) || d.Same(0, 2) {
+	if d.Find(0) != d.Find(1) || d.Find(0) == d.Find(2) {
 		t.Fatal("Same wrong after one union")
 	}
 	d.Union(2, 3)
@@ -36,7 +36,7 @@ func TestDSUBasic(t *testing.T) {
 	if c := countSets(d, 5); c != 2 {
 		t.Fatalf("sets = %d, want 2", c)
 	}
-	if !d.Same(1, 2) {
+	if d.Find(1) != d.Find(2) {
 		t.Fatal("transitive connectivity broken")
 	}
 }
@@ -46,7 +46,7 @@ func TestDSUReset(t *testing.T) {
 	d.Union(0, 1)
 	d.Union(2, 3)
 	d.Reset()
-	if countSets(d, 4) != 4 || d.Same(0, 1) || d.Same(2, 3) {
+	if countSets(d, 4) != 4 || d.Find(0) == d.Find(1) || d.Find(2) == d.Find(3) {
 		t.Fatal("Reset did not restore singletons")
 	}
 }
@@ -62,7 +62,7 @@ func TestArenaBasic(t *testing.T) {
 	a := NewArena(6)
 	a.Union(0, 1)
 	a.Union(1, 2)
-	if !a.Same(0, 2) || a.Same(0, 3) {
+	if a.Find(0) != a.Find(2) || a.Find(0) == a.Find(3) {
 		t.Fatal("Arena connectivity wrong")
 	}
 	a.Reset()
@@ -95,7 +95,7 @@ func TestArenaRepeatedResetCycles(t *testing.T) {
 		}
 		for i := 0; i < 50; i++ {
 			for j := i + 1; j < 50; j += 7 {
-				if a.Same(i, j) != (label[i] == label[j]) {
+				if (a.Find(i) == a.Find(j)) != (label[i] == label[j]) {
 					t.Fatalf("cycle %d: Same(%d,%d) differs", cycle, i, j)
 				}
 			}
@@ -145,7 +145,7 @@ func TestPropertyDSUEquivalentToNaive(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if d.Same(i, j) != reach[i][j] {
+				if (d.Find(i) == d.Find(j)) != reach[i][j] {
 					return false
 				}
 			}

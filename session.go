@@ -2,7 +2,6 @@ package netrel
 
 import (
 	"context"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -333,17 +332,16 @@ func (s *Session) SolveExactContext(ctx context.Context, spec QuerySpec, opts ..
 }
 
 // queryPlan is one query after preprocessing: the jobs still to solve, the
-// exactly-factored bridge product, and the partially-filled result. done
-// marks queries fully answered by preprocessing (disconnected terminals).
-// One queryPlan may be shared by every query of a call with the same
-// spec — sharers clone out (see cloneOut) before combining, and
-// planDur records the plan's own wall-clock so a query's Duration never
-// includes other queries' planning.
+// exactly-factored bridge product, and the partially-filled result. A
+// query with disconnected terminals has factor 0 and no jobs, so the
+// general combine answers it. One queryPlan may be shared by every query
+// of a call with the same spec — sharers clone out (see cloneOut) before
+// combining, and planDur records the plan's own wall-clock so a query's
+// Duration never includes other queries' planning.
 type queryPlan struct {
 	out     *Result
 	factor  xfloat.F
 	jobs    []batch.Job
-	done    bool
 	planDur time.Duration
 }
 
@@ -400,15 +398,10 @@ func planTerminals(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, o 
 		Duration:         time.Since(prepStart),
 	}
 	if prep.Disconnected {
-		p.out.Exact = true
-		p.out.Log10 = math.Inf(-1)
-		p.done = true
-		p.planDur = time.Since(start)
-		p.out.Duration = p.planDur
-		tr.Add(telemetry.PhasePlan, p.planDur)
-		return p, nil
+		p.factor = xfloat.Zero
+	} else {
+		p.factor = prep.PB
 	}
-	p.factor = prep.PB
 	for _, sub := range prep.Subproblems {
 		j := batch.Job{G: sub.G, Ts: sub.Terminals, Sig: sub.Sig}
 		if cov.ok {
