@@ -58,7 +58,11 @@ type completer struct {
 	unseen []int32 // the terminals no edge before the current layer touches
 	layer  int
 
-	flips   int   // coins evaluated over all draws, for BenchmarkCompletion
+	// flips counts the coins evaluated over all draws: every remaining one
+	// for HT, the ones its search reaches for MC. It is a function of the
+	// draws made alone, whichever completer made them, so the run's total
+	// is Result.Flips.
+	flips   int64
 	reached []int // per-vertex counts of drawReach, made by its first draw
 
 	_ [64]byte
@@ -151,8 +155,13 @@ func (c *completer) setLayer(l int, f, unseen []int32) {
 }
 
 // begin resets the arena to st's partition and marks and queues its
-// terminal-carrying roots: the flagged components and the terminals no
-// processed edge has touched yet.
+// terminal-carrying roots: first the terminals no processed edge has
+// touched yet, then the flagged components. The order changes no answer,
+// only how many coins drawMC reaches. Expanding a flagged component walks
+// the remaining edges of every frontier vertex in it, and under a BFS edge
+// order the component holding the first terminal spans most of the
+// frontier; an unseen terminal is one vertex, whose search often finds its
+// component closed, or joined to another terminal, after a few coins.
 func (c *completer) begin(st *frontier.State) {
 	c.uf.Reset()
 	c.epoch++
@@ -160,15 +169,15 @@ func (c *completer) begin(st *frontier.State) {
 		c.uf.Attach(int(v), c.n+int(st.Comp[slot]))
 	}
 	c.queue = c.queue[:0]
+	for _, t := range c.unseen {
+		c.mark[t] = c.epoch
+		c.queue = append(c.queue, t)
+	}
 	for comp, flagged := range st.Flag {
 		if flagged {
 			c.mark[c.n+comp] = c.epoch
 			c.queue = append(c.queue, int32(c.n+comp))
 		}
-	}
-	for _, t := range c.unseen {
-		c.mark[t] = c.epoch
-		c.queue = append(c.queue, t)
 	}
 	c.live = len(c.queue)
 }
@@ -192,13 +201,15 @@ func (c *completer) link(ru, rv int) int {
 }
 
 // drawMC draws one completion of st at the current layer and reports
-// whether it connects the terminals. It searches outward from the queued
-// terminal-carrying elements: expanding an element walks its vertices'
-// remaining edges, flips each coin that could join two components, and
-// queues the unreached elements that heads edges join. Edges only ever
-// merge parts, so the answer is fixed, and the draw stops, once one
-// terminal-carrying root is left (connected) or once a root has no
-// element left to expand (that component is closed: disconnected).
+// whether it connects the terminals. It searches outward from the
+// terminal-carrying elements in the order begin queues them, unseen
+// terminals first: expanding an element walks its vertices' remaining
+// edges, flips each coin that could join two components, and queues the
+// unreached elements that heads edges join. Edges only ever merge parts,
+// so the answer is fixed, and the draw stops, once one terminal-carrying
+// root is left (connected) or once a root has no element left to expand
+// (that component is closed: disconnected). Any queue order gives the same
+// answer and stream; only the number of coins flipped changes.
 //
 // A flipped coin computes its own variate from the draw's start state, and
 // the stream is set, by one table lookup, to where it would be after all
@@ -223,7 +234,7 @@ func (c *completer) drawMC(st *frontier.State, rng *pcg) bool {
 	}
 	l, n := c.layer, c.n
 	coins, adjAt, adj := c.edges.coins, c.edges.adjAt, c.edges.adj
-	flipped := 0
+	flipped := int64(0)
 	for h := 0; h < len(c.queue); h++ {
 		x := int(c.queue[h])
 		rx := c.uf.Find(x)
@@ -289,7 +300,7 @@ func (c *completer) drawHT(st *frontier.State, rng *pcg) (connected bool, pr xfl
 	probs := c.edges.probs[c.layer:][:len(coins)]
 	steps := c.edges.steps[:len(coins)+1]
 	*rng = steps[len(coins)].apply(at)
-	c.flips += len(coins)
+	c.flips += int64(len(coins))
 	for i := range coins {
 		e := &coins[i]
 		fp *= fnvPrime

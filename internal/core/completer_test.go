@@ -563,7 +563,7 @@ func TestCompleterMatchesReferenceEdgeCases(t *testing.T) {
 			st := randState(r, len(plan.frontierAt(l)), 0.3)
 			before := mc.flips
 			matchReference(t, plan, mc, ht, l, &st, r.Uint64())
-			if mc.flips-before < plan.M()-l {
+			if mc.flips-before < int64(plan.M()-l) {
 				early++
 			}
 		}

@@ -153,4 +153,10 @@ type Result struct {
 	// underflowed float64 and were skipped.
 	Strata            int
 	StrataSkippedMass float64
+
+	// Flips counts the coins the completion draws evaluated: every
+	// remaining one for a Horvitz–Thompson draw, the ones its search
+	// reaches for a Monte Carlo draw. Like the answer, it is the same for
+	// any worker count and any split of the draws into Resume calls.
+	Flips int64
 }

@@ -427,6 +427,9 @@ func (r *run) scheduleStratum(mass xfloat.F) *stratumState {
 // finalize assembles the Result.
 func (r *run) finalize() (Result, error) {
 	res := r.res
+	for _, c := range r.compls {
+		res.Flips += c.flips
+	}
 	res.LowerX = r.pc.Clamp01()
 	res.UnresolvedX = r.sampledMass
 	res.Lower = res.LowerX.Float64()

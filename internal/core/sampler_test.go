@@ -11,7 +11,8 @@ import (
 	"netrel/internal/ugraph"
 )
 
-// sameResult asserts bit-identity of every estimate-bearing field.
+// sameResult asserts bit-identity of every estimate-bearing field and
+// equal coin counts.
 func sameResult(t *testing.T, label string, got, want Result) {
 	t.Helper()
 	if got.Estimate != want.Estimate || got.Lower != want.Lower ||
@@ -28,6 +29,9 @@ func sameResult(t *testing.T, label string, got, want Result) {
 	}
 	if got.EstimateX.Cmp(want.EstimateX) != 0 {
 		t.Fatalf("%s: extended-range estimates differ", label)
+	}
+	if got.Flips != want.Flips {
+		t.Fatalf("%s: %d coins flipped != %d", label, got.Flips, want.Flips)
 	}
 }
 

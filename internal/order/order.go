@@ -247,30 +247,42 @@ func vertexOrderRCM(g *ugraph.Graph, start int) []int {
 // traversalOrder sorts edges by (max endpoint position, min endpoint
 // position, index): an edge is processed as soon as both endpoints have
 // been "reached" in the vertex order, which clusters each vertex's edges
-// and lets it leave the frontier promptly.
+// and lets it leave the frontier promptly. Positions lie in [0, n), so the
+// sort is two stable counting passes over the edge indices in ascending
+// order, first by min position and then by max.
 func traversalOrder(g *ugraph.Graph, pos []int) []int {
-	ord := make([]int, g.M())
-	for i := range ord {
-		ord[i] = i
-	}
-	key := func(i int) (int, int) {
+	m := g.M()
+	lo, hi := make([]int, m), make([]int, m)
+	for i := range lo {
 		e := g.Edge(i)
-		a, b := pos[e.U], pos[e.V]
-		if a < b {
-			return b, a
+		lo[i], hi[i] = pos[e.U], pos[e.V]
+		if lo[i] > hi[i] {
+			lo[i], hi[i] = hi[i], lo[i]
 		}
-		return a, b
 	}
-	sort.Slice(ord, func(x, y int) bool {
-		mx, nx := key(ord[x])
-		my, ny := key(ord[y])
-		if mx != my {
-			return mx < my
-		}
-		if nx != ny {
-			return nx < ny
-		}
-		return ord[x] < ord[y]
-	})
-	return ord
+	idx, ord := make([]int, m), make([]int, m)
+	for i := range idx {
+		idx[i] = i
+	}
+	count := make([]int, len(pos)+1)
+	countingSort(ord, idx, lo, count)
+	countingSort(idx, ord, hi, count)
+	return idx
+}
+
+// countingSort writes the indices of src into dst in ascending key[i]
+// order, keeping src's order among equal keys. Every key lies in
+// [0, len(count)−1); count is overwritten.
+func countingSort(dst, src, key, count []int) {
+	clear(count)
+	for _, i := range src {
+		count[key[i]+1]++
+	}
+	for k := 1; k < len(count); k++ {
+		count[k] += count[k-1]
+	}
+	for _, i := range src {
+		dst[count[key[i]]] = i
+		count[key[i]]++
+	}
 }

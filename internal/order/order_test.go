@@ -3,6 +3,7 @@ package order
 import (
 	"math/rand/v2"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -215,6 +216,84 @@ func TestStartVertexRespected(t *testing.T) {
 	if first.U != 3 && first.V != 3 {
 		t.Fatalf("first edge %v does not touch start vertex 3", first)
 	}
+}
+
+// sortTraversalOrder is traversalOrder's reference: the edge indices
+// sorted by the comparator (max endpoint position, min endpoint position,
+// index), a strict total order, so any correct sort gives this permutation.
+func sortTraversalOrder(g *ugraph.Graph, pos []int) []int {
+	ord := make([]int, g.M())
+	for i := range ord {
+		ord[i] = i
+	}
+	key := func(i int) (int, int) {
+		e := g.Edge(i)
+		a, b := pos[e.U], pos[e.V]
+		if a < b {
+			return b, a
+		}
+		return a, b
+	}
+	sort.Slice(ord, func(x, y int) bool {
+		mx, nx := key(ord[x])
+		my, ny := key(ord[y])
+		if mx != my {
+			return mx < my
+		}
+		if nx != ny {
+			return nx < ny
+		}
+		return ord[x] < ord[y]
+	})
+	return ord
+}
+
+// FuzzTraversalOrderMatchesSort checks traversalOrder against
+// sortTraversalOrder on random multigraphs, self-loops and parallel edges
+// included, under every strategy's vertex positions and under random
+// positions in [0, n) with ties.
+func FuzzTraversalOrderMatchesSort(f *testing.F) {
+	f.Add(uint64(1), uint8(6), uint8(12))
+	f.Add(uint64(2), uint8(1), uint8(3))
+	f.Add(uint64(3), uint8(40), uint8(200))
+	f.Add(uint64(4), uint8(9), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, n, m uint8) {
+		r := rand.New(rand.NewPCG(seed, 0))
+		g := ugraph.New(1 + int(n%64))
+		for i := 0; i < int(m); i++ {
+			u := r.IntN(g.N())
+			v := u
+			switch r.IntN(4) {
+			case 0: // a self-loop
+			case 1: // parallel to an earlier edge, if any
+				if i > 0 {
+					e := g.Edge(r.IntN(i))
+					u, v = e.V, e.U
+				}
+			default:
+				v = r.IntN(g.N())
+			}
+			if _, err := g.AddEdge(u, v, 0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		start := r.IntN(g.N())
+		ties := make([]int, g.N())
+		for v := range ties {
+			ties[v] = r.IntN(g.N())
+		}
+		for name, pos := range map[string][]int{
+			"bfs":    vertexOrderBFS(g, start),
+			"dfs":    vertexOrderDFS(g, start),
+			"degree": vertexOrderDegree(g),
+			"rcm":    vertexOrderRCM(g, start),
+			"ties":   ties,
+		} {
+			if got, want := traversalOrder(g, pos), sortTraversalOrder(g, pos); !slices.Equal(got, want) {
+				t.Fatalf("%s positions %v: traversalOrder %v, sorted %v", name, pos, got, want)
+			}
+		}
+	})
 }
 
 func BenchmarkBFSOrderGrid(b *testing.B) {

@@ -7,6 +7,22 @@ import (
 	"testing"
 )
 
+// TestTenantFromContextRoundTrip: the public wrappers carry the tag the
+// engine schedules by. WithTenant's tag comes back from TenantFromContext,
+// the innermost tag wins, and an untagged context reads "".
+func TestTenantFromContextRoundTrip(t *testing.T) {
+	if got := TenantFromContext(context.Background()); got != "" {
+		t.Fatalf("untagged context has tenant %q, want \"\"", got)
+	}
+	ctx := WithTenant(context.Background(), "alpha")
+	if got := TenantFromContext(ctx); got != "alpha" {
+		t.Fatalf("tenant %q, want \"alpha\"", got)
+	}
+	if got := TenantFromContext(WithTenant(ctx, "beta")); got != "beta" {
+		t.Fatalf("retagged tenant %q, want \"beta\"", got)
+	}
+}
+
 // TestFairShareBitIdenticalUnderContention is the determinism acceptance
 // check for fair-share admission: one tenant flooding a tiny engine while
 // another trickles must change only *when* the trickle's queries run,
