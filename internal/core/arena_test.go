@@ -1,12 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"errors"
-	"math"
 	"math/rand/v2"
 	"slices"
-	"sort"
 	"testing"
 
 	"netrel/internal/frontier"
@@ -167,68 +164,6 @@ func TestReplayRepeatedDeletion(t *testing.T) {
 	}
 	if _, _, err := replay(true); !errors.Is(err, ErrNotExact) {
 		t.Fatalf("ExactOnly overflow returned %v, want ErrNotExact", err)
-	}
-}
-
-// byPriority is the reference order of a layer's ranks, as a
-// slices.SortFunc comparator: descending deletion priority.
-func byPriority(a, b rank) int { return cmp.Compare(b.hLog, a.hLog) }
-
-// TestByPriorityMatchesSortSlice checks that sortRanks, slices.SortFunc
-// with byPriority, and sort.Slice with the comparison hLog[a] > hLog[b]
-// permute a layer identically, ties and zero-mass (−∞) nodes included:
-// all three run the same pdqsort, which only ever asks whether one
-// element orders before another. The layers have random or few distinct
-// priorities, sorted and reversed runs, and lengths on both sides of
-// pdqsort's insertion-sort (12) and ninther (50) thresholds.
-func TestByPriorityMatchesSortSlice(t *testing.T) {
-	r := rand.New(rand.NewPCG(3, 4))
-	for trial := 0; trial < 600; trial++ {
-		var n int
-		switch trial % 4 {
-		case 0:
-			n = r.IntN(3000)
-		case 1:
-			n = 8 + r.IntN(10) // around 12
-		case 2:
-			n = 40 + r.IntN(20) // around 50
-		default:
-			n = r.IntN(200)
-		}
-		levels := 1 + r.IntN(50)
-		distinct := r.IntN(2) == 0
-		a := make([]rank, n)
-		for i := range a {
-			a[i] = rank{pos: int32(i), hLog: float64(r.IntN(levels))}
-			if distinct {
-				a[i].hLog = r.NormFloat64() * 30
-			}
-			if r.IntN(20) == 0 {
-				a[i].hLog = math.Inf(-1)
-			}
-		}
-		switch trial % 3 {
-		case 1: // sorted runs, which pdqsort treats specially
-			slices.SortFunc(a, byPriority)
-		case 2:
-			slices.SortFunc(a, func(x, y rank) int { return byPriority(y, x) })
-		}
-		if trial%3 != 0 && trial%5 == 4 && n > 1 { // a sorted run with a few out of place
-			for range 3 {
-				i, j := r.IntN(n), r.IntN(n)
-				a[i], a[j] = a[j], a[i]
-			}
-		}
-		b, c := slices.Clone(a), slices.Clone(a)
-		sort.Slice(a, func(i, j int) bool { return a[i].hLog > a[j].hLog })
-		slices.SortFunc(b, byPriority)
-		sortRanks(c)
-		for i := range a {
-			if a[i].pos != b[i].pos || a[i].pos != c[i].pos {
-				t.Fatalf("trial %d (n=%d): permutations differ at %d: sort.Slice %d, SortFunc %d, sortRanks %d",
-					trial, n, i, a[i].pos, b[i].pos, c[i].pos)
-			}
-		}
 	}
 }
 

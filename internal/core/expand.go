@@ -26,10 +26,10 @@
 // computes by a direct reading of the sink rules. Once the replay is done,
 // the new layer's deletion priorities are scored in fixed node chunks on
 // the same workers (score, s2bdd.go), and only the sort that orders the
-// layer runs on the driver. It sorts 16-byte ranks (priority and
-// position) with a copy of the standard library's pdqsort specialized to
-// their order (zsortrank.go), then gathers the nodes once in the sorted
-// order.
+// layer runs on the driver. It sorts 16-byte ranks (priority key and
+// position) into a total order, descending priority with ties to the
+// lower position, by a stable radix sort (sortRanks, rank.go), then
+// gathers the nodes once in the sorted order.
 //
 // No node owns heap storage, and each child is written once. A layer's
 // states are rows of a stateArena (arena.go): every chunk reads the

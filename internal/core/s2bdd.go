@@ -24,13 +24,6 @@ type node struct {
 	p   xfloat.F
 }
 
-// rank is a node's deletion priority (log-space h(n) of Equation 10) and
-// its position in its layer; a layer is ordered by sorting its ranks.
-type rank struct {
-	hLog float64
-	pos  int32
-}
-
 // snapshot is a deleted node retained for stratified sampling: a row of
 // its stratum's arena and its mass.
 type snapshot struct {
@@ -80,9 +73,10 @@ type run struct {
 
 	// chunkBuf is the reusable per-layer chunk-log storage (see
 	// expandLayer); stale entries are overwritten before ever being read
-	// again. ranks is the reusable priority-sort storage.
+	// again. ranks and rankBuf are the reusable priority-sort storage.
 	chunkBuf []expandResult
 	ranks    []rank
+	rankBuf  []rank
 
 	// strata are the recorded stratum schedules (allocation, weight, pick
 	// table, frontier copy) in formation order, drawn later by the Sampler
@@ -197,7 +191,7 @@ func (r *run) execute(t0 time.Time) error {
 			if err := r.score(cur, curF, nodes, r.ranks); err != nil {
 				return err
 			}
-			sortRanks(r.ranks)
+			sortRanks(r.ranks, &r.rankBuf)
 			spare = slices.Grow(spare[:0], len(nodes))[:len(nodes)]
 			for i, rk := range r.ranks {
 				spare[i] = nodes[rk.pos]
@@ -308,7 +302,7 @@ func (r *run) score(arena *stateArena, f []int32, nodes []node, ranks []rank) er
 func (r *run) scoreNodes(es *expandSlot, arena *stateArena, f []int32, nodes []node, ranks []rank, lo int) {
 	for i := range nodes {
 		st := arena.view(nodes[i].idx)
-		ranks[i] = rank{hLog: r.heuristic(f, &st, nodes[i].p, &es.hbuf), pos: int32(lo + i)}
+		ranks[i] = rank{key: rankKey(r.heuristic(f, &st, nodes[i].p, &es.hbuf)), pos: int32(lo + i)}
 	}
 }
 

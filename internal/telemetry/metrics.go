@@ -32,19 +32,13 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a settable instantaneous value. Obtain from Registry.Gauge.
+// Gauge is an instantaneous value. Obtain from Registry.Gauge.
 type Gauge struct {
 	bits atomic.Uint64 // math.Float64bits
 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adds delta (CAS loop; scrape-safe).
 func (g *Gauge) Add(delta float64) {

@@ -160,9 +160,11 @@ func TestHistogramRejectsBadBuckets(t *testing.T) {
 func TestExpositionFormat(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("requests_total", "Total requests.", Labels{"graph": "default", "mode": "topk"})
-	c.Add(3)
+	for range 3 {
+		c.Inc()
+	}
 	g := r.Gauge("queue_depth", "Depth.", nil)
-	g.Set(2)
+	g.Add(2)
 	r.GaugeFunc("uptime_seconds", "Uptime.", nil, func() float64 { return 1.5 })
 	r.CounterFunc("hits_total", "Hits.", Labels{"graph": "g\"x\\y\n"}, func() float64 { return 9 })
 
@@ -246,7 +248,8 @@ func TestPruneLabel(t *testing.T) {
 	keep := r.Counter("q_total", "q", Labels{"graph": "keep"})
 	r.Counter("q_total", "q", Labels{"graph": "gone"}).Inc()
 	r.Histogram("lat_seconds", "l", []float64{1}, Labels{"graph": "gone"}).Observe(0.5)
-	keep.Add(2)
+	keep.Inc()
+	keep.Inc()
 
 	r.PruneLabel("graph", "gone")
 
